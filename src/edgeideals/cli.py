@@ -3,13 +3,14 @@
 stdout carries machine output only (JSON, JSON-lines, graph6, CSV); stderr
 carries human diagnostics.  Exit codes: 0 success / no fail verdicts, 1 fail
 verdicts found, 2 input or precondition errors, 3 engine cap overruns,
-4 oracle mismatch under --oracle.
+4 oracle mismatch under --oracle, 5 internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -55,6 +56,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 CACHE_ENV = "EDGEIDEALS_CACHE"
 
@@ -351,14 +353,8 @@ def _parallel_map(fn, items, jobs: int) -> list:
         return pool.map(fn, items)
 
 
-_WORKER_CTX: dict = {}
-
-
-def _verify_worker(g6: str) -> list:
-    ctx = _WORKER_CTX
-    return _reports_for_graph(
-        ctx["statement"], g6, ctx["params"], ctx["field"], ctx["caps"], ResultCache(None)
-    )
+def _verify_worker(statement, params, field, caps, g6: str) -> list:
+    return _reports_for_graph(statement, g6, params, field, caps, ResultCache(None))
 
 
 def _cmd_verify(args) -> int:
@@ -380,8 +376,8 @@ def _cmd_verify(args) -> int:
                 for g6 in family
             ]
         else:
-            _WORKER_CTX.update(statement=statement, params=params, field=field, caps=caps)
-            results = _parallel_map(_verify_worker, family, args.jobs)
+            worker = functools.partial(_verify_worker, statement, params, field, caps)
+            results = _parallel_map(worker, family, args.jobs)
         reports = [rep for chunk in results for rep in chunk]
         reports.sort(key=lambda r: (r["statement"], r["instance"]))
     failed = False
@@ -392,9 +388,7 @@ def _cmd_verify(args) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _scan_worker(g6: str) -> list:
-    ctx = _WORKER_CTX
-    config: ScanConfig = ctx["config"]
+def _scan_worker(config: ScanConfig, g6: str) -> list:
     return [r.to_json() for r in scan_conjecture(config, [graph_from_graph6(g6)])]
 
 
@@ -431,8 +425,7 @@ def _cmd_scan(args) -> int:
                 cache.put(key, hit)
             reports.extend(hit)
     else:
-        _WORKER_CTX.update(config=config)
-        for chunk in _parallel_map(_scan_worker, family, args.jobs):
+        for chunk in _parallel_map(functools.partial(_scan_worker, config), family, args.jobs):
             reports.extend(chunk)
     reports.sort(key=lambda r: (r["statement"], r["instance"]))
     failed = False
@@ -479,6 +472,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
+    except Exception as e:
+        sys.stderr.write(f"internal error: {e!r}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ The primary engine enumerates the lcm lattice of the ideal and computes, at
 each lattice multidegree m, the reduced homology of the membership complex of
 m: the simplicial complex on the support of m whose faces are the squarefree
 chunks S with m/x_S still inside the ideal.  Its rank in dimension i-1 is the
-multigraded Betti number at (i, m).
+multigraded Betti number at (i, m).  Multidegrees stay packed one int each
+(`Packing`): lcm and divisibility are a few whole-int operations, and a
+Monomial is built only where a Betti number is nonzero.
 
 Two independent cross-checks are kept alongside: strand homology of the
 Taylor complex (capped by generator count) and order-complex homology of the
@@ -14,6 +16,7 @@ wherever more than one runs; the test suite enforces this.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -55,104 +58,124 @@ def _guard_proper(ideal: MonomialIdeal, what: str) -> None:
         raise ValueError(f"{what} is undefined for the unit ideal")
 
 
+# -- packed multidegrees -----------------------------------------------------------
+
+
+class Packing:
+    """Multidegrees of one ambient ring packed into Python ints, SWAR style.
+
+    Each variable owns a field of w = max_exp.bit_length() + 1 bits, x0 in the
+    most significant one, so comparing packed ints compares exponent tuples
+    lexicographically.  The top bit of every field is a guard bit that stored
+    values keep clear; subtracting across fields with the guard bits set
+    leaves each guard bit set exactly where that field did not borrow
+    (Warren, Hacker's Delight, ch. 2).
+    """
+
+    __slots__ = ("nvars", "w", "shifts", "guard", "low")
+
+    def __init__(self, nvars: int, max_exp: int):
+        w = max_exp.bit_length() + 1
+        self.nvars = nvars
+        self.w = w
+        self.shifts = tuple(w * (nvars - 1 - i) for i in range(nvars))
+        self.low = (1 << (w - 1)) - 1
+        self.guard = sum(1 << (s + w - 1) for s in self.shifts)
+
+    def pack(self, exps) -> int:
+        return sum(e << s for e, s in zip(exps, self.shifts))
+
+    def unpack(self, x: int) -> tuple:
+        low = self.low
+        return tuple((x >> s) & low for s in self.shifts)
+
+    def joins(self, b: int, elems) -> set:
+        """The lcms of b with each of elems, without a branch per field."""
+        h, low, top = self.guard, self.low, self.w - 1
+        bh = b | h
+        # where b_i >= x_i the guard survives and widens to a mask selecting b_i
+        return {x ^ ((b ^ x) & ((((bh - x) & h) >> top) * low)) for x in elems}
+
+    def divisible(self, x: int, gens) -> bool:
+        """True when some packed generator divides x."""
+        h = self.guard
+        xh = x | h
+        return any((xh - g) & h == h for g in gens)
+
+
 # -- lcm lattice ----------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class LcmLattice:
-    """All lcms of nonempty generator subsets, plus a formal bottom element."""
+    """All lcms of nonempty generator subsets, plus a formal bottom element.
 
-    __slots__ = ("nvars", "elements", "bottom")
+    `packed` holds the elements as packed ints in (degree, exponents) order;
+    `elements`, `top` and `bottom` build Monomials on request.
+    """
 
-    def __init__(self, nvars: int, elements):
-        self.nvars = nvars
-        self.elements = tuple(elements)
-        self.bottom = Monomial.unit(nvars)
+    packing: Packing
+    packed: list
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(Monomial(self.packing.unpack(x)) for x in self.packed)
 
     @property
     def top(self) -> Monomial:
-        return self.elements[-1]
+        return Monomial(self.packing.unpack(self.packed[-1]))
 
-    def open_interval(self, m: Monomial) -> list:
-        """Lattice elements strictly between the bottom and m."""
-        return [p for p in self.elements if p != m and p.divides(m)]
+    @property
+    def bottom(self) -> Monomial:
+        return Monomial.unit(self.packing.nvars)
 
     def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, m: Monomial):
-        return m in set(self.elements)
+        return len(self.packed)
 
 
 def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> LcmLattice:
+    """Adds the atoms one at a time: L_k = L_{k-1} + {b_k} + (L_{k-1} joined with b_k)."""
     _guard_proper(ideal, "the lcm lattice")
-    atoms = [g.exps for g in ideal.sorted_gens()]
-    elems = set(atoms)
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in atoms:
-                j = tuple(map(max, a, b))
-                if j not in elems:
-                    elems.add(j)
-                    fresh.append(j)
-                    if len(elems) > caps.lattice_max:
-                        raise CapExceeded("lattice_max", caps.lattice_max, len(elems))
-        frontier = fresh
-    ordered = sorted(elems, key=lambda e: (sum(e), e))
-    return LcmLattice(ideal.nvars, (Monomial(e) for e in ordered))
+    packing = Packing(ideal.nvars, max(max(g.exps) for g in ideal.gens))
+    elems: set = set()
+    for g in ideal.sorted_gens():
+        b = packing.pack(g.exps)
+        elems |= packing.joins(b, elems)
+        elems.add(b)
+        if len(elems) > caps.lattice_max:
+            raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
+    unpack = packing.unpack
+    return LcmLattice(packing, sorted(elems, key=lambda x: (sum(unpack(x)), x)))
 
 
-# -- monomial membership oracle ---------------------------------------------------
+def _membership_table(gens, top: tuple, caps: EngineCaps):
+    """Table of m in I over the exponent box below top, with its strides; None if too big."""
+    box = math.prod(t + 1 for t in top)
+    if box > caps.membership_table_max:
+        return None, None
+    n = len(top)
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * (top[i + 1] + 1)
+    gen_idx = {sum(e * s for e, s in zip(g, strides)) for g in gens}
+    table = bytearray(box)
+    idx = 0
+    for v in product(*(range(t + 1) for t in top)):
+        if idx in gen_idx or any(v[i] and table[idx - strides[i]] for i in range(n)):
+            table[idx] = 1
+        idx += 1
+    return table, strides
 
 
-class _Membership:
-    """Membership queries m in I for all monomials below a fixed exponent box.
+@dataclass(frozen=True, slots=True)
+class _PackedMembership:
+    """m in I for packed multidegrees m, by divisibility; stands in for a table too big to build."""
 
-    Uses a dynamic-programming table over the box when it is small enough,
-    otherwise falls back to direct divisibility scans.
-    """
+    packing: Packing
+    gens: list
 
-    __slots__ = ("table", "strides", "gens")
-
-    def __init__(self, ideal: MonomialIdeal, top: tuple, caps: EngineCaps):
-        self.gens = [g.exps for g in ideal.sorted_gens()]
-        box = 1
-        for t in top:
-            box *= t + 1
-        if box <= caps.membership_table_max:
-            n = len(top)
-            strides = [1] * n
-            for i in range(n - 2, -1, -1):
-                strides[i] = strides[i + 1] * (top[i + 1] + 1)
-            gen_idx = set()
-            for g in self.gens:
-                gen_idx.add(sum(e * s for e, s in zip(g, strides)))
-            table = bytearray(box)
-            idx = 0
-            ranges = [range(t + 1) for t in top]
-            for v in product(*ranges):
-                hit = idx in gen_idx
-                if not hit:
-                    for i in range(n):
-                        if v[i] and table[idx - strides[i]]:
-                            hit = True
-                            break
-                table[idx] = 1 if hit else 0
-                idx += 1
-            self.table = table
-            self.strides = tuple(strides)
-        else:
-            self.table = None
-            self.strides = None
-
-    def index(self, exps) -> int:
-        return sum(e * s for e, s in zip(exps, self.strides))
-
-    def contains(self, exps) -> bool:
-        if self.table is not None:
-            return bool(self.table[self.index(exps)])
-        return any(all(a <= b for a, b in zip(g, exps)) for g in self.gens)
+    def __getitem__(self, x: int) -> bool:
+        return self.packing.divisible(x, self.gens)
 
 
 # -- Betti tables ------------------------------------------------------------------
@@ -235,63 +258,38 @@ def betti_table(
         return hit
     _guard_proper(ideal, "the Betti table")
     lat = lcm_lattice(ideal, caps)
-    top = lat.top.exps
-    member = _Membership(ideal, top, caps)
+    packing = lat.packing
+    gens = [g.exps for g in ideal.sorted_gens()]
+    table, strides = _membership_table(gens, packing.unpack(lat.packed[-1]), caps)
+    if table is None:
+        # index by packed multidegree instead, answered by divisibility
+        table = _PackedMembership(packing, [packing.pack(g) for g in gens])
+        strides = [1 << s for s in packing.shifts]
     entries: dict = {}
     multi: dict = {}
-    if member.table is not None:
-        table = member.table
-        strides = member.strides
-        for m in lat.elements:
-            exps = m.exps
-            supp = [i for i, e in enumerate(exps) if e]
-            s = len(supp)
-            sstrides = [strides[i] for i in supp]
-            midx = member.index(exps)
-            faces = []
-            for smask in range(1 << s):
-                w = midx
-                rest = smask
-                k = 0
-                while rest:
-                    if rest & 1:
-                        w -= sstrides[k]
-                    rest >>= 1
-                    k += 1
-                if table[w]:
-                    faces.append(smask)
-            _accumulate(m, faces, field, entries, multi)
-    else:
-        for m in lat.elements:
-            exps = m.exps
-            supp = [i for i, e in enumerate(exps) if e]
-            s = len(supp)
-            faces = []
-            for smask in range(1 << s):
-                w = list(exps)
-                for k in range(s):
-                    if (smask >> k) & 1:
-                        w[supp[k]] -= 1
-                if member.contains(tuple(w)):
-                    faces.append(smask)
-            _accumulate(m, faces, field, entries, multi)
+    for x in lat.packed:
+        exps = packing.unpack(x)
+        # dec[mask] lowers m by one in every support variable of the subset mask
+        dec = [0]
+        for e, step in zip(exps, strides):
+            if e:
+                dec += [d + step for d in dec]
+        base = sum(e * s for e, s in zip(exps, strides))
+        faces = [mask for mask, d in enumerate(dec) if table[base - d]]
+        if len(faces) == 1:
+            # only the empty face: m is a minimal generator
+            ranks = {0: 1}
+        else:
+            ranks = mask_homology_ranks(faces, field)
+        if ranks:
+            m = Monomial(exps)
+            deg = sum(exps)
+            for i, r in ranks.items():
+                multi[(i, m)] = r
+                entries[(i, deg)] = entries.get((i, deg), 0) + r
     out = BettiTable(field.token(), ideal.nvars, entries, multi)
     _TABLE_CACHE[key] = out
     return out
-
-
-def _accumulate(m: Monomial, faces, field: Field, entries: dict, multi: dict) -> None:
-    if len(faces) == 1:
-        # only the empty face: m is a minimal generator
-        ranks = {0: 1}
-    else:
-        ranks = mask_homology_ranks(faces, field)
-    if not ranks:
-        return
-    d = m.degree
-    for i, r in ranks.items():
-        multi[(i, m)] = r
-        entries[(i, d)] = entries.get((i, d), 0) + r
 
 
 def taylor_betti_oracle(
@@ -367,8 +365,9 @@ def interval_betti_oracle(
     lat = lcm_lattice(ideal, caps)
     entries: dict = {}
     multi: dict = {}
-    for m in lat.elements:
-        interval = lat.open_interval(m)
+    elements = lat.elements
+    for m in elements:
+        interval = [p for p in elements if p != m and p.divides(m)]
         cx = order_complex(
             interval,
             lambda a, b: a != b and a.divides(b),

@@ -192,6 +192,38 @@ def test_parallel_jobs_match_serial(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--statement", "froberg", "--max-n", "4", "--no-cache"],
+        ["scan", "--conjecture", "np", "--max-n", "5", "--no-cache"],
+    ],
+)
+def test_parallel_jobs_under_spawn_match_serial(capsys, monkeypatch, argv):
+    # spawned workers start from a fresh interpreter: they get their context
+    # only through the pickled task, never from the parent's module state
+    import multiprocessing
+
+    _, serial, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    code, parallel, err = run_cli(capsys, *argv, "--jobs", "2")
+    assert code == 0, err
+    assert serial == parallel
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine invariant violated")
+
+    monkeypatch.setattr(cli, "run_statement", broken)
+    code, out, err = run_cli(capsys, "verify", "--statement", "froberg", "--builder", "cycle:4")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert err.count("\n") == 1 and "engine invariant violated" in err
+    assert "fail" not in out
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache_dir = tmp_path / "envcache"
     monkeypatch.setenv("EDGEIDEALS_CACHE", str(cache_dir))

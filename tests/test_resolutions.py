@@ -4,16 +4,20 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeideals.complexes import CapExceeded
 from edgeideals.graphs import (
     Graph,
+    anticycle,
     complement,
     cycle,
     induced_matching_number,
     is_chordal,
     matching_number,
     path,
+    s_suspension,
 )
 from edgeideals.enumeration import enumerate_graphs
 from edgeideals.linalg import GF2, RATIONALS
@@ -30,6 +34,7 @@ from edgeideals.monomials import (
 from edgeideals.resolutions import (
     DEFAULT_CAPS,
     EngineCaps,
+    Packing,
     betti_table,
     has_linear_resolution,
     interval_betti_oracle,
@@ -76,6 +81,44 @@ def test_lattice_guards():
         lcm_lattice(MonomialIdeal.zero(2))
     with pytest.raises(ValueError):
         lcm_lattice(MonomialIdeal.unit(2))
+
+
+# -- packed multidegrees --------------------------------------------------------------
+
+
+@st.composite
+def packed_pairs(draw):
+    nvars = draw(st.integers(1, 12))
+    # widths change at powers of two; 2^k - 1 fills every value bit of a field
+    max_exp = draw(st.integers(1, 40) | st.sampled_from([1, 3, 7, 8, 15, 16, 31, 32]))
+    exps = st.lists(
+        st.integers(0, max_exp) | st.sampled_from([0, max_exp]),
+        min_size=nvars,
+        max_size=nvars,
+    ).map(tuple)
+    return max_exp, draw(exps), draw(exps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_pairs())
+@example((1, (1, 0, 1), (0, 0, 1)))
+@example((7, (7, 0, 7, 3), (0, 7, 7, 4)))
+@example((8, (8, 0, 7), (7, 8, 0)))
+@example((31, (0,) * 12, (31,) * 12))
+def test_packed_arithmetic_matches_tuples(pair):
+    max_exp, a, b = pair
+    p = Packing(len(a), max_exp)
+    pa, pb = p.pack(a), p.pack(b)
+    assert p.unpack(pa) == a and p.unpack(pb) == b
+    assert p.joins(pa, [pb]) == {p.pack(tuple(map(max, a, b)))}
+    assert p.joins(pb, [pa, pb]) == {p.pack(tuple(map(max, a, b))), pb}
+    assert p.divisible(pb, [pa]) == all(x <= y for x, y in zip(a, b))
+    assert p.divisible(pa, [pb]) == all(x <= y for x, y in zip(b, a))
+    assert (pa < pb) == (a < b)
+
+
+def test_packed_width_follows_the_largest_exponent():
+    assert [Packing(3, e).w for e in (1, 2, 3, 4, 7, 8, 40)] == [2, 3, 3, 4, 4, 5, 7]
 
 
 # -- frozen tables ----------------------------------------------------------------
@@ -203,6 +246,11 @@ def test_membership_fallback_path_matches_table_path():
         ideal_power(edge_ideal(cycle(4)), 2),
         parse_ideal(["x0^2", "x0*x1", "x1^2"], 2),
         edge_ideal(cycle(5)),
+        # largest exponents 3 and 4: three- and four-bit fields
+        ideal_power(edge_ideal(path(3)), 3),
+        parse_ideal(["x0^3*x1", "x1^2*x2^3", "x0*x2^2", "x2^4"], 3),
+        # six variables
+        ideal_power(edge_ideal(s_suspension(anticycle(5), {0, 1})), 2),
     ]:
         from edgeideals.resolutions import _TABLE_CACHE
 
