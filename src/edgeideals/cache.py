@@ -2,8 +2,9 @@
 
 Keys are JSON-canonicalized parameter dictionaries hashed with sha256; every
 parameter that can change the answer (canonical graph form, operation, field,
-caps) must be part of the key.  Writes go through a temporary file and an
-atomic rename, so concurrent writers are safe and idempotent.
+caps, package version) must be part of the key.  An entry that cannot be read
+as JSON is a miss.  Writes go through a temporary file and an atomic rename,
+so concurrent writers are safe and idempotent.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ class ResultCache:
         if self.root:
             self.root.mkdir(parents=True, exist_ok=True)
 
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
-
     @staticmethod
     def key_of(parts: dict) -> str:
         canon = json.dumps(parts, sort_keys=True, separators=(",", ":"))
@@ -41,7 +38,7 @@ class ResultCache:
         try:
             with open(p, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, or not JSON
             return None
 
     def put(self, parts: dict, value) -> None:

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from . import __version__
 from .cache import ResultCache
 from .complexes import CapExceeded
 from .enumeration import enumerate_graphs
@@ -29,7 +30,7 @@ from .graphs import (
     path,
     s_suspension,
 )
-from .linalg import Field, RATIONALS
+from .linalg import Field
 from .monomials import edge_ideal, ideal_power, parse_ideal, parse_monomial
 from .resolutions import (
     DEFAULT_CAPS,
@@ -38,6 +39,9 @@ from .resolutions import (
     taylor_betti_oracle,
 )
 from .verification import (
+    FAIL,
+    PASS,
+    SKIPPED,
     STATEMENTS,
     ScanConfig,
     check_abc_bound,
@@ -49,6 +53,7 @@ from .verification import (
     is_im_reg_invariant_extension,
     run_statement,
     scan_conjecture,
+    summarize_reports,
 )
 
 EXIT_OK = 0
@@ -61,6 +66,8 @@ EXIT_INTERNAL = 5
 CACHE_ENV = "EDGEIDEALS_CACHE"
 
 _BUILDERS = {"cycle": cycle, "anticycle": anticycle, "path": path, "complete": complete}
+
+_IDEAL_STATEMENTS = ("splitting", "doublelinear", "colon", "abc")
 
 
 def _emit(obj) -> None:
@@ -179,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p)
 
     p = sub.add_parser("verify", help="run a named statement over a graph family or an ideal instance")
-    p.add_argument("--statement", required=True, help=", ".join(STATEMENTS + ("splitting", "doublelinear", "colon", "abc")))
+    p.add_argument("--statement", required=True, help=", ".join(STATEMENTS + _IDEAL_STATEMENTS))
     _add_graph_flags(p, family=True)
     p.add_argument("--set", dest="sset", help="independent set for suspension/main1/main2")
     p.add_argument("--cover", help="vertex cover for keylemma")
@@ -286,9 +293,6 @@ def _cmd_extend(args) -> int:
     return EXIT_OK
 
 
-_IDEAL_STATEMENTS = ("splitting", "doublelinear", "colon", "abc")
-
-
 def _verify_ideal_statement(args, field, caps) -> list:
     if args.nvars is None:
         raise ValueError(f"--statement {args.statement} needs --nvars")
@@ -326,35 +330,49 @@ def _statement_params(args) -> dict:
     return params
 
 
-def _reports_for_graph(statement, g6, params, field, caps, cache: ResultCache) -> list:
-    key = {
-        "op": "verify",
-        "statement": statement,
-        "graph6": g6,
-        "params": {k: sorted(map(sorted, v)) if k in ("sets", "covers") else v for k, v in params.items()},
-        "field": field.token(),
-        "caps": caps.to_json(),
-    }
+def _is_report_list(value) -> bool:
+    """True for a cache entry of the shape `_family_item` stores."""
+    return isinstance(value, list) and all(
+        isinstance(r, dict)
+        and isinstance(r.get("statement"), str)
+        and isinstance(r.get("instance"), str)
+        and r.get("verdict") in (PASS, FAIL, SKIPPED)
+        for r in value
+    )
+
+
+def _family_item(base_key: dict, run, cache: ResultCache, g6: str) -> list:
+    """Report dicts of `run` on one graph, cached; an entry of the wrong shape is a miss."""
+    key = dict(base_key, graph6=g6, version=__version__)
     hit = cache.get(key)
-    if hit is not None:
+    if _is_report_list(hit):
         return hit
-    g = graph_from_graph6(g6)
-    reports = [r.to_json() for r in run_statement(statement, g, params, field, caps)]
+    reports = [r.to_json() for r in run(graph_from_graph6(g6))]
     cache.put(key, reports)
     return reports
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    import multiprocessing
+def _run_family(args, base_key: dict, run) -> list:
+    """Report dicts of `run` over the family, sorted; --jobs workers use the cache themselves."""
+    item = functools.partial(_family_item, base_key, run, _cache(args))
+    family = [graph_to_graph6(g) for g in _family(args)]
+    if args.jobs <= 1 or len(family) <= 1:
+        chunks = [item(g6) for g6 in family]
+    else:
+        import multiprocessing
 
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items)
+        with multiprocessing.Pool(args.jobs) as pool:
+            chunks = pool.map(item, family)
+    reports = [rep for chunk in chunks for rep in chunk]
+    reports.sort(key=lambda r: (r["statement"], r["instance"]))
+    return reports
 
 
-def _verify_worker(statement, params, field, caps, g6: str) -> list:
-    return _reports_for_graph(statement, g6, params, field, caps, ResultCache(None))
+def _emit_reports(reports) -> int:
+    """Print one JSON line per report dict; EXIT_FAIL when any verdict is fail."""
+    for rep in reports:
+        _emit(rep)
+    return EXIT_FAIL if any(rep["verdict"] == FAIL for rep in reports) else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -363,33 +381,23 @@ def _cmd_verify(args) -> int:
     statement = args.statement
     _emit(_header("verify", args, field, caps, statement=statement))
     if statement in _IDEAL_STATEMENTS:
-        reports = [r.to_json() for r in _verify_ideal_statement(args, field, caps)]
-    else:
-        if statement not in STATEMENTS:
-            raise ValueError(f"unknown statement {statement!r}")
-        params = _statement_params(args)
-        cache = _cache(args)
-        family = [graph_to_graph6(g) for g in _family(args)]
-        if cache.enabled:
-            results = [
-                _reports_for_graph(statement, g6, params, field, caps, cache)
-                for g6 in family
-            ]
-        else:
-            worker = functools.partial(_verify_worker, statement, params, field, caps)
-            results = _parallel_map(worker, family, args.jobs)
-        reports = [rep for chunk in results for rep in chunk]
-        reports.sort(key=lambda r: (r["statement"], r["instance"]))
-    failed = False
-    for rep in reports:
-        _emit(rep)
-        if rep["verdict"] == "fail":
-            failed = True
-    return EXIT_FAIL if failed else EXIT_OK
+        return _emit_reports([r.to_json() for r in _verify_ideal_statement(args, field, caps)])
+    if statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}")
+    params = _statement_params(args)
+    base_key = {
+        "op": "verify",
+        "statement": statement,
+        "params": {k: sorted(map(sorted, v)) if k in ("sets", "covers") else v for k, v in params.items()},
+        "field": field.token(),
+        "caps": caps.to_json(),
+    }
+    run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
+    return _emit_reports(_run_family(args, base_key, run))
 
 
-def _scan_worker(config: ScanConfig, g6: str) -> list:
-    return [r.to_json() for r in scan_conjecture(config, [graph_from_graph6(g6)])]
+def _scan_one(config: ScanConfig, g: Graph) -> list:
+    return scan_conjecture(config, [g])
 
 
 def _cmd_scan(args) -> int:
@@ -404,49 +412,23 @@ def _cmd_scan(args) -> int:
         c_g=args.cg,
     )
     _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=args.kmax))
-    family = [graph_to_graph6(g) for g in _family(args)]
-    cache = _cache(args)
-    reports = []
-    if cache.enabled:
-        for g6 in family:
-            key = {
-                "op": "scan",
-                "conjecture": args.conjecture,
-                "graph6": g6,
-                "k_max": args.kmax,
-                "reg_filter": args.reg_filter,
-                "c_g": args.cg,
-                "field": field.token(),
-                "caps": caps.to_json(),
-            }
-            hit = cache.get(key)
-            if hit is None:
-                hit = [r.to_json() for r in scan_conjecture(config, [graph_from_graph6(g6)])]
-                cache.put(key, hit)
-            reports.extend(hit)
-    else:
-        for chunk in _parallel_map(functools.partial(_scan_worker, config), family, args.jobs):
-            reports.extend(chunk)
-    reports.sort(key=lambda r: (r["statement"], r["instance"]))
-    failed = False
-    for rep in reports:
-        _emit(rep)
-        if rep["verdict"] == "fail":
-            failed = True
+    base_key = {
+        "op": "scan",
+        "conjecture": args.conjecture,
+        "k_max": args.kmax,
+        "reg_filter": args.reg_filter,
+        "c_g": args.cg,
+        "field": field.token(),
+        "caps": caps.to_json(),
+    }
+    reports = _run_family(args, base_key, functools.partial(_scan_one, config))
+    code = _emit_reports(reports)
     if args.summary:
-        rows = {}
-        for rep in reports:
-            row = rows.setdefault(
-                rep["statement"],
-                {"statement": rep["statement"], "instances": 0, "pass": 0, "fail": 0, "skipped": 0},
-            )
-            row["instances"] += 1
-            row[rep["verdict"]] += 1
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=["statement", "instances", "pass", "fail", "skipped"])
             w.writeheader()
-            w.writerows(rows[k] for k in sorted(rows))
-    return EXIT_FAIL if failed else EXIT_OK
+            w.writerows(summarize_reports(reports))
+    return code
 
 
 _COMMANDS = {

@@ -170,13 +170,14 @@ def minimalize(nvars: int, monomials) -> MonomialIdeal:
         if m.is_unit:
             return MonomialIdeal.unit(nvars)
         pool.add(m)
+    # every ambient is checked above, so divisibility compares exponent tuples directly
     kept = []
     for m in sorted(pool, key=grlex_key):
-        d = m.degree
-        if any(kd < d and k.divides(m) for kd, k in kept):
+        d, e = m.degree, m.exps
+        if any(kd < d and all(map(int.__le__, ke, e)) for kd, ke, _ in kept):
             continue
-        kept.append((d, m))
-    return MonomialIdeal(nvars, frozenset(m for _, m in kept))
+        kept.append((d, e, m))
+    return MonomialIdeal(nvars, frozenset(m for _, _, m in kept))
 
 
 def parse_ideal(strings, nvars: int) -> MonomialIdeal:

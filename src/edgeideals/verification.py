@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import CapExceeded
-from .enumeration import enumerate_graphs
-from .graph6 import graph_from_graph6, graph_to_graph6, iter_graph6
+from .graph6 import graph_to_graph6
 from .graphs import (
     Graph,
     canonical_graph,
@@ -641,14 +640,12 @@ def probe_vertex_deletions(
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Family source plus parameters for a conjecture scan."""
+    """Parameters for a conjecture scan."""
 
     conjecture: str
     k_max: int = 2
     field: Field = RATIONALS
     caps: EngineCaps = DEFAULT_CAPS
-    max_n: "int | None" = None
-    graph6_path: "str | None" = None
     reg_filter: "int | None" = None
     c_g: "int | None" = None
 
@@ -659,17 +656,6 @@ class ScanConfig:
             raise ValueError("np scans need k_max >= 2")
         if self.conjecture == "newconj2" and (self.c_g or 2) > self.k_max:
             raise ValueError("newconj2 scans need k_max >= c_G")
-
-
-def _resolve_family(config: ScanConfig, graphs):
-    if graphs is not None:
-        return list(graphs)
-    if config.graph6_path is not None:
-        with open(config.graph6_path, "r", encoding="ascii") as fh:
-            return iter_graph6(fh)
-    if config.max_n is not None:
-        return enumerate_graphs(config.max_n, require_edge=True)
-    raise ValueError("scan needs a family source: graphs, graph6_path or max_n")
 
 
 def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
@@ -686,11 +672,10 @@ def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
     return None
 
 
-def scan_conjecture(config: ScanConfig, graphs=None) -> list:
-    """Run one conjecture scan over a graph family; reports sorted deterministically."""
-    family = _resolve_family(config, graphs)
+def scan_conjecture(config: ScanConfig, graphs) -> list:
+    """Run one conjecture scan over the given graphs; reports sorted deterministically."""
     reports = []
-    for g in family:
+    for g in graphs:
         if not g.edges:
             continue
         if config.conjecture in ("np", "generalnp"):
@@ -766,37 +751,52 @@ def _scan_extensions(config: ScanConfig, g: Graph) -> list:
 
 
 def summarize_reports(reports) -> list:
-    """Per-statement pass/fail/skip counts as sorted summary rows."""
+    """Per-statement pass/fail/skip counts of report dicts (`to_json`) as sorted summary rows."""
     rows = {}
     for r in reports:
+        st = r["statement"]
         row = rows.setdefault(
-            r.statement, {"statement": r.statement, "instances": 0, "pass": 0, "fail": 0, "skipped": 0}
+            st, {"statement": st, "instances": 0, "pass": 0, "fail": 0, "skipped": 0}
         )
         row["instances"] += 1
-        row[r.verdict] += 1
+        row[r["verdict"]] += 1
     return [rows[k] for k in sorted(rows)]
 
 
 # -- statement registry for the CLI ------------------------------------------------------
 
 
-STATEMENTS = (
-    "froberg",
-    "bounds",
-    "bht",
-    "hhz",
-    "banerjee",
-    "suspension",
-    "keylemma",
-    "blemma",
-    "main1",
-    "main2",
-    "deletion-probe",
-)
+def _sets(g: Graph, p: dict):
+    sets = p.get("sets")
+    if sets is None:
+        sets = [s for s in independent_sets(g) if len(s) < g.n]
+    return sets
 
 
-def _proper_independent_sets(g: Graph):
-    return [s for s in independent_sets(g) if len(s) < g.n]
+def _keylemma(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
+    covers = p.get("covers")
+    if covers is None:
+        covers = minimal_vertex_covers(g)
+    ks = [p["k"]] if p.get("k") is not None else [0, 1, 2]
+    return [check_keylemma(g, c, k, field, caps) for c in covers for k in ks]
+
+
+# statement -> handler(g, params, field, caps) giving one report per sub-instance
+_HANDLERS = {
+    "froberg": lambda g, p, f, c: [check_froberg(g, f, c)],
+    "bounds": lambda g, p, f, c: [check_reg_bounds(g, f, c)],
+    "bht": lambda g, p, f, c: [check_bht_lower_bound(g, range(1, (p.get("k_max") or 3) + 1), f, c)],
+    "hhz": lambda g, p, f, c: [check_hhz(g, p.get("k_max") or 3, f, c)],
+    "banerjee": lambda g, p, f, c: [check_banerjee(g, p.get("k_max") or 3, f, c)],
+    "suspension": lambda g, p, f, c: [check_s_suspension_invariance(g, s, f, c) for s in _sets(g, p)],
+    "keylemma": _keylemma,
+    "blemma": lambda g, p, f, c: [check_blemma_colon_structure(g, p.get("k") or 1, None, f, c)],
+    "main1": lambda g, p, f, c: [check_main1(g, s, p.get("k") or 2, f, c) for s in _sets(g, p)],
+    "main2": lambda g, p, f, c: [check_main2(g, s, p.get("k_max") or 3, f, c) for s in _sets(g, p)],
+    "deletion-probe": lambda g, p, f, c: [probe_vertex_deletions(g, f, c)],
+}
+
+STATEMENTS = tuple(_HANDLERS)
 
 
 def run_statement(
@@ -807,46 +807,10 @@ def run_statement(
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> list:
     """Run one named statement on one graph; returns one report per sub-instance."""
-    p = params or {}
+    handler = _HANDLERS.get(statement)
+    if handler is None:
+        raise ValueError(f"unknown statement {statement!r}")
     try:
-        if statement == "froberg":
-            return [check_froberg(g, field, caps)]
-        if statement == "bounds":
-            return [check_reg_bounds(g, field, caps)]
-        if statement == "bht":
-            k_max = p.get("k_max") or 3
-            return [check_bht_lower_bound(g, range(1, k_max + 1), field, caps)]
-        if statement == "hhz":
-            return [check_hhz(g, p.get("k_max") or 3, field, caps)]
-        if statement == "banerjee":
-            return [check_banerjee(g, p.get("k_max") or 3, field, caps)]
-        if statement == "suspension":
-            sets = p.get("sets")
-            if sets is None:
-                sets = _proper_independent_sets(g)
-            return [check_s_suspension_invariance(g, s, field, caps) for s in sets]
-        if statement == "keylemma":
-            covers = p.get("covers")
-            if covers is None:
-                covers = minimal_vertex_covers(g)
-            ks = [p["k"]] if p.get("k") is not None else [0, 1, 2]
-            return [check_keylemma(g, c, k, field, caps) for c in covers for k in ks]
-        if statement == "blemma":
-            return [check_blemma_colon_structure(g, p.get("k") or 1, None, field, caps)]
-        if statement == "main1":
-            sets = p.get("sets")
-            if sets is None:
-                sets = _proper_independent_sets(g)
-            k = p.get("k") or 2
-            return [check_main1(g, s, k, field, caps) for s in sets]
-        if statement == "main2":
-            sets = p.get("sets")
-            if sets is None:
-                sets = _proper_independent_sets(g)
-            k_max = p.get("k_max") or 3
-            return [check_main2(g, s, k_max, field, caps) for s in sets]
-        if statement == "deletion-probe":
-            return [probe_vertex_deletions(g, field, caps)]
+        return handler(g, params or {}, field, caps)
     except CapExceeded as e:
         return [_skipped(statement, _ginst(g), f"engine cap hit: {e}")]
-    raise ValueError(f"unknown statement {statement!r}")

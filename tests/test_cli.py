@@ -192,6 +192,25 @@ def test_parallel_jobs_match_serial(capsys):
     assert serial == parallel
 
 
+START_METHODS = ("fork", "forkserver", "spawn")
+
+
+def use_start_method(monkeypatch, method):
+    """Make the CLI's pools use `method`; returns the list of pools it opened."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context(method)
+    opened = []
+
+    def pool(*args, **kwargs):
+        opened.append(method)
+        return ctx.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    return opened
+
+
+@pytest.mark.parametrize("method", START_METHODS)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -199,16 +218,72 @@ def test_parallel_jobs_match_serial(capsys):
         ["scan", "--conjecture", "np", "--max-n", "5", "--no-cache"],
     ],
 )
-def test_parallel_jobs_under_spawn_match_serial(capsys, monkeypatch, argv):
-    # spawned workers start from a fresh interpreter: they get their context
-    # only through the pickled task, never from the parent's module state
-    import multiprocessing
-
+def test_parallel_jobs_under_spawn_match_serial(capsys, monkeypatch, argv, method):
+    # spawned and forkserver workers start from a fresh interpreter: they get
+    # their context only through the pickled task, never from the parent's
+    # module state
     _, serial, _ = run_cli(capsys, *argv)
-    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    opened = use_start_method(monkeypatch, method)
     code, parallel, err = run_cli(capsys, *argv, "--jobs", "2")
     assert code == 0, err
+    assert opened == [method]
     assert serial == parallel
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_parallel_jobs_share_the_cache(tmp_path, capsys, monkeypatch, method):
+    cache_dir = tmp_path / "cache"
+    args = ["verify", "--statement", "froberg", "--max-n", "4"]
+    _, uncached, _ = run_cli(capsys, *args, "--no-cache")
+    opened = use_start_method(monkeypatch, method)
+    code, parallel, err = run_cli(capsys, *args, "--cache-dir", str(cache_dir), "--jobs", "2")
+    assert code == 0, err
+    assert opened == [method]
+    assert parallel == uncached
+    assert any(cache_dir.rglob("*.json"))  # written by the workers
+    _, warm, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir), "--jobs", "1")
+    assert warm == uncached
+    assert opened == [method]
+
+
+@pytest.mark.parametrize(
+    "payload", [b'{"a": 1}', b"[1]", b"\xff\xfe"], ids=["dict", "int-list", "not-utf8"]
+)
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, payload):
+    cache_dir = tmp_path / "cache"
+    args = ["verify", "--statement", "bounds", "--builder", "cycle:4"]
+    _, uncached, _ = run_cli(capsys, *args, "--no-cache")
+    run_cli(capsys, *args, "--cache-dir", str(cache_dir))
+    (entry,) = cache_dir.rglob("*.json")
+    good = entry.read_bytes()
+    entry.write_bytes(payload)
+    code, out, err = run_cli(capsys, *args, "--cache-dir", str(cache_dir))
+    assert code == 0, err
+    assert out == uncached
+    assert entry.read_bytes() == good  # recomputed and overwritten
+
+
+def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    cache_dir = tmp_path / "cache"
+    args = ["verify", "--statement", "bounds", "--builder", "cycle:4", "--cache-dir", str(cache_dir)]
+    original = cli.run_statement
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(cli, "run_statement", counted)
+    _, first, _ = run_cli(capsys, *args)
+    _, hit, _ = run_cli(capsys, *args)
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + "+next")
+    _, recomputed, _ = run_cli(capsys, *args)
+    assert len(calls) == 2
+    assert first == hit == recomputed
+    assert len(list(cache_dir.rglob("*.json"))) == 2
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

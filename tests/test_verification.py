@@ -2,6 +2,7 @@
 
 import pytest
 
+from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graphs import (
     Graph,
     anticycle,
@@ -271,8 +272,6 @@ def test_main1_pass_implies_main2_linearity():
 
 
 def test_four_bound_checks_are_mutually_consistent():
-    from edgeideals.enumeration import enumerate_graphs
-
     for g in enumerate_graphs(5, min_n=2, require_edge=True):
         froberg = check_froberg(g)
         bounds = check_reg_bounds(g)
@@ -328,7 +327,7 @@ def test_probe_vertex_deletions():
 
 
 def test_np_scan_small():
-    reports = scan_conjecture(ScanConfig("np", k_max=2, max_n=5))
+    reports = scan_conjecture(ScanConfig("np", k_max=2), enumerate_graphs(5, require_edge=True))
     assert len(reports) == 1  # the 5-cycle is the only gap-free reg-3 class here
     assert reports[0].verdict == "pass"
     assert reports[0].data["reg"] == 3
@@ -339,7 +338,7 @@ def test_np_scan_empty_family():
 
 
 def test_generalnp_scan_small():
-    reports = scan_conjecture(ScanConfig("generalnp", k_max=2, max_n=4))
+    reports = scan_conjecture(ScanConfig("generalnp", k_max=2), enumerate_graphs(4, require_edge=True))
     assert reports
     assert all(r.verdict == "pass" for r in reports)
 
@@ -350,7 +349,7 @@ def test_newconj2_scan_on_c5():
     )
     assert reports
     assert all(r.verdict == "pass" for r in reports)
-    rows = summarize_reports(reports)
+    rows = summarize_reports([r.to_json() for r in reports])
     assert rows[0]["statement"] == "newconj2"
     assert rows[0]["fail"] == 0 and rows[0]["skipped"] == 0
 
@@ -372,9 +371,10 @@ def test_scan_config_validation():
 
 
 def test_scan_reports_are_sorted_and_deterministic():
-    cfg = ScanConfig("generalnp", k_max=2, max_n=4)
-    a = [r.to_json() for r in scan_conjecture(cfg)]
-    b = [r.to_json() for r in scan_conjecture(cfg)]
+    cfg = ScanConfig("generalnp", k_max=2)
+    family = enumerate_graphs(4, require_edge=True)
+    a = [r.to_json() for r in scan_conjecture(cfg, family)]
+    b = [r.to_json() for r in scan_conjecture(cfg, family)]
     assert a == b
     insts = [r["instance"] for r in a]
     assert insts == sorted(insts)
