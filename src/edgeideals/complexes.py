@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import Field
+from .linalg import Field, unit_pivot_rank
 
 
 class CapExceeded(RuntimeError):
@@ -137,24 +137,30 @@ def mask_homology_ranks(face_masks, field: Field) -> dict:
     for lst in by_card.values():
         lst.sort()
     cards = sorted(by_card)
-    # rank of the boundary map from cardinality c to c-1
+    # rank of the boundary map from cardinality c to c-1, reduced from the top
+    # down; a face that is a pivot row of the map above it is cleared, since
+    # its column adds nothing to the rank (Chen-Kerber clearing)
     bd_rank = {}
-    for c in cards:
+    cleared = ()
+    for c in reversed(cards):
         if c == 0 or (c - 1) not in by_card:
             bd_rank[c] = 0
+            cleared = ()
             continue
-        rows_idx = {f: i for i, f in enumerate(by_card[c - 1])}
-        cols = by_card[c]
-        mat = [[0] * len(cols) for _ in rows_idx]
-        for col, f in enumerate(cols):
+        columns = []
+        for f in by_card[c]:
+            if f in cleared:
+                continue
+            col = {}
             sign = 1
             rest = f
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                mat[rows_idx[f ^ bit]][col] = sign
+                col[f ^ bit] = sign
                 sign = -sign
-        bd_rank[c] = field.matrix_rank(mat)
+            columns.append(col)
+        bd_rank[c], cleared = unit_pivot_rank(columns, field)
     out = {}
     for c in cards:
         h = len(by_card[c]) - bd_rank.get(c, 0) - bd_rank.get(c + 1, 0)

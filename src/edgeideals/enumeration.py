@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, canonical_graph, canonical_key
+from .graphs import Graph, canonical_key, graph_from_key
 
 
 @lru_cache(maxsize=None)
@@ -22,16 +22,13 @@ def graphs_on(n: int) -> tuple:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
         return (Graph(0),)
-    out = {}
+    keys = set()
     for base in graphs_on(n - 1):
         edges = set(base.edges)
         for mask in range(1 << (n - 1)):
             extra = [(v, n - 1) for v in range(n - 1) if (mask >> v) & 1]
-            g = Graph(n, edges | set(extra))
-            key = canonical_key(g)
-            if key not in out:
-                out[key] = canonical_graph(g)
-    return tuple(out[k] for k in sorted(out))
+            keys.add(canonical_key(Graph(n, edges | set(extra))))
+    return tuple(graph_from_key(k) for k in sorted(keys))
 
 
 def enumerate_graphs(max_n: int, min_n: int = 1, require_edge: bool = False) -> list:

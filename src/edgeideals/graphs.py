@@ -371,7 +371,12 @@ def canonical_key(g: Graph):
 
 def canonical_graph(g: Graph) -> Graph:
     """Canonical representative of the isomorphism class of g."""
-    n, rows = canonical_key(g)
+    return graph_from_key(canonical_key(g))
+
+
+def graph_from_key(key) -> Graph:
+    """The canonical representative whose `canonical_key` is key."""
+    n, rows = key
     edges = []
     for p in range(n):
         r = rows[p]

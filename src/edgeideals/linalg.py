@@ -1,8 +1,10 @@
-"""Exact dense rank computation over the rationals and over prime fields.
+"""Exact rank computation over the rationals and over prime fields.
 
-Rank over Q uses Bareiss fraction-free elimination on Python integers, so
-integer matrices are handled exactly with no floating point anywhere.  Rank
-over GF(p) uses ordinary Gaussian elimination with modular inverses.
+Dense rank over Q uses Bareiss fraction-free elimination on Python integers,
+so integer matrices are handled exactly with no floating point anywhere.
+Dense rank over GF(p) uses ordinary Gaussian elimination with modular
+inverses.  Sparse boundary matrices go through `unit_pivot_rank`, which
+eliminates with unit pivots only and hands the rest to the dense kernels.
 """
 
 from __future__ import annotations
@@ -126,3 +128,70 @@ def mod_p_rank(rows, p: int) -> int:
                     row[j] = (row[j] - f * pr[j]) % p
         rank += 1
     return rank
+
+
+def unit_pivot_rank(columns, field: Field) -> tuple:
+    """Rank over `field` of a sparse integer matrix, and the rows of its unit pivots.
+
+    `columns` holds one dict {row: int} per column, every entry nonzero in
+    `field` (the +-1 entries of a boundary matrix are); rows are ints and a
+    column's lowest entry is the one on its largest row.  This is the
+    standard lowest-pivot column reduction, except that a pivot is always a
+    unit: +-1 over Q, any nonzero residue over GF(p).  Every update is then
+    exact integer or mod-p arithmetic with no division.
+
+    A column whose lowest entry is not a unit is set aside.  Once every pivot
+    is known, each set-aside column is reduced until no entry sits on a pivot
+    row, and `field.matrix_rank` ranks what is left on the other rows.  The
+    pivot columns are independent and triangular on their pivot rows, so the
+    rank is their count plus that remainder rank.  `field.matrix_rank` is
+    called exactly once, on an empty matrix when nothing was set aside.
+
+    The pivot rows are returned so that a caller reducing a chain complex can
+    skip the columns of the next boundary map that they name (clearing).
+    """
+    p = field.p
+    pivots = {}  # pivot row -> its reduced column, scaled to 1 on that row
+    aside = []
+    for col in columns:
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                break
+            _subtract(col, col[low], piv, p)
+        else:
+            continue
+        unit = col[low]
+        if p is None:
+            if unit == -1:
+                col = {r: -v for r, v in col.items()}
+            elif unit != 1:
+                aside.append(col)
+                continue
+        elif unit % p != 1:
+            inv = pow(unit, -1, p)
+            col = {r: v * inv % p for r, v in col.items()}
+        pivots[low] = col
+    for col in aside:
+        while True:
+            hits = [r for r in col if r in pivots]
+            if not hits:
+                break
+            r = max(hits)
+            _subtract(col, col[r], pivots[r], p)
+    rows = sorted({r for col in aside for r in col})
+    rest = field.matrix_rank([[col.get(r, 0) for col in aside] for r in rows])
+    return len(pivots) + rest, pivots.keys()
+
+
+def _subtract(col: dict, f: int, piv: dict, p) -> None:
+    """col -= f * piv in place (mod p unless p is None), dropping entries that vanish."""
+    for r, v in piv.items():
+        w = col.get(r, 0) - f * v
+        if p is not None:
+            w %= p
+        if w:
+            col[r] = w
+        else:
+            del col[r]

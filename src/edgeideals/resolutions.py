@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 from .complexes import CapExceeded, mask_homology_ranks, order_complex, reduced_homology_ranks
 from .linalg import RATIONALS, Field
@@ -185,7 +186,9 @@ class BettiTable:
     """Graded Betti numbers of an ideal with the multigraded refinement.
 
     entries maps (homological index i, total degree j) to a positive count;
-    multi maps (i, multidegree Monomial) to a positive count.
+    multi maps (i, multidegree Monomial) to a positive count.  Both are
+    read-only views, because `betti_table` hands the same memoised table to
+    every caller.
     """
 
     __slots__ = ("field_token", "nvars", "entries", "multi")
@@ -193,8 +196,8 @@ class BettiTable:
     def __init__(self, field_token: str, nvars: int, entries: dict, multi: dict):
         self.field_token = field_token
         self.nvars = nvars
-        self.entries = dict(entries)
-        self.multi = dict(multi)
+        self.entries = MappingProxyType(dict(entries))
+        self.multi = MappingProxyType(dict(multi))
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)

@@ -1,7 +1,11 @@
 """Homology conventions, order complexes, and field dependence."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dense_homology import dense_mask_homology_ranks
+from edgeideals import linalg
 from edgeideals.complexes import (
     CapExceeded,
     SimplicialComplex,
@@ -9,7 +13,7 @@ from edgeideals.complexes import (
     order_complex,
     reduced_homology_ranks,
 )
-from edgeideals.linalg import GF2, RATIONALS
+from edgeideals.linalg import GF2, RATIONALS, Field
 
 
 def test_void_and_empty_conventions():
@@ -64,6 +68,61 @@ def test_mask_engine_agrees_with_set_engine():
     cx = SimplicialComplex.from_facets([[0, 1], [2]])
     by_dim = reduced_homology_ranks(cx, RATIONALS)
     assert {c - 1: r for c, r in by_card.items()} == by_dim == {0: 1}
+
+
+RP2_FACETS = (
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+)
+RP2 = tuple(sum(1 << (v - 1) for v in facet) for facet in RP2_FACETS)
+CONE = (0b0111, 0b1011, 0b1101)  # vertex 0 joined to the hollow triangle 1, 2, 3
+TWO_POINTS = (0b01, 0b10)
+
+
+def closure(facets) -> list:
+    """Every face of the complex with these facet bitmasks, the empty face included."""
+    faces = set()
+    for facet in facets:
+        sub = facet
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & facet
+    return sorted(faces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, (1 << 7) - 1), min_size=1, max_size=9))
+@example(RP2)
+@example(CONE)
+@example(TWO_POINTS)
+def test_sparse_reduction_matches_dense_reference(facets):
+    faces = closure(facets)
+    for field in (RATIONALS, GF2, Field(3)):
+        assert mask_homology_ranks(faces, field) == dense_mask_homology_ranks(faces, field)
+
+
+def test_reduction_examples(monkeypatch):
+    shapes = []
+    bareiss = linalg.bareiss_rank
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return bareiss(rows)
+
+    monkeypatch.setattr(linalg, "bareiss_rank", recording)
+    # RP2 has 2-torsion: over Q the reduction meets a non-unit pivot
+    assert mask_homology_ranks(closure(RP2), RATIONALS) == {}
+    assert any(rows for rows, _ in shapes)
+    assert mask_homology_ranks(closure(RP2), GF2) == {2: 1, 3: 1}
+    assert mask_homology_ranks(closure(RP2), Field(3)) == {}
+    assert mask_homology_ranks(closure(CONE), RATIONALS) == {}
+    assert mask_homology_ranks(closure(TWO_POINTS), RATIONALS) == {1: 1}
+    # one rank call per boundary map, even with no remainder
+    shapes.clear()
+    mask_homology_ranks(closure(TWO_POINTS), RATIONALS)
+    assert shapes == [(0, 0)]
 
 
 def test_order_complex_of_divisor_poset():

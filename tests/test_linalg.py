@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from edgeideals.linalg import Field, GF2, RATIONALS, bareiss_rank, mod_p_rank
+from edgeideals.linalg import Field, GF2, RATIONALS, bareiss_rank, mod_p_rank, unit_pivot_rank
 
 
 def fraction_rank(rows):
@@ -103,6 +103,26 @@ def test_boundary_like_sparse_matrices():
             for _ in range(nr)
         ]
         assert bareiss_rank(m) == fraction_rank(m)
+
+
+def test_unit_pivot_rank_matches_dense_ranks():
+    # entries +-2 give non-unit pivots over Q, so the set-aside path runs too
+    rnd = random.Random(21)
+    for _ in range(300):
+        nr, nc = rnd.randint(1, 9), rnd.randint(1, 9)
+        m = [[rnd.choice([0, 0, 0, 1, -1, 2, -2]) for _ in range(nc)] for _ in range(nr)]
+        for field in (RATIONALS, GF2, Field(3)):
+            # the reducer takes only entries that are nonzero in the field
+            p = field.p or 0
+            columns = [
+                {i: m[i][j] for i in range(nr) if (m[i][j] % p if p else m[i][j])}
+                for j in range(nc)
+            ]
+            rank, pivots = unit_pivot_rank(columns, field)
+            assert rank == field.matrix_rank(m)
+            assert len(pivots) <= rank and set(pivots) <= set(range(nr))
+            if field.is_rationals:
+                assert rank == fraction_rank(m)
 
 
 def test_field_tokens_and_validation():

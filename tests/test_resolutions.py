@@ -430,3 +430,14 @@ def test_multigraded_entries_sum_to_graded():
     for (i, m), b in t.multi.items():
         sums[(i, m.degree)] = sums.get((i, m.degree), 0) + b
     assert sums == t.entries
+
+
+def test_memoised_table_is_read_only():
+    ideal = edge_ideal(anticycle(5))
+    t = betti_table(ideal)
+    assert betti_table(ideal) is t
+    with pytest.raises(TypeError):
+        t.entries[(0, 9)] = 1
+    with pytest.raises(TypeError):
+        t.multi[(0, Monomial((1, 1, 0, 0, 0)))] = 1
+    assert regularity(ideal) == 3
