@@ -386,14 +386,6 @@ def graph_from_key(key) -> Graph:
     return Graph(n, edges)
 
 
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    if sorted(a.degree(v) for v in range(a.n)) != sorted(b.degree(v) for v in range(b.n)):
-        return False
-    return canonical_key(a) == canonical_key(b)
-
-
 _CLAW_KEY = canonical_key(claw())
 _CRICKET_KEY = canonical_key(cricket())
 
@@ -420,33 +412,6 @@ def has_induced_cricket(g: Graph) -> bool:
 def has_induced_subgraph(g: Graph, pattern: Graph) -> bool:
     """True when some vertex subset of g induces a graph isomorphic to the pattern."""
     return _has_induced(g, pattern.n, canonical_key(pattern))
-
-
-def _complement_is_cycle(h: Graph) -> bool:
-    if h.n < 3:
-        return False
-    c = complement(h)
-    if any(c.degree(v) != 2 for v in range(c.n)):
-        return False
-    # connected 2-regular graph is a single cycle
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in range(c.n):
-            if (c._masks[v] >> u) & 1 and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return len(seen) == c.n
-
-
-def min_induced_anticycle(g: Graph):
-    """Smallest l >= 5 such that some l vertices induce an anticycle, else None."""
-    for l in range(5, g.n + 1):
-        for sub in combinations(range(g.n), l):
-            if _complement_is_cycle(induced_subgraph(g, sub)):
-                return l
-    return None
 
 
 # -- constructions -----------------------------------------------------------------

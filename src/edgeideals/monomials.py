@@ -7,6 +7,7 @@ immutable and all operations are pure.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ class Monomial:
     exps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(int(e) for e in self.exps))
+        object.__setattr__(self, "exps", tuple(map(operator.index, self.exps)))
         if any(e < 0 for e in self.exps):
             raise ValueError("exponents must be nonnegative")
 

@@ -8,21 +8,22 @@ multigraded Betti number at (i, m).  Multidegrees stay packed one int each
 (`Packing`): lcm and divisibility are a few whole-int operations, and a
 Monomial is built only where a Betti number is nonzero.
 
-Two independent cross-checks are kept alongside: strand homology of the
-Taylor complex (capped by generator count) and order-complex homology of the
-open lcm-lattice intervals (capped by face count).  All three must agree
-wherever more than one runs; the test suite enforces this.
+An independent cross-check ships alongside: strand homology of the Taylor
+complex (capped by generator count), which `betti --oracle` runs.  The test
+suite also keeps an order-complex oracle over open lcm-lattice intervals
+(`tests/interval_oracle.py`) and enforces that all three engines agree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from types import MappingProxyType
 
-from .complexes import CapExceeded, mask_homology_ranks, order_complex, reduced_homology_ranks
+from .complexes import CapExceeded, mask_homology_ranks
 from .linalg import RATIONALS, Field
 from .monomials import Monomial, MonomialIdeal, generated_in_single_degree, grlex_key
 
@@ -32,21 +33,14 @@ class EngineCaps:
     """Desk-scale guardrails; every report header prints these."""
 
     lattice_max: int = 65536
-    order_faces_max: int = 1 << 22
+    order_faces_max: int = 1 << 22  # chains per interval, in the test suite's interval oracle
     taylor_max_generators: int = 16
     quotients_max_generators: int = 24
     quotients_time_budget: float = 10.0
     membership_table_max: int = 1 << 21
 
     def to_json(self) -> dict:
-        return {
-            "lattice_max": self.lattice_max,
-            "order_faces_max": self.order_faces_max,
-            "taylor_max_generators": self.taylor_max_generators,
-            "quotients_max_generators": self.quotients_max_generators,
-            "quotients_time_budget": self.quotients_time_budget,
-            "membership_table_max": self.membership_table_max,
-        }
+        return asdict(self)
 
 
 DEFAULT_CAPS = EngineCaps()
@@ -246,7 +240,8 @@ class BettiTable:
         return f"BettiTable[{self.field_token}]({cells})"
 
 
-_TABLE_CACHE: dict = {}
+# Betti tables kept in memory; past this many the least recently used is dropped.
+TABLE_MEMO_SIZE = 256
 
 
 def betti_table(
@@ -254,11 +249,15 @@ def betti_table(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> BettiTable:
-    """Complete multigraded Betti table via lattice-supported membership complexes."""
-    key = (ideal, field, caps)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Complete multigraded Betti table via lattice-supported membership complexes.
+
+    Memoised on (ideal, field, caps), for the TABLE_MEMO_SIZE most recent tables.
+    """
+    return _betti_table(ideal, field, caps)
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _betti_table(ideal: MonomialIdeal, field: Field, caps: EngineCaps) -> BettiTable:
     _guard_proper(ideal, "the Betti table")
     lat = lcm_lattice(ideal, caps)
     packing = lat.packing
@@ -290,9 +289,7 @@ def betti_table(
             for i, r in ranks.items():
                 multi[(i, m)] = r
                 entries[(i, deg)] = entries.get((i, deg), 0) + r
-    out = BettiTable(field.token(), ideal.nvars, entries, multi)
-    _TABLE_CACHE[key] = out
-    return out
+    return BettiTable(field.token(), ideal.nvars, entries, multi)
 
 
 def taylor_betti_oracle(
@@ -351,37 +348,6 @@ def taylor_betti_oracle(
                 i = c - 1
                 multi[(i, mono)] = h
                 entries[(i, mdeg)] = entries.get((i, mdeg), 0) + h
-    return BettiTable(field.token(), ideal.nvars, entries, multi)
-
-
-def interval_betti_oracle(
-    ideal: MonomialIdeal,
-    field: Field = RATIONALS,
-    caps: EngineCaps = DEFAULT_CAPS,
-) -> BettiTable:
-    """Second oracle: homology of order complexes of open lcm-lattice intervals.
-
-    Materializes every chain of each open interval, so it is only usable on
-    small ideals; the face cap applies per interval.
-    """
-    _guard_proper(ideal, "the Betti table")
-    lat = lcm_lattice(ideal, caps)
-    entries: dict = {}
-    multi: dict = {}
-    elements = lat.elements
-    for m in elements:
-        interval = [p for p in elements if p != m and p.divides(m)]
-        cx = order_complex(
-            interval,
-            lambda a, b: a != b and a.divides(b),
-            caps.order_faces_max,
-        )
-        ranks = reduced_homology_ranks(cx, field)
-        d = m.degree
-        for dim, r in ranks.items():
-            i = dim + 1
-            multi[(i, m)] = r
-            entries[(i, d)] = entries.get((i, d), 0) + r
     return BettiTable(field.token(), ideal.nvars, entries, multi)
 
 

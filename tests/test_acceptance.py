@@ -63,45 +63,57 @@ def family6():
     return enumerate_graphs(6, min_n=2, require_edge=True)
 
 
-def test_criterion_1_froberg_exhaustive(family7):
+# Criteria 1 and 2 read the same reg(I), and criteria 3 and 4 the same
+# reg(I^k): the fixtures compute each once, since the engine's memo keeps only
+# the most recent tables.
+@pytest.fixture(scope="module")
+def reg7(family7):
+    return [regularity(edge_ideal(g)) for g in family7]
+
+
+@pytest.fixture(scope="module")
+def power_regs6(family6):
+    return [
+        {k: regularity(ideal_power(edge_ideal(g), k)) for k in (1, 2, 3)} for g in family6
+    ]
+
+
+def test_criterion_1_froberg_exhaustive(family7, reg7):
     failures = []
-    for g in family7:
-        linear = regularity(edge_ideal(g)) == 2
+    for g, r in zip(family7, reg7):
+        linear = r == 2
         if linear != is_chordal(complement(g)):
             failures.append(g)
     _report("criterion 1: reg = 2 iff co-chordal, all graphs 2 <= n <= 7", failures)
 
 
-def test_criterion_2_bound_suite(family7):
+def test_criterion_2_bound_suite(family7, reg7):
     failures = []
-    for g in family7:
-        r = regularity(edge_ideal(g))
+    for g, r in zip(family7, reg7):
         if not induced_matching_number(g) + 1 <= r <= matching_number(g) + 1:
             failures.append((g, r))
     _report("criterion 2: im+1 <= reg <= m+1, all graphs 2 <= n <= 7", failures)
 
 
-def test_criterion_3_bht_lower_bound(family6):
+def test_criterion_3_bht_lower_bound(family6, power_regs6):
     failures = []
-    for g in family6:
+    for g, regs in zip(family6, power_regs6):
         im = induced_matching_number(g)
-        ideal = edge_ideal(g)
         for k in (1, 2, 3):
-            if regularity(ideal_power(ideal, k)) < 2 * k + im - 1:
+            if regs[k] < 2 * k + im - 1:
                 failures.append((g, k))
     _report("criterion 3: reg(I^k) >= 2k + im - 1, n <= 6, k <= 3", failures)
 
 
-def test_criterion_4_hhz_co_chordal(family6):
+def test_criterion_4_hhz_co_chordal(family6, power_regs6):
     failures = []
-    for g in family6:
+    for g, regs in zip(family6, power_regs6):
         if not is_chordal(complement(g)):
             continue
-        ideal = edge_ideal(g)
         for k in (1, 2, 3):
-            if regularity(ideal_power(ideal, k)) != 2 * k:
+            if regs[k] != 2 * k:
                 failures.append((g, k))
-        if not linear_quotients_order(ideal).found:
+        if not linear_quotients_order(edge_ideal(g)).found:
             failures.append((g, "quotients"))
     _report("criterion 4: co-chordal powers linear + linear quotients, n <= 6", failures)
 

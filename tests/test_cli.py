@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, determinism, and the cache."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,18 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 5
     assert err.count("\n") == 1 and "engine invariant violated" in err
     assert "fail" not in out
+
+
+def test_powers_main2_stdout_bytes_match_the_benchmark_reference(capsys, monkeypatch):
+    # pins the CLI bytes that perfbench checks, so a refactor that changes them fails here
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))["powers-main2"]["stdout_sha256"]
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    code, out, _ = run_cli(
+        capsys, "verify", "--statement", "main2", "--builder", "anticycle:5", "--kmax", "3"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -6,69 +6,9 @@ from hypothesis import strategies as st
 
 from dense_homology import dense_mask_homology_ranks
 from edgeideals import linalg
-from edgeideals.complexes import (
-    CapExceeded,
-    SimplicialComplex,
-    mask_homology_ranks,
-    order_complex,
-    reduced_homology_ranks,
-)
+from edgeideals.complexes import CapExceeded, mask_homology_ranks
 from edgeideals.linalg import GF2, RATIONALS, Field
-
-
-def test_void_and_empty_conventions():
-    assert reduced_homology_ranks(SimplicialComplex.void(), RATIONALS) == {}
-    assert reduced_homology_ranks(SimplicialComplex.empty(), RATIONALS) == {-1: 1}
-    assert SimplicialComplex.void().is_void
-    assert SimplicialComplex.empty().is_empty_complex
-    assert SimplicialComplex.void().dim is None
-    assert SimplicialComplex.empty().dim == -1
-
-
-def test_two_points_and_hollow_triangle():
-    two_points = SimplicialComplex.from_facets([[0], [1]])
-    assert reduced_homology_ranks(two_points, RATIONALS) == {0: 1}
-    hollow = SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2]])
-    assert reduced_homology_ranks(hollow, RATIONALS) == {1: 1}
-    solid = SimplicialComplex.from_facets([[0, 1, 2]])
-    assert reduced_homology_ranks(solid, RATIONALS) == {}
-
-
-def test_circle_and_sphere():
-    square = SimplicialComplex.from_facets([[0, 1], [1, 2], [2, 3], [0, 3]])
-    assert reduced_homology_ranks(square, RATIONALS) == {1: 1}
-    sphere = SimplicialComplex.from_facets(
-        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
-    )
-    assert reduced_homology_ranks(sphere, RATIONALS) == {2: 1}
-    assert reduced_homology_ranks(sphere, GF2) == {2: 1}
-
-
-def test_projective_plane_depends_on_the_field():
-    facets = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-    ]
-    rp2 = SimplicialComplex.from_facets(facets)
-    assert reduced_homology_ranks(rp2, RATIONALS) == {}
-    assert reduced_homology_ranks(rp2, GF2) == {1: 1, 2: 1}
-
-
-def test_closure_validation():
-    with pytest.raises(ValueError):
-        SimplicialComplex([frozenset({0, 1})])
-    ok = SimplicialComplex([frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
-    assert ok.dim == 1
-
-
-def test_mask_engine_agrees_with_set_engine():
-    # disjoint union of an edge and a point
-    faces = [0b000, 0b001, 0b010, 0b011, 0b100]
-    by_card = mask_homology_ranks(faces, RATIONALS)
-    cx = SimplicialComplex.from_facets([[0, 1], [2]])
-    by_dim = reduced_homology_ranks(cx, RATIONALS)
-    assert {c - 1: r for c, r in by_card.items()} == by_dim == {0: 1}
-
+from interval_oracle import order_complex
 
 RP2_FACETS = (
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -90,6 +30,43 @@ def closure(facets) -> list:
                 break
             sub = (sub - 1) & facet
     return sorted(faces)
+
+
+# mask_homology_ranks keys ranks by face cardinality c, i.e. dimension c - 1
+
+
+def test_void_and_empty_conventions():
+    assert mask_homology_ranks([], RATIONALS) == {}
+    assert mask_homology_ranks([0], RATIONALS) == {0: 1}
+
+
+def test_two_points_and_hollow_triangle():
+    two_points = closure(TWO_POINTS)
+    assert mask_homology_ranks(two_points, RATIONALS) == {1: 1}
+    hollow = closure((0b011, 0b110, 0b101))
+    assert mask_homology_ranks(hollow, RATIONALS) == {2: 1}
+    solid = closure((0b111,))
+    assert mask_homology_ranks(solid, RATIONALS) == {}
+
+
+def test_circle_and_sphere():
+    square = closure((0b0011, 0b0110, 0b1100, 0b1001))
+    assert mask_homology_ranks(square, RATIONALS) == {2: 1}
+    sphere = closure((0b0111, 0b1011, 0b1101, 0b1110))
+    assert mask_homology_ranks(sphere, RATIONALS) == {3: 1}
+    assert mask_homology_ranks(sphere, GF2) == {3: 1}
+
+
+def test_projective_plane_depends_on_the_field():
+    rp2 = closure(RP2)
+    assert mask_homology_ranks(rp2, RATIONALS) == {}
+    assert mask_homology_ranks(rp2, GF2) == {2: 1, 3: 1}
+
+
+def test_edge_and_point():
+    # disjoint union of an edge and a point
+    faces = [0b000, 0b001, 0b010, 0b011, 0b100]
+    assert mask_homology_ranks(faces, RATIONALS) == {1: 1}
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,18 +104,19 @@ def test_reduction_examples(monkeypatch):
 
 def test_order_complex_of_divisor_poset():
     items = [2, 3, 4, 6]
-    cx = order_complex(items, lambda a, b: b % a == 0 and a != b, 1000)
+    chains = order_complex(items, lambda a, b: b % a == 0 and a != b, 1000)
     # chains: {}, four singletons, {2,4}, {2,6}, {3,6}
-    assert len(cx.faces) == 8
-    assert reduced_homology_ranks(cx, RATIONALS) == {}
+    assert chains == [0b0000, 0b0001, 0b0010, 0b0100, 0b0101, 0b1000, 0b1001, 0b1010]
+    assert mask_homology_ranks(chains, RATIONALS) == {}
 
 
 def test_order_complex_antichain():
-    cx = order_complex(["a", "b", "c"], lambda a, b: False, 1000)
-    assert reduced_homology_ranks(cx, RATIONALS) == {0: 2}
+    chains = order_complex(["a", "b", "c"], lambda a, b: False, 1000)
+    assert mask_homology_ranks(chains, RATIONALS) == {1: 2}
 
 
 def test_order_complex_face_cap():
     items = list(range(8))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as err:
         order_complex(items, lambda a, b: a < b, 10)
+    assert (err.value.cap, err.value.limit, err.value.size) == ("order_faces_max", 10, 11)

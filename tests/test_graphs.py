@@ -25,10 +25,8 @@ from edgeideals.graphs import (
     is_chordal,
     is_gap_free,
     is_independent_set,
-    is_isomorphic,
     is_vertex_cover,
     matching_number,
-    min_induced_anticycle,
     minimal_vertex_covers,
     one_vertex_extensions,
     path,
@@ -135,7 +133,7 @@ def test_graph_rejects_loops_and_bad_indices():
 
 
 def test_complement_examples():
-    assert is_isomorphic(complement(cycle(5)), cycle(5))
+    assert canonical_key(complement(cycle(5))) == canonical_key(cycle(5))
     assert complement(Graph(2, [(0, 1)])).edges == frozenset()
     assert complement(cycle(4)) == Graph(4, [(0, 2), (1, 3)])
 
@@ -148,7 +146,7 @@ def test_complement_involution():
 
 
 def test_induced_subgraph_examples():
-    assert is_isomorphic(induced_subgraph(cycle(5), [0, 1, 2, 3]), path(4))
+    assert canonical_key(induced_subgraph(cycle(5), [0, 1, 2, 3])) == canonical_key(path(4))
     g = random_graph(random.Random(1), 6)
     assert induced_subgraph(g, range(6)) == g
     assert induced_subgraph(cycle(4), [0, 2]).edges == frozenset()
@@ -244,6 +242,11 @@ def test_gap_free_matches_direct_pair_search():
             assert is_gap_free(g) == (not has_gap_pair(g)), g
 
 
+# has_induced_claw and has_induced_subgraph run only in tests: they stay in the
+# package as independent cross-checks of has_induced_cricket, which the banerjee
+# verifier runs.
+
+
 def test_claw_and_cricket_patterns():
     assert has_induced_claw(cricket())
     assert has_induced_cricket(cricket())
@@ -314,16 +317,9 @@ def test_one_vertex_extensions():
         assert ext.degree(3) > 0
 
 
-def test_min_induced_anticycle():
-    assert min_induced_anticycle(anticycle(5)) == 5
-    assert min_induced_anticycle(cycle(4)) is None
-    assert min_induced_anticycle(anticycle(6)) == 6
-    assert min_induced_anticycle(complete(6)) is None
-
-
 def test_builders():
     assert cycle(4).edge_count == 4
-    assert is_isomorphic(anticycle(5), cycle(5))
+    assert canonical_key(anticycle(5)) == canonical_key(cycle(5))
     assert anticycle(4) == Graph(4, [(0, 2), (1, 3)])
     assert path(1).edge_count == 0
     assert complete(4).edge_count == 6
@@ -353,7 +349,6 @@ def test_canonical_key_is_isomorphism_invariant():
         rnd.shuffle(perm)
         h = Graph(n, ((perm[u], perm[v]) for u, v in g.edges))
         assert canonical_key(g) == canonical_key(h)
-        assert is_isomorphic(g, h)
 
 
 def test_canonical_graph_is_a_fixed_point():
@@ -362,10 +357,10 @@ def test_canonical_graph_is_a_fixed_point():
         g = random_graph(rnd, rnd.randint(1, 7))
         cg = canonical_graph(g)
         assert canonical_graph(cg) == cg
-        assert is_isomorphic(g, cg)
+        assert canonical_key(g) == canonical_key(cg)
 
 
 def test_non_isomorphic_graphs_have_distinct_keys():
     assert canonical_key(cycle(6)) != canonical_key(path(6))
     assert canonical_key(TWO_K2) != canonical_key(path(4))
-    assert not is_isomorphic(cycle(6), complete(6))
+    assert canonical_key(cycle(6)) != canonical_key(complete(6))

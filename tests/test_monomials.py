@@ -66,6 +66,14 @@ def test_monomial_basics():
         mono(1, 0).divides(mono(1, 0, 0))
 
 
+def test_exponents_must_be_integral():
+    for exps in [(1.5, 0), (1.0, 2), (True, 2.9), ("1", 0)]:
+        with pytest.raises(TypeError):
+            Monomial(exps)
+    # bools are ints, as everywhere in Python
+    assert Monomial((True, 2)).exps == (1, 2)
+
+
 def test_parse_and_format_round_trip():
     for text in ["1", "x0", "x1^3", "x0^2*x1", "x0*x1*x3^2"]:
         m = parse_monomial(text, 4)

@@ -33,17 +33,19 @@ from edgeideals.monomials import (
 )
 from edgeideals.resolutions import (
     DEFAULT_CAPS,
+    TABLE_MEMO_SIZE,
     EngineCaps,
     Packing,
+    _betti_table,
     betti_table,
     has_linear_resolution,
-    interval_betti_oracle,
     lcm_lattice,
     linear_quotients_order,
     projective_dimension,
     regularity,
     taylor_betti_oracle,
 )
+from interval_oracle import interval_betti_oracle
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -252,10 +254,25 @@ def test_membership_fallback_path_matches_table_path():
         # six variables
         ideal_power(edge_ideal(s_suspension(anticycle(5), {0, 1})), 2),
     ]:
-        from edgeideals.resolutions import _TABLE_CACHE
-
-        _TABLE_CACHE.pop((ideal, RATIONALS, tiny), None)
+        # compute both tables afresh rather than read them from the memo
+        _betti_table.cache_clear()
         assert betti_table(ideal, RATIONALS, tiny) == betti_table(ideal, RATIONALS)
+
+
+def test_betti_memo_is_bounded_and_returns_the_cached_table():
+    _betti_table.cache_clear()
+    first = parse_ideal(["x0"], 1)
+    table = betti_table(first)
+    # the key is (ideal, field, caps) however the arguments are passed
+    assert betti_table(first, field=RATIONALS, caps=DEFAULT_CAPS) is table
+    assert betti_table(first, RATIONALS, EngineCaps()) is table
+    for d in range(2, TABLE_MEMO_SIZE + 20):
+        betti_table(parse_ideal([f"x0^{d}"], 1))
+        assert _betti_table.cache_info().currsize <= TABLE_MEMO_SIZE
+    assert _betti_table.cache_info().currsize == TABLE_MEMO_SIZE
+    # the least recently used table was dropped and is computed again
+    again = betti_table(first)
+    assert again is not table and again == table
 
 
 def test_betti_table_invariant_under_ambient_embedding():
