@@ -8,6 +8,9 @@ dimension -1.  These two are distinct values.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .linalg import Field, unit_pivot_rank
 
 
@@ -30,22 +33,21 @@ def mask_homology_ranks(face_masks, field: Field) -> dict:
     faces = set(face_masks)
     if not faces:
         return {}
-    support = 0
+    by_card = {}
     for f in faces:
-        support |= f
-    # cone shortcut: an apex vertex contained in a coface of every face
-    v = support
+        by_card.setdefault(bin(f).count("1"), []).append(f)
+    cards = sorted(by_card)
+    # cone shortcut: an apex vertex contained in a coface of every face; it
+    # lies in every facet, so only the vertices common to the faces of top
+    # cardinality are tried
+    v = functools.reduce(operator.and_, by_card[cards[-1]])
     while v:
         bit = v & -v
         v ^= bit
         if all((f | bit) in faces for f in faces):
             return {}
-    by_card = {}
-    for f in faces:
-        by_card.setdefault(bin(f).count("1"), []).append(f)
     for lst in by_card.values():
         lst.sort()
-    cards = sorted(by_card)
     # rank of the boundary map from cardinality c to c-1, reduced from the top
     # down; a face that is a pivot row of the map above it is cleared, since
     # its column adds nothing to the rank (Chen-Kerber clearing)

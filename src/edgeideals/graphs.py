@@ -334,10 +334,12 @@ def _canonical_rows(g: Graph):
         used[v] = False
     placed.clear()
 
+    # equal_prefix: rows[:p] equals best[:p]; otherwise rows[:p] is smaller
     def rec(p, equal_prefix):
         nonlocal best
         if p == n:
-            best = rows[:]
+            if not equal_prefix:
+                best = rows[:]
             return
         for v in pools[slots[p]]:
             if used[v]:
@@ -356,9 +358,13 @@ def _canonical_rows(g: Graph):
             used[v] = True
             placed.append(v)
             rows[p] = r
+            before = best
             rec(p + 1, child_equal)
             placed.pop()
             used[v] = False
+            if best is not before:
+                # a leaf below replaced best, and it shares rows[:p]
+                equal_prefix = True
 
     rec(0, True)
     return tuple(best)

@@ -8,6 +8,13 @@ multigraded Betti number at (i, m).  Multidegrees stay packed one int each
 (`Packing`): lcm and divisibility are a few whole-int operations, and a
 Monomial is built only where a Betti number is nonzero.
 
+The membership complex at m is determined by which support subsets are
+faces, one bit each, so its homology is memoised by that face bitmap and the
+field.  Ideals of one family share many complexes (for an edge ideal the
+complex at x_S depends only on the labelled induced subgraph on S), and a
+hit skips the cone test and the reduction.  The memo is emptied when it
+reaches COMPLEX_MEMO_SIZE complexes, so its memory stays bounded.
+
 An independent cross-check ships alongside: strand homology of the Taylor
 complex (capped by generator count), which `betti --oracle` runs.  The test
 suite also keeps an order-complex oracle over open lcm-lattice intervals
@@ -242,6 +249,35 @@ class BettiTable:
 
 # Betti tables kept in memory; past this many the least recently used is dropped.
 TABLE_MEMO_SIZE = 256
+# Membership complexes whose homology is kept in memory, over all fields; the
+# memo is emptied when it reaches this many.
+COMPLEX_MEMO_SIZE = 1 << 14
+
+# field -> {face bitmap: ranks}; _RANKS keeps one copy of each distinct ranks
+# tuple, so that the many complexes with equal homology share it
+_COMPLEX_MEMO: dict = {}
+_RANKS: dict = {}
+
+
+def _complex_ranks(bitmap: int, field: Field) -> tuple:
+    """Nonzero reduced homology ranks, as (cardinality, rank) pairs, of the
+    complex whose faces are the set bits of bitmap.
+
+    Memoised by (bitmap, field): equal bitmaps are the same labelled complex,
+    and ranks depend on the field.  Every caller shares the result, so it is a
+    tuple that no caller can change.
+    """
+    memo = _COMPLEX_MEMO.setdefault(field, {})
+    ranks = memo.get(bitmap)
+    if ranks is None:
+        faces = [f for f in range(bitmap.bit_length()) if bitmap >> f & 1]
+        ranks = tuple(mask_homology_ranks(faces, field).items())
+        if sum(map(len, _COMPLEX_MEMO.values())) >= COMPLEX_MEMO_SIZE:
+            for m in _COMPLEX_MEMO.values():
+                m.clear()
+            _RANKS.clear()
+        memo[bitmap] = ranks = _RANKS.setdefault(ranks, ranks)
+    return ranks
 
 
 def betti_table(
@@ -277,16 +313,16 @@ def _betti_table(ideal: MonomialIdeal, field: Field, caps: EngineCaps) -> BettiT
             if e:
                 dec += [d + step for d in dec]
         base = sum(e * s for e, s in zip(exps, strides))
-        faces = [mask for mask, d in enumerate(dec) if table[base - d]]
-        if len(faces) == 1:
-            # only the empty face: m is a minimal generator
-            ranks = {0: 1}
-        else:
-            ranks = mask_homology_ranks(faces, field)
+        # bit f of the face bitmap is set when support subset f is a face
+        bitmap = 0
+        for f, d in enumerate(dec):
+            if table[base - d]:
+                bitmap |= 1 << f
+        ranks = _complex_ranks(bitmap, field)
         if ranks:
             m = Monomial(exps)
             deg = sum(exps)
-            for i, r in ranks.items():
+            for i, r in ranks:
                 multi[(i, m)] = r
                 entries[(i, deg)] = entries.get((i, deg), 0) + r
     return BettiTable(field.token(), ideal.nvars, entries, multi)

@@ -1,13 +1,16 @@
-"""Homology conventions, order complexes, and field dependence."""
+"""Homology conventions, order complexes, field dependence and the complex memo."""
+
+import contextlib
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_homology import dense_mask_homology_ranks
-from edgeideals import linalg
+from edgeideals import linalg, resolutions
 from edgeideals.complexes import CapExceeded, mask_homology_ranks
 from edgeideals.linalg import GF2, RATIONALS, Field
+from edgeideals.resolutions import COMPLEX_MEMO_SIZE, _complex_ranks
 from interval_oracle import order_complex
 
 RP2_FACETS = (
@@ -102,6 +105,25 @@ def test_reduction_examples(monkeypatch):
     assert shapes == [(0, 0)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, (1 << 6) - 1), min_size=1, max_size=6))
+@example(CONE)
+@example((0b0111, 0b1011))  # two triangles on the edge {0, 1}: both are apexes
+def test_cone_shortcut_fires_exactly_on_cones(facets):
+    faces = closure(facets)
+    support = max(faces).bit_length()
+    is_cone = any(all(f | 1 << v in faces for f in faces) for v in range(support))
+    calls = []
+    bareiss = linalg.bareiss_rank
+    linalg.bareiss_rank = lambda rows: calls.append(rows) or bareiss(rows)
+    try:
+        mask_homology_ranks(faces, RATIONALS)
+    finally:
+        linalg.bareiss_rank = bareiss
+    # every complex here has an edge map to reduce unless it is cut short as a cone
+    assert (not calls) == is_cone
+
+
 def test_order_complex_of_divisor_poset():
     items = [2, 3, 4, 6]
     chains = order_complex(items, lambda a, b: b % a == 0 and a != b, 1000)
@@ -120,3 +142,69 @@ def test_order_complex_face_cap():
     with pytest.raises(CapExceeded) as err:
         order_complex(items, lambda a, b: a < b, 10)
     assert (err.value.cap, err.value.limit, err.value.size) == ("order_faces_max", 10, 11)
+
+
+# -- the memo of membership-complex homology, keyed by face bitmap and field
+
+
+def bitmap_of(faces) -> int:
+    return sum(1 << f for f in faces)
+
+
+@pytest.fixture
+def empty_memo():
+    resolutions._COMPLEX_MEMO.clear()
+    yield
+    resolutions._COMPLEX_MEMO.clear()
+
+
+def memo_size() -> int:
+    return sum(map(len, resolutions._COMPLEX_MEMO.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, (1 << 7) - 1), min_size=1, max_size=9))
+@example(RP2)
+@example(CONE)
+@example(())
+def test_memoised_ranks_match_direct_ranks(facets):
+    faces = closure(facets)
+    for field in (RATIONALS, GF2, Field(3)):
+        direct = mask_homology_ranks(faces, field)
+        # the first lookup may compute, the second reads the memo
+        assert dict(_complex_ranks(bitmap_of(faces), field)) == direct
+        assert dict(_complex_ranks(bitmap_of(faces), field)) == direct
+
+
+def test_memo_key_carries_the_field(empty_memo):
+    rp2 = bitmap_of(closure(RP2))
+    assert dict(_complex_ranks(rp2, RATIONALS)) == {}
+    assert dict(_complex_ranks(rp2, GF2)) == {2: 1, 3: 1}
+    assert dict(_complex_ranks(rp2, RATIONALS)) == {}
+
+
+def test_memo_never_exceeds_its_bound(empty_memo, monkeypatch):
+    computed = []
+
+    def stub(faces, field):
+        computed.append(len(faces))
+        return {}
+
+    monkeypatch.setattr(resolutions, "mask_homology_ranks", stub)
+    for bitmap in range(1, COMPLEX_MEMO_SIZE + 20):
+        _complex_ranks(bitmap, RATIONALS if bitmap % 3 else GF2)
+        assert memo_size() <= COMPLEX_MEMO_SIZE
+    assert len(computed) == COMPLEX_MEMO_SIZE + 19
+    # a bitmap looked up since the memo was last emptied is not computed again
+    _complex_ranks(COMPLEX_MEMO_SIZE + 19, RATIONALS)
+    assert len(computed) == COMPLEX_MEMO_SIZE + 19
+
+
+def test_changing_a_result_does_not_change_the_memo(empty_memo):
+    hollow = bitmap_of(closure((0b011, 0b110, 0b101)))
+    ranks = _complex_ranks(hollow, RATIONALS)
+    with contextlib.suppress(TypeError):
+        ranks[2] = 7
+    with contextlib.suppress(AttributeError):
+        ranks.clear()
+    assert dict(_complex_ranks(hollow, RATIONALS)) == {2: 1}

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from edgeideals.enumeration import enumerate_graphs, graphs_on
-from edgeideals.graphs import Graph, canonical_key
+from edgeideals.graphs import Graph, canonical_key, graph_from_key
 
 # isomorphism class counts for simple graphs on n labeled-free vertices
 COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -24,6 +24,13 @@ def test_representatives_are_canonical_and_distinct():
         assert len(keys) == len(reps)
         for g in reps:
             assert g.n == n
+
+
+def test_keys_round_trip_through_their_representatives():
+    for n in range(0, 8):
+        for g in graphs_on(n):
+            key = canonical_key(g)
+            assert canonical_key(graph_from_key(key)) == key
 
 
 def test_every_labeled_graph_has_a_representative():

@@ -4,9 +4,10 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgeideals.graph6 import graph_from_graph6
 from edgeideals.graphs import (
     Graph,
     anticycle,
@@ -17,6 +18,7 @@ from edgeideals.graphs import (
     complete,
     cricket,
     cycle,
+    graph_from_key,
     has_induced_claw,
     has_induced_cricket,
     independent_sets,
@@ -340,15 +342,41 @@ def test_minimal_vertex_covers():
 # -- canonical forms -------------------------------------------------------------
 
 
-def test_canonical_key_is_isomorphism_invariant():
-    rnd = random.Random(5)
-    for _ in range(60):
-        n = rnd.randint(1, 7)
-        g = random_graph(rnd, n)
-        perm = list(range(n))
-        rnd.shuffle(perm)
-        h = Graph(n, ((perm[u], perm[v]) for u, v in g.edges))
-        assert canonical_key(g) == canonical_key(h)
+# Two labelings of one graph on 8 vertices.  A branch-and-bound that let every
+# leaf below a smaller prefix overwrite the best rows, without a compare, gave
+# them different keys, and the relabeling's key did not round-trip.
+WITNESS = ("GQqaxw", "GQq`yw")
+WITNESS_PERM = (0, 6, 7, 1, 4, 2, 3, 5)
+
+
+def relabel(g, perm):
+    return Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+def test_canonical_key_witness_on_eight_vertices():
+    g, h = (graph_from_graph6(s) for s in WITNESS)
+    key = canonical_key(g)
+    assert key == (8, (0, 0, 1, 2, 3, 5, 58, 60))
+    assert canonical_key(h) == key
+    assert canonical_key(relabel(g, WITNESS_PERM)) == key
+    assert canonical_key(graph_from_key(key)) == key
+
+
+@st.composite
+def relabeled_graphs(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    g = graph_from_mask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_graphs())
+@example((graph_from_graph6(WITNESS[0]), WITNESS_PERM))
+def test_canonical_key_is_isomorphism_invariant(pair):
+    g, perm = pair
+    key = canonical_key(g)
+    assert canonical_key(relabel(g, perm)) == key
+    assert canonical_key(graph_from_key(key)) == key
 
 
 def test_canonical_graph_is_a_fixed_point():

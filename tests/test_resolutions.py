@@ -37,6 +37,7 @@ from edgeideals.resolutions import (
     EngineCaps,
     Packing,
     _betti_table,
+    _COMPLEX_MEMO,
     betti_table,
     has_linear_resolution,
     lcm_lattice,
@@ -254,8 +255,9 @@ def test_membership_fallback_path_matches_table_path():
         # six variables
         ideal_power(edge_ideal(s_suspension(anticycle(5), {0, 1})), 2),
     ]:
-        # compute both tables afresh rather than read them from the memo
+        # compute both tables afresh rather than read them from the memos
         _betti_table.cache_clear()
+        _COMPLEX_MEMO.clear()
         assert betti_table(ideal, RATIONALS, tiny) == betti_table(ideal, RATIONALS)
 
 
