@@ -2,9 +2,12 @@
 
 Keys are JSON-canonicalized parameter dictionaries hashed with sha256; every
 parameter that can change the answer (canonical graph form, operation, field,
-caps, package version) must be part of the key.  An entry that cannot be read
-as JSON is a miss.  Writes go through a temporary file and an atomic rename,
-so concurrent writers are safe and idempotent.
+caps, package version) must be part of the key.  The CLI stores two kinds of
+entry: the report list of one graph under one statement, and the graph6
+strings of a `--max-n` family, keyed by op "family", max_n and the package
+version.  An entry that cannot be read as JSON is a miss, and callers treat an
+entry of the wrong shape as a miss too.  Writes go through a temporary file
+and an atomic rename, so concurrent writers are safe and idempotent.
 """
 
 from __future__ import annotations

@@ -96,13 +96,33 @@ def _single_graph(args) -> Graph:
     raise ValueError("need a graph: --builder or --graph6")
 
 
-def _family(args) -> list:
+def _is_family(value, max_n: int) -> bool:
+    """True for a cache entry of the shape `_family` stores for --max-n max_n."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        return False
+    try:
+        graphs = [graph_from_graph6(s) for s in value]
+    except ValueError:
+        return False
+    return all(g.edges and g.n <= max_n for g in graphs)
+
+
+def _family(args, cache: ResultCache) -> list:
+    """graph6 strings of the family; a --max-n family is one cache entry, enumerated on a miss."""
     if getattr(args, "max_n", None):
-        return enumerate_graphs(args.max_n, require_edge=True)
+        key = {"op": "family", "max_n": args.max_n, "version": __version__}
+        hit = cache.get(key)
+        if _is_family(hit, args.max_n):
+            return hit
+        family = [graph_to_graph6(g) for g in enumerate_graphs(args.max_n, require_edge=True)]
+        cache.put(key, family)
+        return family
     if getattr(args, "graph6_file", None):
         with open(args.graph6_file, "r", encoding="ascii") as fh:
-            return iter_graph6(fh)
-    return [_single_graph(args)]
+            graphs = iter_graph6(fh)
+    else:
+        graphs = [_single_graph(args)]
+    return [graph_to_graph6(g) for g in graphs]
 
 
 def _caps(args) -> EngineCaps:
@@ -354,8 +374,9 @@ def _family_item(base_key: dict, run, cache: ResultCache, g6: str) -> list:
 
 def _run_family(args, base_key: dict, run) -> list:
     """Report dicts of `run` over the family, sorted; --jobs workers use the cache themselves."""
-    item = functools.partial(_family_item, base_key, run, _cache(args))
-    family = [graph_to_graph6(g) for g in _family(args)]
+    cache = _cache(args)
+    item = functools.partial(_family_item, base_key, run, cache)
+    family = _family(args, cache)
     if args.jobs <= 1 or len(family) <= 1:
         chunks = [item(g6) for g6 in family]
     else:

@@ -280,17 +280,14 @@ def is_chordal(g: Graph) -> bool:
 # -- small induced patterns ------------------------------------------------------
 
 
-def _wl_colors(g: Graph):
+def _wl_colors(nbrs: list):
     # iterated neighborhood-multiset refinement; invariant under isomorphism
-    n = g.n
-    color = [g.degree(v) for v in range(n)]
+    color = [len(nb) for nb in nbrs]
     while True:
-        sig = [
-            (color[v], tuple(sorted(color[u] for u in range(n) if (g._masks[v] >> u) & 1)))
-            for v in range(n)
-        ]
+        at = color.__getitem__
+        sig = [(c, tuple(sorted(map(at, nb)))) for c, nb in zip(color, nbrs)]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[sig[v]] for v in range(n)]
+        new = [palette[s] for s in sig]
         if new == color:
             return color
         color = new
@@ -301,38 +298,31 @@ def _canonical_rows(g: Graph):
     n = g.n
     if n == 0:
         return ()
-    colors = _wl_colors(g)
+    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in g._masks]
+    colors = _wl_colors(nbrs)
     slots = sorted(colors)
     pools = {}
     for v in range(n):
         pools.setdefault(colors[v], []).append(v)
-    masks = g._masks
-    placed = []
+    # row[v] has bit k set when v is adjacent to the vertex placed at position k;
+    # placing a vertex at p sets bit p in its neighbours' rows, backtracking clears it
+    row = [0] * n
     rows = [0] * n
     used = [False] * n
 
     # greedy first completion gives the initial bound
-    best = None
     for p in range(n):
         cand = None
-        cand_r = None
         for v in pools[slots[p]]:
-            if used[v]:
-                continue
-            m = masks[v]
-            r = 0
-            for k in range(p):
-                if (m >> placed[k]) & 1:
-                    r |= 1 << k
-            if cand is None or r < cand_r:
-                cand, cand_r = v, r
+            if not used[v] and (cand is None or row[v] < row[cand]):
+                cand = v
         used[cand] = True
-        placed.append(cand)
-        rows[p] = cand_r
+        rows[p] = row[cand]
+        for u in nbrs[cand]:
+            row[u] |= 1 << p
     best = rows[:]
-    for v in placed:
-        used[v] = False
-    placed.clear()
+    row = [0] * n
+    used = [False] * n
 
     # equal_prefix: rows[:p] equals best[:p]; otherwise rows[:p] is smaller
     def rec(p, equal_prefix):
@@ -341,14 +331,11 @@ def _canonical_rows(g: Graph):
             if not equal_prefix:
                 best = rows[:]
             return
+        bit = 1 << p
         for v in pools[slots[p]]:
             if used[v]:
                 continue
-            m = masks[v]
-            r = 0
-            for k in range(p):
-                if (m >> placed[k]) & 1:
-                    r |= 1 << k
+            r = row[v]
             if equal_prefix:
                 if r > best[p]:
                     continue
@@ -356,11 +343,13 @@ def _canonical_rows(g: Graph):
             else:
                 child_equal = False
             used[v] = True
-            placed.append(v)
             rows[p] = r
+            for u in nbrs[v]:
+                row[u] |= bit
             before = best
             rec(p + 1, child_equal)
-            placed.pop()
+            for u in nbrs[v]:
+                row[u] ^= bit
             used[v] = False
             if best is not before:
                 # a leaf below replaced best, and it shares rows[:p]

@@ -112,7 +112,9 @@ class Packing:
 class LcmLattice:
     """All lcms of nonempty generator subsets, plus a formal bottom element.
 
-    `packed` holds the elements as packed ints in (degree, exponents) order;
+    `packed` holds the elements as packed ints in increasing order, which is
+    lexicographic order of exponent tuples: a linear extension of divisibility,
+    so every element comes before its multiples and the top comes last.
     `elements`, `top` and `bottom` build Monomials on request.
     """
 
@@ -146,8 +148,7 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> LcmLat
         elems.add(b)
         if len(elems) > caps.lattice_max:
             raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
-    unpack = packing.unpack
-    return LcmLattice(packing, sorted(elems, key=lambda x: (sum(unpack(x)), x)))
+    return LcmLattice(packing, sorted(elems))
 
 
 def _membership_table(gens, top: tuple, caps: EngineCaps):

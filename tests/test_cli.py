@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from edgeideals import __version__
+from edgeideals.cache import ResultCache
 from edgeideals.cli import main
+from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, cycle, path
 
@@ -242,21 +245,35 @@ def test_parallel_jobs_share_the_cache(tmp_path, capsys, monkeypatch, method):
     assert code == 0, err
     assert opened == [method]
     assert parallel == uncached
-    assert any(cache_dir.rglob("*.json"))  # written by the workers
+    # the workers wrote one report entry per graph, next to the family entry
+    assert len(list(cache_dir.rglob("*.json"))) == len(enumerate_graphs(4, require_edge=True)) + 1
     _, warm, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir), "--jobs", "1")
     assert warm == uncached
     assert opened == [method]
 
 
+CORRUPT = {"dict": b'{"a": 1}', "int-list": b"[1]", "not-utf8": b"\xff\xfe"}
+CORRUPT_FAMILY = {
+    **CORRUPT,
+    "not-graph6": b'["Bw", "not graph6"]',
+    "edgeless": b'["Bw", "@"]',
+    "too-many-vertices": b'["Bw", "D~{"]',
+}
+
+
 @pytest.mark.parametrize(
-    "payload", [b'{"a": 1}', b"[1]", b"\xff\xfe"], ids=["dict", "int-list", "not-utf8"]
+    "max_n,payload",
+    [(None, p) for p in CORRUPT.values()] + [(3, p) for p in CORRUPT_FAMILY.values()],
+    ids=[*CORRUPT, *(f"family-{k}" for k in CORRUPT_FAMILY)],
 )
-def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, payload):
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, max_n, payload):
+    # max_n None: the report entry of one graph; otherwise the --max-n family entry
     cache_dir = tmp_path / "cache"
-    args = ["verify", "--statement", "bounds", "--builder", "cycle:4"]
+    family = ["--max-n", str(max_n)] if max_n else ["--builder", "cycle:4"]
+    args = ["verify", "--statement", "bounds", *family]
     _, uncached, _ = run_cli(capsys, *args, "--no-cache")
     run_cli(capsys, *args, "--cache-dir", str(cache_dir))
-    (entry,) = cache_dir.rglob("*.json")
+    (entry,) = [family_entry(cache_dir, max_n)] if max_n else cache_dir.rglob("*.json")
     good = entry.read_bytes()
     entry.write_bytes(payload)
     code, out, err = run_cli(capsys, *args, "--cache-dir", str(cache_dir))
@@ -270,14 +287,7 @@ def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
 
     cache_dir = tmp_path / "cache"
     args = ["verify", "--statement", "bounds", "--builder", "cycle:4", "--cache-dir", str(cache_dir)]
-    original = cli.run_statement
-    calls = []
-
-    def counted(*a, **kw):
-        calls.append(a)
-        return original(*a, **kw)
-
-    monkeypatch.setattr(cli, "run_statement", counted)
+    calls = count_calls(monkeypatch, cli, "run_statement")
     _, first, _ = run_cli(capsys, *args)
     _, hit, _ = run_cli(capsys, *args)
     assert len(calls) == 1
@@ -286,6 +296,68 @@ def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
     assert first == hit == recomputed
     assert len(list(cache_dir.rglob("*.json"))) == 2
+
+
+def family_entry(cache_dir, max_n, version=__version__) -> Path:
+    path = ResultCache(cache_dir)._path({"op": "family", "max_n": max_n, "version": version})
+    assert path.exists()
+    return path
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def refuse_to_enumerate(monkeypatch):
+    import edgeideals.cli as cli
+
+    def refused(*a, **kw):
+        raise AssertionError("a cached family was enumerated again")
+
+    monkeypatch.setattr(cli, "enumerate_graphs", refused)
+
+
+def test_warm_family_run_does_not_enumerate(tmp_path, capsys, monkeypatch):
+    args = ["verify", "--statement", "bounds", "--max-n", "5"]
+    _, uncached, _ = run_cli(capsys, *args, "--no-cache")
+    run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    refuse_to_enumerate(monkeypatch)
+    code, warm, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    assert warm == uncached
+
+
+def test_scan_reuses_the_family_entry_of_verify(tmp_path, capsys, monkeypatch):
+    scan = ["scan", "--conjecture", "np", "--max-n", "5"]
+    _, uncached, _ = run_cli(capsys, *scan, "--no-cache")
+    run_cli(capsys, "verify", "--statement", "bounds", "--max-n", "5", "--cache-dir", str(tmp_path))
+    refuse_to_enumerate(monkeypatch)
+    code, out, err = run_cli(capsys, *scan, "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    assert out == uncached
+
+
+def test_family_entry_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    args = ["verify", "--statement", "bounds", "--max-n", "3", "--cache-dir", str(tmp_path)]
+    calls = count_calls(monkeypatch, cli, "enumerate_graphs")
+    _, first, _ = run_cli(capsys, *args)
+    _, hit, _ = run_cli(capsys, *args)
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + "+next")
+    _, recomputed, _ = run_cli(capsys, *args)
+    assert len(calls) == 2
+    assert first == hit == recomputed
+    family_entry(tmp_path, 3, cli.__version__)
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 """Exhaustive family generation: counts and canonicality."""
 
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 from edgeideals.enumeration import enumerate_graphs, graphs_on
+from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, canonical_key, graph_from_key
 
 # isomorphism class counts for simple graphs on n labeled-free vertices
@@ -46,6 +48,15 @@ def test_enumerate_graphs_filters():
     assert all(g.edges for g in fam)
     assert all(2 <= g.n <= 4 for g in fam)
     assert len(fam) == (2 - 1) + (4 - 1) + (11 - 1)
+
+
+def test_family_bytes_are_pinned():
+    # the list a --max-n 7 family cache entry stores; canonical forms and their
+    # order decide it, so a change to either shows here
+    family = [graph_to_graph6(g) for g in enumerate_graphs(7, require_edge=True)]
+    assert len(family) == 1245
+    digest = hashlib.sha256("\n".join(family).encode("ascii")).hexdigest()
+    assert digest == "4759b9e23562d9f1509cc41fde92e6456d40050c813f609a1918fc25a9a18fe4"
 
 
 def test_enumeration_cap():

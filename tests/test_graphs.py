@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.graph6 import graph_from_graph6
@@ -34,6 +34,7 @@ from edgeideals.graphs import (
     path,
     s_suspension,
 )
+from canonical_reference import reference_canonical_key
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -377,6 +378,28 @@ def test_canonical_key_is_isomorphism_invariant(pair):
     key = canonical_key(g)
     assert canonical_key(relabel(g, perm)) == key
     assert canonical_key(graph_from_key(key)) == key
+
+
+PETERSEN = "IheA@GUAo"
+
+
+@st.composite
+def graphs_up_to_ten(draw):
+    n = draw(st.integers(1, 10))
+    g = graph_from_mask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    # every one of the n! orders ties on the empty and the complete graph, so
+    # from nine vertices on each search takes seconds
+    assume(n < 9 or 0 < len(g.edges) < n * (n - 1) // 2)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_up_to_ten())
+@example(graph_from_graph6(WITNESS[0]))
+@example(graph_from_graph6(PETERSEN))
+@example(cycle(10))
+def test_canonical_key_matches_the_reference_search(g):
+    assert canonical_key(g) == reference_canonical_key(g)
 
 
 def test_canonical_graph_is_a_fixed_point():

@@ -1,6 +1,7 @@
 """Betti engines against each other and against frozen hand computations."""
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -84,6 +85,26 @@ def test_lattice_guards():
         lcm_lattice(MonomialIdeal.zero(2))
     with pytest.raises(ValueError):
         lcm_lattice(MonomialIdeal.unit(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6)
+    )
+)
+@example([(1, 0), (0, 1)])
+@example([(2, 0, 1), (0, 3, 0), (1, 1, 1)])
+def test_lattice_order_extends_divisibility(exps):
+    gens = [Monomial(e) for e in exps if any(e)]
+    if not gens:
+        return
+    ideal = minimalize(len(exps[0]), gens)
+    lat = lcm_lattice(ideal)
+    elems = lat.elements
+    for i, m in enumerate(elems):
+        assert not any(later.divides(m) for later in elems[i + 1 :])
+    assert elems[-1] == lat.top == reduce(Monomial.lcm, ideal.gens)
 
 
 # -- packed multidegrees --------------------------------------------------------------
