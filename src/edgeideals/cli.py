@@ -14,11 +14,13 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
+from itertools import pairwise
 
 from . import __version__
 from .cache import ResultCache
 from .complexes import CapExceeded
-from .enumeration import enumerate_graphs
+from .enumeration import CLASS_COUNTS, enumerate_graphs
 from .graph6 import graph_from_graph6, graph_to_graph6, iter_graph6
 from .graphs import (
     Graph,
@@ -97,14 +99,29 @@ def _single_graph(args) -> Graph:
 
 
 def _is_family(value, max_n: int) -> bool:
-    """True for a cache entry of the shape `_family` stores for --max-n max_n."""
+    """True for a cache entry of the shape `_family` stores for --max-n max_n.
+
+    Each n in 1..max_n holds its class count less the edgeless graph, and the
+    representatives' canonical keys strictly increase, as `enumerate_graphs`
+    gives them; no graph is canonicalised to check this.
+    """
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        return False
+    sizes = range(1, max_n + 1)
+    if max_n >= len(CLASS_COUNTS) or len(value) != sum(CLASS_COUNTS[n] - 1 for n in sizes):
         return False
     try:
         graphs = [graph_from_graph6(s) for s in value]
     except ValueError:
         return False
-    return all(g.edges and g.n <= max_n for g in graphs)
+    # a representative's canonical rows are its own lower adjacency rows
+    keys = ((g.n, tuple(g._masks[p] & ((1 << p) - 1) for p in range(g.n))) for g in graphs)
+    counts = Counter(g.n for g in graphs)
+    return (
+        all(g.edges for g in graphs)
+        and all(counts[n] == CLASS_COUNTS[n] - 1 for n in sizes)
+        and all(a < b for a, b in pairwise(keys))
+    )
 
 
 def _family(args, cache: ResultCache) -> list:

@@ -1,33 +1,51 @@
 """Exhaustive graph-family generation up to isomorphism, desk scale (n <= 8).
 
-Graphs are grown one vertex at a time: every isomorphism class on n vertices
-arises from some class on n-1 vertices by attaching a new vertex with an
-arbitrary (possibly empty) neighborhood, so augmenting all classes with all
-2^(n-1) neighborhoods and deduplicating by canonical key is exhaustive.
+Graphs are grown one vertex at a time, and only the deletion half of canonical
+augmentation (McKay, Isomorph-free exhaustive generation, J. Algorithms 1998)
+is used: attaching a new vertex with some neighbourhood to each class on n-1
+vertices, canonicalise the child only when the new vertex has maximum degree
+in it.  This is exhaustive.  A class H on n vertices has a vertex v of maximum
+degree, and H - v is isomorphic to some class B on n-1 vertices; attaching to
+B the image of N(v) gives a copy of H whose new vertex has maximum degree.
+Deduplicating the children by canonical key then leaves each class once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, canonical_key, graph_from_key
+from .graphs import Graph, _canonical_rows, graph_from_key
+
+# isomorphism classes of simple graphs on n = 0..8 vertices (OEIS A000088)
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 
 
 @lru_cache(maxsize=None)
 def graphs_on(n: int) -> tuple:
     """All isomorphism classes on exactly n vertices, as canonical representatives."""
-    if n > 8:
+    if n >= len(CLASS_COUNTS):
         raise ValueError("exhaustive enumeration is desk scale only (n <= 8)")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
         return (Graph(0),)
+    top = 1 << (n - 1)
     keys = set()
     for base in graphs_on(n - 1):
-        edges = set(base.edges)
-        for mask in range(1 << (n - 1)):
-            extra = [(v, n - 1) for v in range(n - 1) if (mask >> v) & 1]
-            keys.add(canonical_key(Graph(n, edges | set(extra))))
+        masks = base._masks
+        deg = [m.bit_count() for m in masks]
+        max_deg = max(deg, default=0)
+        # at_least[d]: the base vertices of degree at least d
+        at_least = [sum(1 << v for v, dv in enumerate(deg) if dv >= d) for d in range(n)]
+        for mask in range(top):
+            # the new vertex has degree d; with d >= max_deg an old vertex
+            # outdoes it only if it has degree d and is joined to it
+            d = mask.bit_count()
+            if d < max_deg or mask & at_least[d]:
+                continue
+            child = [m | top if (mask >> v) & 1 else m for v, m in enumerate(masks)]
+            child.append(mask)
+            keys.add((n, _canonical_rows(n, child)))
     return tuple(graph_from_key(k) for k in sorted(keys))
 
 

@@ -293,13 +293,23 @@ def _wl_colors(nbrs: list):
         color = new
 
 
-def _canonical_rows(g: Graph):
-    """Lexicographically smallest adjacency-row encoding over color-respecting orders."""
-    n = g.n
+def _canonical_rows(n: int, masks):
+    """Lexicographically smallest adjacency-row encoding over color-respecting orders.
+
+    The graph has vertices 0..n-1, and masks[v] is the neighbour mask of v.
+    """
     if n == 0:
         return ()
-    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in g._masks]
+    nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
     colors = _wl_colors(nbrs)
+    # twin[v]: the least u with the same neighbours as v apart from u and v;
+    # twinship is an equivalence relation, so twin[] names its classes
+    twin = list(range(n))
+    for v in range(n):
+        for u in range(v):
+            if masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
+                twin[v] = u
+                break
     slots = sorted(colors)
     pools = {}
     for v in range(n):
@@ -332,9 +342,15 @@ def _canonical_rows(g: Graph):
                 best = rows[:]
             return
         bit = 1 << p
+        tried = 0
         for v in pools[slots[p]]:
             if used[v]:
                 continue
+            # swapping v with a twin already tried here is an automorphism that
+            # fixes every placed vertex, so v's subtree repeats the twin's leaves
+            if (tried >> twin[v]) & 1:
+                continue
+            tried |= 1 << twin[v]
             r = row[v]
             if equal_prefix:
                 if r > best[p]:
@@ -361,7 +377,7 @@ def _canonical_rows(g: Graph):
 
 def canonical_key(g: Graph):
     """Hashable isomorphism invariant: equal keys iff isomorphic graphs."""
-    return (g.n, _canonical_rows(g))
+    return (g.n, _canonical_rows(g.n, g._masks))
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -258,6 +258,10 @@ CORRUPT_FAMILY = {
     "not-graph6": b'["Bw", "not graph6"]',
     "edgeless": b'["Bw", "@"]',
     "too-many-vertices": b'["Bw", "D~{"]',
+    # the --max-n 3 family is ["A_", "BG", "BW", "Bw"]
+    "truncated": b'["Bw"]',
+    "duplicate": b'["A_", "BG", "BW", "BW"]',
+    "out-of-order": b'["A_", "BW", "BG", "Bw"]',
 }
 
 

@@ -6,17 +6,25 @@ from itertools import combinations
 
 import pytest
 
-from edgeideals.enumeration import enumerate_graphs, graphs_on
+import edgeideals.enumeration as enumeration
+from edgeideals.enumeration import CLASS_COUNTS, enumerate_graphs, graphs_on
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, canonical_key, graph_from_key
 
 # isomorphism class counts for simple graphs on n labeled-free vertices
-COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def test_class_counts():
-    for n in range(0, 8):
-        assert len(graphs_on(n)) == COUNTS[n], n
+    for n, count in COUNTS.items():
+        assert len(graphs_on(n)) == count == CLASS_COUNTS[n], n
+
+
+def test_eight_vertex_bytes_are_pinned():
+    g6 = [graph_to_graph6(g) for g in graphs_on(8)]
+    assert len(g6) == 12346
+    digest = hashlib.sha256("\n".join(g6).encode("ascii")).hexdigest()
+    assert digest == "e07b51ee5e5f52ce7f5cb048a3ddad2a05b2221a820b072e05c1d7c50510439f"
 
 
 def test_representatives_are_canonical_and_distinct():
@@ -62,3 +70,18 @@ def test_family_bytes_are_pinned():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         graphs_on(9)
+
+
+def test_only_max_degree_augmentations_are_canonicalised(monkeypatch):
+    # canonicalising every augmentation takes 11,291 row searches for n <= 7
+    search = enumeration._canonical_rows
+    calls = []
+
+    def counted(n, masks):
+        calls.append(n)
+        return search(n, masks)
+
+    monkeypatch.setattr(enumeration, "_canonical_rows", counted)
+    graphs_on.cache_clear()
+    assert len(graphs_on(7)) == COUNTS[7]
+    assert len(calls) <= 3132

@@ -388,7 +388,7 @@ def graphs_up_to_ten(draw):
     n = draw(st.integers(1, 10))
     g = graph_from_mask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
     # every one of the n! orders ties on the empty and the complete graph, so
-    # from nine vertices on each search takes seconds
+    # from nine vertices on each reference search takes seconds
     assume(n < 9 or 0 < len(g.edges) < n * (n - 1) // 2)
     return g
 
@@ -400,6 +400,49 @@ def graphs_up_to_ten(draw):
 @example(cycle(10))
 def test_canonical_key_matches_the_reference_search(g):
     assert canonical_key(g) == reference_canonical_key(g)
+
+
+@st.composite
+def twin_rich_graphs(draw, max_n=8):
+    # a blow-up: each vertex of a graph on at most 4 vertices becomes a clique
+    # or an independent set of twins; drawn with a few relabellings, since a
+    # wrong prune shows only for some vertex orders
+    k = draw(st.integers(1, 4))
+    base = graph_from_mask(k, draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1)))
+    parts, start = [], 0
+    for i in range(k):
+        size = draw(st.integers(1, max_n - start - (k - 1 - i)))
+        parts.append(range(start, start + size))
+        start += size
+    edges = [
+        (u, v)
+        for i, j in combinations(range(k), 2)
+        if base.has_edge(i, j)
+        for u in parts[i]
+        for v in parts[j]
+    ]
+    for part in parts:
+        if draw(st.booleans()):
+            edges += combinations(part, 2)
+    perms = draw(st.lists(st.permutations(range(start)), min_size=1, max_size=4))
+    return Graph(start, edges), perms
+
+
+# C4 + K3 is 2-regular, so all its refinement colours tie, but a C4 vertex and
+# a K3 vertex are not twins
+C4_K3 = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 6), (5, 6)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_rich_graphs())
+@example((complete(8), [range(8)]))
+@example((Graph(8), [range(8)]))
+@example((C4_K3, [range(7)]))
+def test_twin_pruned_keys_match_the_reference_search(pair):
+    g, perms = pair
+    key = reference_canonical_key(g)
+    for perm in perms:
+        assert canonical_key(relabel(g, perm)) == key
 
 
 def test_canonical_graph_is_a_fixed_point():
