@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import os
 import sys
-from collections import Counter
-from itertools import pairwise
 
 from . import __version__
 from .cache import ResultCache
 from .complexes import CapExceeded
-from .enumeration import CLASS_COUNTS, enumerate_graphs
+from .enumeration import CLASS_COUNTS, FAMILY_SHA256, enumerate_graphs
 from .graph6 import graph_from_graph6, graph_to_graph6, iter_graph6
 from .graphs import (
     Graph,
@@ -99,29 +98,16 @@ def _single_graph(args) -> Graph:
 
 
 def _is_family(value, max_n: int) -> bool:
-    """True for a cache entry of the shape `_family` stores for --max-n max_n.
+    """True for a cache entry that is exactly the list `_family` stores for --max-n max_n.
 
-    Each n in 1..max_n holds its class count less the edgeless graph, and the
-    representatives' canonical keys strictly increase, as `enumerate_graphs`
-    gives them; no graph is canonicalised to check this.
+    Its strings, joined by newlines, hash to `FAMILY_SHA256[max_n]`; as many
+    strings as the family has leave no room for a newline inside one.
     """
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+    if not isinstance(value, list) or not all(isinstance(s, str) and s.isascii() for s in value):
         return False
-    sizes = range(1, max_n + 1)
-    if max_n >= len(CLASS_COUNTS) or len(value) != sum(CLASS_COUNTS[n] - 1 for n in sizes):
+    if max_n >= len(FAMILY_SHA256) or len(value) != sum(CLASS_COUNTS[1 : max_n + 1]) - max_n:
         return False
-    try:
-        graphs = [graph_from_graph6(s) for s in value]
-    except ValueError:
-        return False
-    # a representative's canonical rows are its own lower adjacency rows
-    keys = ((g.n, tuple(g._masks[p] & ((1 << p) - 1) for p in range(g.n))) for g in graphs)
-    counts = Counter(g.n for g in graphs)
-    return (
-        all(g.edges for g in graphs)
-        and all(counts[n] == CLASS_COUNTS[n] - 1 for n in sizes)
-        and all(a < b for a, b in pairwise(keys))
-    )
+    return hashlib.sha256("\n".join(value).encode("ascii")).hexdigest() == FAMILY_SHA256[max_n]
 
 
 def _family(args, cache: ResultCache) -> list:
@@ -145,7 +131,7 @@ def _family(args, cache: ResultCache) -> list:
 def _caps(args) -> EngineCaps:
     return EngineCaps(
         lattice_max=args.lattice_cap,
-        order_faces_max=args.face_cap,
+        order_faces_max=DEFAULT_CAPS.order_faces_max,
         taylor_max_generators=args.taylor_cap,
         quotients_max_generators=args.lq_cap,
         quotients_time_budget=args.time_budget,
@@ -181,7 +167,6 @@ def _add_graph_flags(p, family: bool = False):
 def _add_engine_flags(p):
     p.add_argument("--field", default="Q", help="coefficient field: Q (default) or GF(p)")
     p.add_argument("--lattice-cap", type=int, default=DEFAULT_CAPS.lattice_max)
-    p.add_argument("--face-cap", type=int, default=DEFAULT_CAPS.order_faces_max)
     p.add_argument("--taylor-cap", type=int, default=DEFAULT_CAPS.taylor_max_generators)
     p.add_argument("--lq-cap", type=int, default=DEFAULT_CAPS.quotients_max_generators)
     p.add_argument("--time-budget", type=float, default=DEFAULT_CAPS.quotients_time_budget)
@@ -354,6 +339,14 @@ def _verify_ideal_statement(args, field, caps) -> list:
     return [check_abc_bound(sub, ambient, None, field, caps)]
 
 
+def _check_ranges(args) -> None:
+    """Reject a negative power index, a largest power below 1 and a family below 1 vertex."""
+    for name, low in (("k", 0), ("kmax", 1), ("max_n", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def _statement_params(args) -> dict:
     params: dict = {}
     if args.sset is not None:
@@ -485,6 +478,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except CapExceeded as e:
         sys.stderr.write(f"cap overrun: {e}\n")

@@ -19,6 +19,20 @@ from .graphs import Graph, _canonical_rows, graph_from_key
 # isomorphism classes of simple graphs on n = 0..8 vertices (OEIS A000088)
 CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 
+# FAMILY_SHA256[n]: sha256 of the newline-joined graph6 strings of
+# enumerate_graphs(n, require_edge=True), the list a --max-n n family stores
+FAMILY_SHA256 = (
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    "f6355334720d0b5c929066887e6d1cbe73584ebc31c88e4f53611bf270d9e50b",
+    "054023c6cbb45e6a2069ca517263f613b6f0dc41999a943adbb41956e2a99eb9",
+    "c87c250821ec5e3e917beee33c9a7cf1021188ad8f3976a39ac141672b6d0ff7",
+    "127b1e94666c1b10f72d1e5ca7d8d7a8a20674ecbe7abef0c6b230d28d57fac2",
+    "4759b9e23562d9f1509cc41fde92e6456d40050c813f609a1918fc25a9a18fe4",
+    "314572e34170fb2a043b8b30ba9be7649e78ee00833c7ff7e4b79787791c2c2e",
+)
+
 
 @lru_cache(maxsize=None)
 def graphs_on(n: int) -> tuple:

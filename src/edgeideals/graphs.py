@@ -1,15 +1,19 @@
 """Finite simple graphs: invariants, recognizers and one-vertex constructions.
 
-Vertices are dense integers 0..n-1.  Graphs are immutable values and every
-operation returns a fresh Graph.  The NP-hard invariants (matching numbers,
-induced-pattern detection, canonical forms) use exact exponential search with
-pruning and are meant for desk-scale inputs, roughly n <= 10; plain storage
-and the graph6 codec go up to n = 62.
+Vertices are dense integers 0..n-1, and vertex or edge sets are bitmasks.
+Graphs are immutable values and every operation returns a fresh Graph.  The
+exponential invariants are exact and meant for desk-scale inputs, roughly
+n <= 10: both matching numbers run one branch and bound over edge masks,
+independent sets and minimal vertex covers one enumeration of independent
+vertex masks, and canonical forms a search over vertex orders.  Storage and
+the graph6 codec go up to n = 62.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 
 class Graph:
@@ -52,10 +56,6 @@ class Graph:
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return bin(self._masks[v]).count("1")
-
-    def neighbor_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._masks[v]
 
     @property
     def edge_count(self) -> int:
@@ -172,70 +172,48 @@ def is_vertex_cover(g: Graph, u) -> bool:
 # -- matchings ---------------------------------------------------------------
 
 
-def matching_number(g: Graph) -> int:
-    """Maximum size of a set of pairwise disjoint edges (exact branch and bound)."""
+def _largest_matching(g: Graph, induced: bool) -> int:
+    """Most edges of g, pairwise without conflict (exact branch and bound).
+
+    Chosen edges may not share a vertex; with `induced`, no edge may join two.
+    Available edges touching t vertices add at most t // 2; that bound prunes.
+    """
     edges = sorted(g.edges)
+    # at[v]: the edges at vertex v, as a mask over positions in `edges`
+    at = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    near = at
+    if induced:
+        # near[v]: the edges that meet a neighbour of v
+        near = [reduce(or_, (at[w] for w in range(g.n) if (m >> w) & 1), 0) for m in g._masks]
+    conflicts = [near[u] | near[v] for u, v in edges]
     best = 0
 
     def rec(avail, size):
         nonlocal best
-        if size > best:
-            best = size
-        if not avail:
+        best = max(best, size)
+        if size + sum(1 for m in at if m & avail) // 2 <= best:
             return
-        # touched vertices bound: |V(avail)| // 2 more edges at most
-        touched = set()
-        for e in avail:
-            touched.update(e)
-        if size + len(touched) // 2 <= best:
-            return
-        u = avail[0][0]
-        # branch: u stays unmatched
-        rec([e for e in avail if u not in e], size)
-        # branch: u matched through one of its available edges
-        for e in avail:
-            if u in e:
-                a, b = e
-                v = b if a == u else a
-                rec([f for f in avail if u not in f and v not in f], size + 1)
+        low = avail & -avail
+        rec(avail & ~conflicts[low.bit_length() - 1], size + 1)
+        rec(avail ^ low, size)
 
-    rec(edges, 0)
+    rec((1 << len(edges)) - 1, 0)
     return best
+
+
+def matching_number(g: Graph) -> int:
+    """Maximum size of a set of pairwise disjoint edges."""
+    return _largest_matching(g, induced=False)
 
 
 def induced_matching_number(g: Graph) -> int:
     """Maximum size of an induced matching; raises on edgeless graphs."""
-    edges = sorted(g.edges)
-    if not edges:
+    if not g.edges:
         raise ValueError("induced matching number is undefined for an edgeless graph")
-    k = len(edges)
-    # compatible[i][j]: edges i and j are disjoint and no edge meets both
-    compatible = [[False] * k for _ in range(k)]
-    for i in range(k):
-        ei = set(edges[i])
-        for j in range(i + 1, k):
-            ej = set(edges[j])
-            if ei & ej:
-                continue
-            if any(set(e) & ei and set(e) & ej for e in edges):
-                continue
-            compatible[i][j] = compatible[j][i] = True
-    best = 0
-
-    def rec(start, chosen):
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        if len(chosen) + (k - start) <= best:
-            return
-        for i in range(start, k):
-            if all(compatible[i][j] for j in chosen):
-                chosen.append(i)
-                rec(i + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return best
+    return _largest_matching(g, induced=True)
 
 
 def is_gap_free(g: Graph) -> bool:
@@ -450,25 +428,26 @@ def one_vertex_extensions(g: Graph):
     return out
 
 
-def independent_sets(g: Graph):
-    """All independent sets of g as sorted tuples, smallest first."""
+def _independent_masks(g: Graph) -> list:
+    """Vertex masks of all independent sets of g, built up one vertex at a time."""
     if g.n > 20:
         raise ValueError("independent-set enumeration is desk scale only (n <= 20)")
-    out = []
-    for size in range(g.n + 1):
-        for sub in combinations(range(g.n), size):
-            if is_independent_set(g, sub):
-                out.append(tuple(sub))
+    out = [0]
+    for v in range(g.n):
+        # the sets so far lie below v: doubling adds v to those it is free to join
+        out += [s | (1 << v) for s in out if not s & g._masks[v]]
     return out
+
+
+def independent_sets(g: Graph):
+    """All independent sets of g as sorted tuples, by size and then lexicographically."""
+    sets = [tuple(v for v in range(g.n) if (s >> v) & 1) for s in _independent_masks(g)]
+    return sorted(sets, key=lambda t: (len(t), t))
 
 
 def minimal_vertex_covers(g: Graph):
     """All minimal vertex covers (complements of the maximal independent sets)."""
-    indep = [set(s) for s in independent_sets(g)]
-    vertices = set(range(g.n))
-    covers = []
-    for s in indep:
-        if any(s < t for t in indep):
-            continue
-        covers.append(tuple(sorted(vertices - s)))
-    return sorted(covers)
+    n, masks = g.n, g._masks
+    # an independent set is maximal when every vertex outside it has a neighbour inside
+    maximal = [s for s in _independent_masks(g) if all((s >> v) & 1 or masks[v] & s for v in range(n))]
+    return sorted(tuple(v for v in range(n) if not (s >> v) & 1) for s in maximal)

@@ -424,6 +424,8 @@ def check_main1(
     inst = _ginst(g, S=s, k=k)
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
+    if k < 1:
+        raise ValueError(f"main1 needs a power k >= 1, got {k}")
     if not is_gap_free(g):
         return _skipped("main1", inst, "hypothesis unmet: graph is not gap-free")
     ideal = edge_ideal(g)
@@ -785,14 +787,14 @@ def _keylemma(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
 _HANDLERS = {
     "froberg": lambda g, p, f, c: [check_froberg(g, f, c)],
     "bounds": lambda g, p, f, c: [check_reg_bounds(g, f, c)],
-    "bht": lambda g, p, f, c: [check_bht_lower_bound(g, range(1, (p.get("k_max") or 3) + 1), f, c)],
-    "hhz": lambda g, p, f, c: [check_hhz(g, p.get("k_max") or 3, f, c)],
-    "banerjee": lambda g, p, f, c: [check_banerjee(g, p.get("k_max") or 3, f, c)],
+    "bht": lambda g, p, f, c: [check_bht_lower_bound(g, range(1, p.get("k_max", 3) + 1), f, c)],
+    "hhz": lambda g, p, f, c: [check_hhz(g, p.get("k_max", 3), f, c)],
+    "banerjee": lambda g, p, f, c: [check_banerjee(g, p.get("k_max", 3), f, c)],
     "suspension": lambda g, p, f, c: [check_s_suspension_invariance(g, s, f, c) for s in _sets(g, p)],
     "keylemma": _keylemma,
-    "blemma": lambda g, p, f, c: [check_blemma_colon_structure(g, p.get("k") or 1, None, f, c)],
-    "main1": lambda g, p, f, c: [check_main1(g, s, p.get("k") or 2, f, c) for s in _sets(g, p)],
-    "main2": lambda g, p, f, c: [check_main2(g, s, p.get("k_max") or 3, f, c) for s in _sets(g, p)],
+    "blemma": lambda g, p, f, c: [check_blemma_colon_structure(g, p.get("k", 1), None, f, c)],
+    "main1": lambda g, p, f, c: [check_main1(g, s, p.get("k", 2), f, c) for s in _sets(g, p)],
+    "main2": lambda g, p, f, c: [check_main2(g, s, p.get("k_max", 3), f, c) for s in _sets(g, p)],
     "deletion-probe": lambda g, p, f, c: [probe_vertex_deletions(g, f, c)],
 }
 

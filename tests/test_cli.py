@@ -65,6 +65,45 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "--statement", "nonsense", "--builder", "cycle:4")
     assert code == 2
+    # the interval oracle's face cap is a test-suite knob, not a CLI flag
+    code, out, _ = run_cli(capsys, "betti", "--builder", "cycle:4", "--face-cap", "5")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--statement", "bht", "--builder", "cycle:5", "--kmax", "0"], "--kmax"),
+        (["verify", "--statement", "blemma", "--builder", "cycle:5", "--k", "-1"], "--k "),
+        (["verify", "--statement", "keylemma", "--builder", "cycle:5", "--k", "-2"], "--k "),
+        (["verify", "--statement", "bounds", "--max-n", "-1"], "--max-n"),
+        (["verify", "--statement", "bounds", "--max-n", "0"], "--max-n"),
+        (["scan", "--conjecture", "np", "--max-n", "3", "--kmax", "0"], "--kmax"),
+        (["scan", "--conjecture", "np", "--max-n", "-1"], "--max-n"),
+    ],
+    ids=["bht-kmax-0", "blemma-k-neg", "keylemma-k-neg", "max-n-neg", "max-n-0", "scan-kmax-0", "scan-max-n-neg"],
+)
+def test_out_of_range_counts_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_explicit_power_indices_are_honoured(capsys):
+    # 0 is a power index like any other, not a request for the statement's default
+    code, out, _ = run_cli(capsys, "verify", "--statement", "blemma", "--builder", "cycle:5", "--k", "0")
+    assert code == 0
+    (rep,) = json_lines(out)[1:]
+    assert rep["instance"].endswith(" n=0") and rep["data"] == {"generators": 1}
+    code, out, _ = run_cli(capsys, "verify", "--statement", "bht", "--builder", "cycle:5", "--kmax", "1")
+    assert code == 0
+    (rep,) = json_lines(out)[1:]
+    assert rep["data"]["power_regs"] == {"1": 3}
+    code, _, err = run_cli(
+        capsys, "verify", "--statement", "main1", "--builder", "cycle:4", "--set", "0,2", "--k", "0"
+    )
+    assert code == 2 and "k >= 1" in err
 
 
 def test_suspend(capsys):
@@ -262,6 +301,9 @@ CORRUPT_FAMILY = {
     "truncated": b'["Bw"]',
     "duplicate": b'["A_", "BG", "BW", "BW"]',
     "out-of-order": b'["A_", "BW", "BG", "Bw"]',
+    # joins to the family's bytes, but is one string short
+    "newline-inside": b'["A_\\nBG", "BW", "Bw"]',
+    "not-ascii": b'["A_", "BG", "BW", "Bw\\u00e9"]',
 }
 
 
@@ -387,6 +429,16 @@ def test_powers_main2_stdout_bytes_match_the_benchmark_reference(capsys, monkeyp
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+def test_bounds_gf2_stdout_bytes_are_pinned(capsys, monkeypatch):
+    # the bounds-gf2 benchmark argv on n <= 6; both matching numbers feed every report
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--statement", "bounds", "--max-n", "6", "--field", "GF(2)")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 202
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "f68ba0a8df748c275dba1d0d11146f9d962c5e04097027afb62098e3b5293499"
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -67,6 +67,15 @@ def test_family_bytes_are_pinned():
     assert digest == "4759b9e23562d9f1509cc41fde92e6456d40050c813f609a1918fc25a9a18fe4"
 
 
+def test_family_digest_table_matches_enumeration():
+    # a cached --max-n family is trusted only when it hashes to this table
+    assert len(enumeration.FAMILY_SHA256) == len(CLASS_COUNTS)
+    for n in range(len(CLASS_COUNTS)):
+        family = [graph_to_graph6(g) for g in enumerate_graphs(n, require_edge=True)]
+        digest = hashlib.sha256("\n".join(family).encode("ascii")).hexdigest()
+        assert enumeration.FAMILY_SHA256[n] == digest, n
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         graphs_on(9)

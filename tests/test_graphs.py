@@ -92,6 +92,28 @@ def brute_induced_matching(g):
     return best
 
 
+def brute_independent_sets(g):
+    # by size, then lexicographically, as combinations yields them
+    return [
+        sub
+        for size in range(g.n + 1)
+        for sub in combinations(range(g.n), size)
+        if is_independent_set(g, sub)
+    ]
+
+
+def brute_minimal_vertex_covers(g):
+    covers = [
+        sub
+        for size in range(g.n + 1)
+        for sub in combinations(range(g.n), size)
+        if is_vertex_cover(g, sub)
+    ]
+    return sorted(
+        c for c in covers if not any(is_vertex_cover(g, set(c) - {v}) for v in c)
+    )
+
+
 def _induces_cycle(g, sub):
     h = induced_subgraph(g, sub)
     if any(h.degree(v) != 2 for v in range(h.n)):
@@ -227,6 +249,18 @@ def test_matching_invariants_exhaustive_oracle(mask):
         im = induced_matching_number(g)
         assert im == brute_induced_matching(g)
         assert im <= m
+
+
+def test_invariants_against_brute_force_on_every_class_n6():
+    from edgeideals.enumeration import graphs_on
+
+    for n in range(7):
+        for g in graphs_on(n):
+            assert matching_number(g) == brute_matching(g), g
+            if g.edges:
+                assert induced_matching_number(g) == brute_induced_matching(g), g
+            assert independent_sets(g) == brute_independent_sets(g), g
+            assert minimal_vertex_covers(g) == brute_minimal_vertex_covers(g), g
 
 
 def test_gap_free_examples():
@@ -402,16 +436,54 @@ def test_canonical_key_matches_the_reference_search(g):
     assert canonical_key(g) == reference_canonical_key(g)
 
 
+def circulant_jump_sets(m, d):
+    # the jump sets S within 1..m/2 whose circulant graph on m vertices is d-regular
+    half = range(1, m // 2 + 1)
+    return [
+        jumps
+        for r in range(len(half) + 1)
+        for jumps in combinations(half, r)
+        if sum(1 if 2 * s == m else 2 for s in jumps) == d
+    ]
+
+
+@st.composite
+def equal_degree_unions(draw, max_n):
+    # a disjoint union of circulant graphs that all have one degree d
+    d = draw(st.integers(0, 3))
+    edges, start = [], 0
+    while not start or draw(st.booleans()):
+        parts = [(m, j) for m in range(d + 1, max_n - start + 1) for j in circulant_jump_sets(m, d)]
+        if not parts:
+            break
+        m, jumps = draw(st.sampled_from(parts))
+        edges += [(start + i, start + (i + s) % m) for i in range(m) for s in jumps]
+        start += m
+    return Graph(start, edges)
+
+
 @st.composite
 def twin_rich_graphs(draw, max_n=8):
-    # a blow-up: each vertex of a graph on at most 4 vertices becomes a clique
-    # or an independent set of twins; drawn with a few relabellings, since a
-    # wrong prune shows only for some vertex orders
-    k = draw(st.integers(1, 4))
-    base = graph_from_mask(k, draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1)))
+    # a blow-up: each vertex of a base graph becomes a clique or an independent
+    # set of twins.  The base is any graph on at most 4 vertices, or a union of
+    # equal-degree circulants blown up evenly, so that the result is regular and
+    # its refinement colours tie on vertices that are not twins.  Drawn with a
+    # few relabellings, since a wrong prune shows only for some vertex orders.
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        base = graph_from_mask(k, draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1)))
+        sizes, start = [], 0
+        for i in range(k):
+            sizes.append(draw(st.integers(1, max_n - start - (k - 1 - i))))
+            start += sizes[-1]
+        cliques = [draw(st.booleans()) for _ in range(k)]
+    else:
+        base = draw(equal_degree_unions(max_n))
+        k = base.n
+        sizes = [draw(st.integers(1, max_n // k))] * k
+        cliques = [draw(st.booleans())] * k
     parts, start = [], 0
-    for i in range(k):
-        size = draw(st.integers(1, max_n - start - (k - 1 - i)))
+    for size in sizes:
         parts.append(range(start, start + size))
         start += size
     edges = [
@@ -421,8 +493,8 @@ def twin_rich_graphs(draw, max_n=8):
         for u in parts[i]
         for v in parts[j]
     ]
-    for part in parts:
-        if draw(st.booleans()):
+    for part, clique in zip(parts, cliques):
+        if clique:
             edges += combinations(part, 2)
     perms = draw(st.lists(st.permutations(range(start)), min_size=1, max_size=4))
     return Graph(start, edges), perms
