@@ -4,9 +4,17 @@ The primary engine enumerates the lcm lattice of the ideal and computes, at
 each lattice multidegree m, the reduced homology of the membership complex of
 m: the simplicial complex on the support of m whose faces are the squarefree
 chunks S with m/x_S still inside the ideal.  Its rank in dimension i-1 is the
-multigraded Betti number at (i, m).  Multidegrees stay packed one int each
-(`Packing`): lcm and divisibility are a few whole-int operations, and a
-Monomial is built only where a Betti number is nonzero.
+multigraded Betti number at (i, m).
+
+All of this lives in the exponent box below the lcm of the generators.  When
+the box has at most `EngineCaps.membership_table_max` points, a set of
+multidegrees is one Python int with a bit per point (`_Box`): membership in
+the ideal and the lcm lattice are upward closures and intersections of such
+bitsets, and each face bitmap is gathered from the membership table in one
+call.  A bigger box falls back to multidegrees packed one int each
+(`Packing`), where lcm and divisibility are a few whole-int operations.
+Multidegrees leave the engine as exponent tuples; Monomials are built only
+when a caller reads `BettiTable.multi`.
 
 The membership complex at m is determined by which support subsets are
 faces, one bit each, so its homology is memoised by that face bitmap and the
@@ -27,7 +35,8 @@ import functools
 import math
 import time
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import compress, product
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .complexes import CapExceeded, mask_homology_ranks
@@ -60,6 +69,89 @@ def _guard_proper(ideal: MonomialIdeal, what: str) -> None:
         raise ValueError(f"{what} is undefined for the unit ideal")
 
 
+# -- multidegrees in the exponent box ------------------------------------------
+
+
+class _Box:
+    """The exponent box below top, whose subsets are bitsets in one Python int.
+
+    Bit sum(e_i * strides[i]) stands for the exponent tuple e, x0 varying
+    slowest, so increasing bit index is lexicographic order of exponent tuples:
+    a linear extension of divisibility.
+    """
+
+    __slots__ = ("top", "size", "strides", "below")
+
+    def __init__(self, top: tuple, size: int):
+        self.top = top
+        self.size = size
+        strides = [1] * len(top)
+        for i in range(len(top) - 2, -1, -1):
+            strides[i] = strides[i + 1] * (top[i + 1] + 1)
+        self.strides = strides
+        # below[i]: the points whose exponent of x_i is below top[i], which can
+        # still move up along axis i; one period of the pattern, doubled
+        self.below = []
+        for s, t in zip(strides, top):
+            bits, width = (1 << (s * t)) - 1, s * (t + 1)
+            while width < size:
+                bits |= bits << width
+                width *= 2
+            self.below.append(bits & ((1 << size) - 1))
+
+    @classmethod
+    def fitting(cls, top: tuple, caps: EngineCaps) -> "_Box | None":
+        """The box below top, or None when it has more than membership_table_max points."""
+        size = math.prod(t + 1 for t in top)
+        return cls(top, size) if size <= caps.membership_table_max else None
+
+    def points(self, exps) -> int:
+        """The bitset of the given exponent tuples."""
+        return sum(1 << sum(map(mul, e, self.strides)) for e in exps)
+
+    def up(self, bits: int, axes) -> int:
+        """The upward closure of bits along the given axes."""
+        for i in axes:
+            below, step = self.below[i], self.strides[i]
+            for _ in range(self.top[i]):
+                bits |= (bits & below) << step
+        return bits
+
+    def flags(self, bits: int) -> bytes:
+        """ASCII b"0"/b"1" per point, indexed by point index."""
+        return format(bits, f"0{self.size}b")[::-1].encode()
+
+
+def _up_all_but_one(box: _Box, bits: int, axes: list) -> list:
+    """(i, closure of bits along every axis but i) for each i in axes, by halving."""
+    if len(axes) == 1:
+        return [(axes[0], bits)]
+    a, b = axes[: len(axes) // 2], axes[len(axes) // 2 :]
+    return _up_all_but_one(box, box.up(bits, b), a) + _up_all_but_one(box, box.up(bits, a), b)
+
+
+def _box_lattice(box: _Box, gens: list, caps: EngineCaps) -> list:
+    """The lattice as a bitset over the box, extracted in increasing order.
+
+    m != 1 is an lcm of generators iff every m_i > 0 is the x_i-exponent of a
+    generator dividing m (which also puts m in I).  Along axis i, the points
+    that some generator g with g_i = m_i divides are the upward closure of the
+    generator points along every other axis.
+    """
+    axes = [i for i, t in enumerate(box.top) if t]
+    lattice = (1 << box.size) - 1
+    for i, reach in _up_all_but_one(box, box.points(gens), axes):
+        # the points with m_i = 0 are those no point of the box moves up to
+        lattice &= ~(box.below[i] << box.strides[i]) | reach
+    lattice &= ~1  # the origin is the formal bottom, not an lcm
+    # counted before extraction; reported like the packed path, which stops one
+    # past the cap, so a skipped report reads the same on both paths
+    if lattice.bit_count() > caps.lattice_max:
+        raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
+    points = product(*(range(t + 1) for t in box.top))
+    return list(compress(points, box.flags(lattice).replace(b"0", b"\0")))
+
+
 # -- packed multidegrees -----------------------------------------------------------
 
 
@@ -71,7 +163,8 @@ class Packing:
     lexicographically.  The top bit of every field is a guard bit that stored
     values keep clear; subtracting across fields with the guard bits set
     leaves each guard bit set exactly where that field did not borrow
-    (Warren, Hacker's Delight, ch. 2).
+    (Warren, Hacker's Delight, ch. 2).  Used for exponent boxes too big to
+    hold as bitsets.
     """
 
     __slots__ = ("nvars", "w", "shifts", "guard", "low")
@@ -105,42 +198,8 @@ class Packing:
         return any((xh - g) & h == h for g in gens)
 
 
-# -- lcm lattice ----------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class LcmLattice:
-    """All lcms of nonempty generator subsets, plus a formal bottom element.
-
-    `packed` holds the elements as packed ints in increasing order, which is
-    lexicographic order of exponent tuples: a linear extension of divisibility,
-    so every element comes before its multiples and the top comes last.
-    `elements`, `top` and `bottom` build Monomials on request.
-    """
-
-    packing: Packing
-    packed: list
-
-    @property
-    def elements(self) -> tuple:
-        return tuple(Monomial(self.packing.unpack(x)) for x in self.packed)
-
-    @property
-    def top(self) -> Monomial:
-        return Monomial(self.packing.unpack(self.packed[-1]))
-
-    @property
-    def bottom(self) -> Monomial:
-        return Monomial.unit(self.packing.nvars)
-
-    def __len__(self):
-        return len(self.packed)
-
-
-def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> LcmLattice:
+def _packed_lattice(ideal: MonomialIdeal, packing: Packing, caps: EngineCaps) -> list:
     """Adds the atoms one at a time: L_k = L_{k-1} + {b_k} + (L_{k-1} joined with b_k)."""
-    _guard_proper(ideal, "the lcm lattice")
-    packing = Packing(ideal.nvars, max(max(g.exps) for g in ideal.gens))
     elems: set = set()
     for g in ideal.sorted_gens():
         b = packing.pack(g.exps)
@@ -148,37 +207,78 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> LcmLat
         elems.add(b)
         if len(elems) > caps.lattice_max:
             raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
-    return LcmLattice(packing, sorted(elems))
-
-
-def _membership_table(gens, top: tuple, caps: EngineCaps):
-    """Table of m in I over the exponent box below top, with its strides; None if too big."""
-    box = math.prod(t + 1 for t in top)
-    if box > caps.membership_table_max:
-        return None, None
-    n = len(top)
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * (top[i + 1] + 1)
-    gen_idx = {sum(e * s for e, s in zip(g, strides)) for g in gens}
-    table = bytearray(box)
-    idx = 0
-    for v in product(*(range(t + 1) for t in top)):
-        if idx in gen_idx or any(v[i] and table[idx - strides[i]] for i in range(n)):
-            table[idx] = 1
-        idx += 1
-    return table, strides
+    return list(map(packing.unpack, sorted(elems)))
 
 
 @dataclass(frozen=True, slots=True)
 class _PackedMembership:
-    """m in I for packed multidegrees m, by divisibility; stands in for a table too big to build."""
+    """m in I for packed multidegrees m, by divisibility, as ASCII b"0"/b"1" like
+    `_Box.flags`; stands in for a box too big to hold as a bitset."""
 
     packing: Packing
     gens: list
 
-    def __getitem__(self, x: int) -> bool:
-        return self.packing.divisible(x, self.gens)
+    def __getitem__(self, x: int) -> int:
+        return b"01"[self.packing.divisible(x, self.gens)]
+
+
+# -- lcm lattice ----------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class LcmLattice:
+    """All lcms of nonempty generator subsets, plus a formal bottom element.
+
+    `exps` holds the elements as exponent tuples in increasing lexicographic
+    order: a linear extension of divisibility, so every element comes before
+    its multiples and the top comes last.  `elements`, `top` and `bottom`
+    build Monomials on request.
+    """
+
+    nvars: int
+    exps: list
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(map(Monomial, self.exps))
+
+    @property
+    def top(self) -> Monomial:
+        return Monomial(self.exps[-1])
+
+    @property
+    def bottom(self) -> Monomial:
+        return Monomial.unit(self.nvars)
+
+    def __len__(self):
+        return len(self.exps)
+
+
+def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> LcmLattice:
+    """The lcm lattice, read off bitsets over the exponent box below the top when
+    the box has at most caps.membership_table_max points, else grown atom by atom
+    from packed multidegrees.  Raises CapExceeded past caps.lattice_max elements."""
+    _guard_proper(ideal, "the lcm lattice")
+    gens = [g.exps for g in ideal.gens]
+    top = tuple(map(max, zip(*gens)))
+    box = _Box.fitting(top, caps)
+    if box is not None:
+        exps = _box_lattice(box, gens, caps)
+    else:
+        exps = _packed_lattice(ideal, Packing(ideal.nvars, max(top)), caps)
+    return LcmLattice(ideal.nvars, exps)
+
+
+def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tuple:
+    """m in I as ASCII b"0"/b"1" per point of the box below top, and the strides
+    that index it; for a box too big, a stand-in indexed by packed multidegree."""
+    box = _Box.fitting(top, caps)
+    if box is not None:
+        gens = [g.exps for g in ideal.gens]
+        return box.flags(box.up(box.points(gens), range(len(top)))), box.strides
+    packing = Packing(ideal.nvars, max(top))
+    table = _PackedMembership(packing, [packing.pack(g.exps) for g in ideal.sorted_gens()])
+    return table, [1 << s for s in packing.shifts]
 
 
 # -- Betti tables ------------------------------------------------------------------
@@ -190,22 +290,32 @@ class BettiTable:
     entries maps (homological index i, total degree j) to a positive count;
     multi maps (i, multidegree Monomial) to a positive count.  Both are
     read-only views, because `betti_table` hands the same memoised table to
-    every caller.
+    every caller.  The constructor takes the multigraded counts keyed by
+    (i, exponent tuple); multi builds its Monomials on first access.
     """
 
-    __slots__ = ("field_token", "nvars", "entries", "multi")
+    __slots__ = ("field_token", "nvars", "entries", "_multi", "_multi_view")
 
     def __init__(self, field_token: str, nvars: int, entries: dict, multi: dict):
         self.field_token = field_token
         self.nvars = nvars
         self.entries = MappingProxyType(dict(entries))
-        self.multi = MappingProxyType(dict(multi))
+        self._multi = dict(multi)
+        self._multi_view = None
+
+    @property
+    def multi(self) -> MappingProxyType:
+        if self._multi_view is None:
+            self._multi_view = MappingProxyType(
+                {(i, Monomial(e)): b for (i, e), b in self._multi.items()}
+            )
+        return self._multi_view
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
     def beta_multi(self, i: int, m: Monomial) -> int:
-        return self.multi.get((i, m), 0)
+        return self._multi.get((i, m.exps), 0)
 
     def regularity(self) -> int:
         return max(j - i for i, j in self.entries)
@@ -221,7 +331,7 @@ class BettiTable:
             isinstance(other, BettiTable)
             and self.field_token == other.field_token
             and self.entries == other.entries
-            and self.multi == other.multi
+            and self._multi == other._multi
         )
 
     def to_json(self, include_multi: bool = False) -> dict:
@@ -274,6 +384,7 @@ def _complex_ranks(bitmap: int, field: Field) -> tuple:
         faces = [f for f in range(bitmap.bit_length()) if bitmap >> f & 1]
         ranks = tuple(mask_homology_ranks(faces, field).items())
         if sum(map(len, _COMPLEX_MEMO.values())) >= COMPLEX_MEMO_SIZE:
+            # emptied in place: a running _betti_table holds its field's dict
             for m in _COMPLEX_MEMO.values():
                 m.clear()
             _RANKS.clear()
@@ -297,34 +408,27 @@ def betti_table(
 def _betti_table(ideal: MonomialIdeal, field: Field, caps: EngineCaps) -> BettiTable:
     _guard_proper(ideal, "the Betti table")
     lat = lcm_lattice(ideal, caps)
-    packing = lat.packing
-    gens = [g.exps for g in ideal.sorted_gens()]
-    table, strides = _membership_table(gens, packing.unpack(lat.packed[-1]), caps)
-    if table is None:
-        # index by packed multidegree instead, answered by divisibility
-        table = _PackedMembership(packing, [packing.pack(g) for g in gens])
-        strides = [1 << s for s in packing.shifts]
+    table, strides = _membership_table(ideal, lat.exps[-1], caps)
+    down = [-s for s in strides]
+    memo = _COMPLEX_MEMO.setdefault(field, {})
     entries: dict = {}
     multi: dict = {}
-    for x in lat.packed:
-        exps = packing.unpack(x)
-        # dec[mask] lowers m by one in every support variable of the subset mask
-        dec = [0]
-        for e, step in zip(exps, strides):
-            if e:
-                dec += [d + step for d in dec]
-        base = sum(e * s for e, s in zip(exps, strides))
-        # bit f of the face bitmap is set when support subset f is a face
-        bitmap = 0
-        for f, d in enumerate(dec):
-            if table[base - d]:
-                bitmap |= 1 << f
-        ranks = _complex_ranks(bitmap, field)
+    for exps in lat.exps:
+        # idx[f] lowers m by one in every support variable of the subset f
+        idx = [sum(map(mul, exps, strides))]
+        for step in compress(down, exps):
+            idx += [i + step for i in idx]
+        idx.reverse()
+        # bit f of the face bitmap is set when support subset f is a face; m has
+        # a nonempty support, so idx has two or more entries and itemgetter a tuple
+        bitmap = int(bytes(itemgetter(*idx)(table)), 2)
+        ranks = memo.get(bitmap)
+        if ranks is None:  # a miss; hits skip the call
+            ranks = _complex_ranks(bitmap, field)
         if ranks:
-            m = Monomial(exps)
             deg = sum(exps)
             for i, r in ranks:
-                multi[(i, m)] = r
+                multi[(i, exps)] = r
                 entries[(i, deg)] = entries.get((i, deg), 0) + r
     return BettiTable(field.token(), ideal.nvars, entries, multi)
 
@@ -378,12 +482,11 @@ def taylor_betti_oracle(
                     sign = -sign
             bd_rank[c] = field.matrix_rank(mat)
         mdeg = sum(mexps)
-        mono = Monomial(mexps)
         for c, lst in by_card.items():
             h = len(lst) - bd_rank.get(c, 0) - bd_rank.get(c + 1, 0)
             if h:
                 i = c - 1
-                multi[(i, mono)] = h
+                multi[(i, mexps)] = h
                 entries[(i, mdeg)] = entries.get((i, mdeg), 0) + h
     return BettiTable(field.token(), ideal.nvars, entries, multi)
 

@@ -61,6 +61,6 @@ def interval_betti_oracle(
         chains = order_complex(interval, lambda a, b: a != b and a.divides(b), caps.order_faces_max)
         # a chain of c elements is a face of dimension c - 1: homological index c
         for i, r in mask_homology_ranks(chains, field).items():
-            multi[(i, m)] = r
+            multi[(i, m.exps)] = r
             entries[(i, m.degree)] = entries.get((i, m.degree), 0) + r
     return BettiTable(field.token(), ideal.nvars, entries, multi)

@@ -1,5 +1,7 @@
 """Betti engines against each other and against frozen hand computations."""
 
+import hashlib
+import json
 import random
 from functools import reduce
 from itertools import combinations
@@ -75,9 +77,13 @@ def test_lattice_examples():
 
 
 def test_lattice_cap():
-    caps = EngineCaps(lattice_max=3)
-    with pytest.raises(CapExceeded):
-        lcm_lattice(edge_ideal(cycle(5)), caps)
+    # the default box cap reads the lattice off the exponent box, a one-point
+    # box cap grows it from packed multidegrees
+    for table_max in (DEFAULT_CAPS.membership_table_max, 1):
+        caps = EngineCaps(lattice_max=3, membership_table_max=table_max)
+        with pytest.raises(CapExceeded) as exc:
+            lcm_lattice(edge_ideal(cycle(5)), caps)
+        assert (exc.value.cap, exc.value.limit, exc.value.size) == ("lattice_max", 3, 4)
 
 
 def test_lattice_guards():
@@ -105,6 +111,8 @@ def test_lattice_order_extends_divisibility(exps):
     for i, m in enumerate(elems):
         assert not any(later.divides(m) for later in elems[i + 1 :])
     assert elems[-1] == lat.top == reduce(Monomial.lcm, ideal.gens)
+    # the bitset lattice over the box and the packed one agree element for element
+    assert lat.exps == lcm_lattice(ideal, EngineCaps(membership_table_max=1)).exps
 
 
 # -- packed multidegrees --------------------------------------------------------------
@@ -280,6 +288,30 @@ def test_membership_fallback_path_matches_table_path():
         _betti_table.cache_clear()
         _COMPLEX_MEMO.clear()
         assert betti_table(ideal, RATIONALS, tiny) == betti_table(ideal, RATIONALS)
+
+
+# sha256 of json.dumps(table.to_json(include_multi=True), sort_keys=True), taken
+# from the packed-lattice engine that preceded the box engine
+PINNED_TABLES = [
+    ("anticycle5-square", lambda: ideal_power(edge_ideal(anticycle(5)), 2), DEFAULT_CAPS,
+     "566c32a8916c36c2c00f227c3ae1c02121d4377f736f5de26715f2b6f46301e4"),
+    ("anticycle5-cube", lambda: ideal_power(edge_ideal(anticycle(5)), 3), DEFAULT_CAPS,
+     "8efafc719d2152835cb5476d4331cebfd75b070fd1fd6b7dde32a26da21c7df2"),
+    ("mixed-exponents",
+     lambda: parse_ideal(["x0^3*x1", "x1^2*x2^2", "x0*x2^3", "x3^2", "x1*x3"], 4), DEFAULT_CAPS,
+     "4b50f886bebdb29a9820fb6b61b87da57328b309e945441f442f1df429846a57"),
+    ("cycle5-square-packed", lambda: ideal_power(edge_ideal(cycle(5)), 2),
+     EngineCaps(membership_table_max=1),
+     "f8dfe8498af60750ff78dd46e567bdeea532bc541a31505a52a6bec1e5ebe3ab"),
+]
+
+
+@pytest.mark.parametrize("name, build, caps, digest", PINNED_TABLES, ids=[p[0] for p in PINNED_TABLES])
+def test_multigraded_tables_match_their_pinned_digests(name, build, caps, digest):
+    _betti_table.cache_clear()
+    table = betti_table(build(), RATIONALS, caps)
+    text = json.dumps(table.to_json(include_multi=True), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_betti_memo_is_bounded_and_returns_the_cached_table():
