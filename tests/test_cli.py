@@ -441,6 +441,59 @@ def test_bounds_gf2_stdout_bytes_are_pinned(capsys, monkeypatch):
     assert digest == "f68ba0a8df748c275dba1d0d11146f9d962c5e04097027afb62098e3b5293499"
 
 
+@pytest.mark.parametrize(
+    "argv, lines, expected",
+    [
+        (
+            ("verify", "--statement", "main1", "--max-n", "4"),
+            100,
+            "d9b7b5e0cc6f22042019572933350de84fd0d593c7fb9305f40626e13863ce07",
+        ),
+        (
+            ("verify", "--statement", "main2", "--max-n", "4", "--kmax", "3"),
+            100,
+            "7060dcbbe25d146f316c5861d96d104ed436fa4aa1fdfff2f6bc964dfd8cfca2",
+        ),
+        (
+            ("verify", "--statement", "suspension", "--max-n", "5"),
+            510,
+            "ecfa5fbac23f281879c5061f1b55da874ec4e4ae587549f6084472707a557db6",
+        ),
+        (
+            ("scan", "--conjecture", "newconj2", "--max-n", "4", "--kmax", "3"),
+            143,
+            "0e44e7fcbd16827610b6dfa91e1b8e33c4a1235f4ffca9fdf8fbc7bfc92ad025",
+        ),
+        (
+            ("extend", "--builder", "anticycle:5", "--all", "--json"),
+            31,
+            "7520610f04a5192691df8abced63e2c4dd989ca28fa566122dcb65f88678391b",
+        ),
+        (
+            ("suspend", "--builder", "anticycle:5", "--all", "--verify"),
+            11,
+            "d7024076d27efc1475550d42f007c1efe2f65c740bb71d4bdf52ba32069ff371",
+        ),
+        (
+            (
+                "verify", "--statement", "doublelinear", "--ideal", '["x0*x1","x0*x2","x3*x4"]',
+                "--part-j", '["x0*x1","x0*x2"]', "--part-k", '["x3*x4"]', "--nvars", "5",
+            ),
+            2,
+            "9709af7fa476cef3f75eb610e415296df00a4eb73970e2ec15ec3c93c841d793",
+        ),
+    ],
+    ids=["main1", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear"],
+)
+def test_per_graph_check_stdout_bytes_are_pinned(capsys, monkeypatch, argv, lines, expected):
+    # the checks that share one graph's tables across its S sets, extensions or parts
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache_dir = tmp_path / "envcache"
     monkeypatch.setenv("EDGEIDEALS_CACHE", str(cache_dir))
