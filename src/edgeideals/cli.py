@@ -51,7 +51,6 @@ from .verification import (
     check_doublelinear,
     check_s_suspension_invariance,
     enumerate_im_reg_extensions,
-    is_im_reg_invariant_extension,
     run_statement,
     scan_conjecture,
     summarize_reports,
@@ -273,20 +272,19 @@ def _cmd_suspend(args) -> int:
         sets = [_parse_vertex_set(args.sset)]
     else:
         raise ValueError("suspend needs --set or --all")
-    for s in sets:
-        gs = s_suspension(g, s)
-        if args.verify:
-            rep = check_s_suspension_invariance(g, s, field, caps)
-            _emit(
-                {
-                    "graph6": graph_to_graph6(gs),
-                    "set": sorted(s),
-                    "verdict": rep.verdict,
-                    "im_reg": rep.data,
-                }
-            )
-        else:
-            sys.stdout.write(graph_to_graph6(gs) + "\n")
+    if not args.verify:
+        for s in sets:
+            sys.stdout.write(graph_to_graph6(s_suspension(g, s)) + "\n")
+        return EXIT_OK
+    for s, rep in zip(sets, check_s_suspension_invariance(g, sets, field, caps)):
+        _emit(
+            {
+                "graph6": graph_to_graph6(s_suspension(g, s)),
+                "set": sorted(s),
+                "verdict": rep.verdict,
+                "im_reg": rep.data,
+            }
+        )
     return EXIT_OK
 
 
@@ -296,18 +294,17 @@ def _cmd_extend(args) -> int:
     g = _single_graph(args)
     if args.all:
         exts = one_vertex_extensions(g)
+        invariant = set(enumerate_im_reg_extensions(g, field, caps)) if args.json else set()
     else:
         exts = enumerate_im_reg_extensions(g, field, caps)
+        invariant = set(exts)
     for ext in exts:
         if args.json:
-            invariant = (
-                is_im_reg_invariant_extension(g, ext, field, caps) if args.all else True
-            )
             _emit(
                 {
                     "graph6": graph_to_graph6(ext),
                     "z_neighborhood": sorted(ext.neighbors(g.n)),
-                    "invariant": invariant,
+                    "invariant": ext in invariant,
                 }
             )
         else:

@@ -31,7 +31,6 @@ suite also keeps an order-complex oracle over open lcm-lattice intervals
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -289,9 +288,10 @@ class BettiTable:
 
     entries maps (homological index i, total degree j) to a positive count;
     multi maps (i, multidegree Monomial) to a positive count.  Both are
-    read-only views, because `betti_table` hands the same memoised table to
-    every caller.  The constructor takes the multigraded counts keyed by
-    (i, exponent tuple); multi builds its Monomials on first access.
+    read-only views, because one check hands the same table to several
+    consumers, such as a linearity test and then a splitting identity.  The
+    constructor takes the multigraded counts keyed by (i, exponent tuple);
+    multi builds its Monomials on first access.
     """
 
     __slots__ = ("field_token", "nvars", "entries", "_multi", "_multi_view")
@@ -358,8 +358,6 @@ class BettiTable:
         return f"BettiTable[{self.field_token}]({cells})"
 
 
-# Betti tables kept in memory; past this many the least recently used is dropped.
-TABLE_MEMO_SIZE = 256
 # Membership complexes whose homology is kept in memory, over all fields; the
 # memo is emptied when it reaches this many.
 COMPLEX_MEMO_SIZE = 1 << 14
@@ -384,7 +382,7 @@ def _complex_ranks(bitmap: int, field: Field) -> tuple:
         faces = [f for f in range(bitmap.bit_length()) if bitmap >> f & 1]
         ranks = tuple(mask_homology_ranks(faces, field).items())
         if sum(map(len, _COMPLEX_MEMO.values())) >= COMPLEX_MEMO_SIZE:
-            # emptied in place: a running _betti_table holds its field's dict
+            # emptied in place: a running betti_table holds its field's dict
             for m in _COMPLEX_MEMO.values():
                 m.clear()
             _RANKS.clear()
@@ -397,15 +395,7 @@ def betti_table(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> BettiTable:
-    """Complete multigraded Betti table via lattice-supported membership complexes.
-
-    Memoised on (ideal, field, caps), for the TABLE_MEMO_SIZE most recent tables.
-    """
-    return _betti_table(ideal, field, caps)
-
-
-@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
-def _betti_table(ideal: MonomialIdeal, field: Field, caps: EngineCaps) -> BettiTable:
+    """Complete multigraded Betti table via lattice-supported membership complexes."""
     _guard_proper(ideal, "the Betti table")
     lat = lcm_lattice(ideal, caps)
     table, strides = _membership_table(ideal, lat.exps[-1], caps)

@@ -125,15 +125,9 @@ def _ideal_inst(*ideals) -> str:
 # -- Betti splitting ---------------------------------------------------------------
 
 
-def _splitting_identity(whole, left, right, field, caps, multigraded):
-    """Check the splitting identity at every (i, j) and optionally multidegree.
-
-    Returns (mismatch or None, tables dict).
-    """
-    tw = betti_table(whole, field, caps)
-    tl = betti_table(left, field, caps)
-    tr = betti_table(right, field, caps)
-    tm = betti_table(intersect(left, right), field, caps)
+def _splitting_report(statement, inst, tw, tl, tr, tm):
+    """Check the splitting identity of the tables of whole, left, right and their
+    intersection at every (i, j) and multidegree, then its reg/pd consequences."""
     keys = set(tw.entries)
     keys.update(tl.entries)
     keys.update(tr.entries)
@@ -142,24 +136,26 @@ def _splitting_identity(whole, left, right, field, caps, multigraded):
         lhs = tw.beta(i, j)
         rhs = tl.beta(i, j) + tr.beta(i, j) + tm.beta(i - 1, j)
         if lhs != rhs:
-            return (
-                {"i": i, "j": j, "lhs": lhs, "rhs": rhs},
-                (tw, tl, tr, tm),
-            )
-    if multigraded:
-        mkeys = set(tw.multi)
-        mkeys.update(tl.multi)
-        mkeys.update(tr.multi)
-        mkeys.update((i + 1, m) for i, m in tm.multi)
-        for i, m in mkeys:
-            lhs = tw.beta_multi(i, m)
-            rhs = tl.beta_multi(i, m) + tr.beta_multi(i, m) + tm.beta_multi(i - 1, m)
-            if lhs != rhs:
-                return (
-                    {"i": i, "multidegree": str(m), "lhs": lhs, "rhs": rhs},
-                    (tw, tl, tr, tm),
-                )
-    return None, (tw, tl, tr, tm)
+            return _failed(statement, inst, {"i": i, "j": j, "lhs": lhs, "rhs": rhs})
+    mkeys = set(tw.multi)
+    mkeys.update(tl.multi)
+    mkeys.update(tr.multi)
+    mkeys.update((i + 1, m) for i, m in tm.multi)
+    for i, m in mkeys:
+        lhs = tw.beta_multi(i, m)
+        rhs = tl.beta_multi(i, m) + tr.beta_multi(i, m) + tm.beta_multi(i - 1, m)
+        if lhs != rhs:
+            mismatch = {"i": i, "multidegree": str(m), "lhs": lhs, "rhs": rhs}
+            return _failed(statement, inst, mismatch)
+    reg_lhs = tw.regularity()
+    reg_rhs = max(tl.regularity(), tr.regularity(), tm.regularity() - 1)
+    pd_lhs = tw.projective_dimension()
+    pd_rhs = max(tl.projective_dimension(), tr.projective_dimension(), tm.projective_dimension() + 1)
+    if reg_lhs != reg_rhs:
+        return _failed(statement, inst, {"consequence": "reg", "lhs": reg_lhs, "rhs": reg_rhs})
+    if pd_lhs != pd_rhs:
+        return _failed(statement, inst, {"consequence": "pd", "lhs": pd_lhs, "rhs": pd_rhs})
+    return _passed(statement, inst, data={"reg": reg_lhs, "pd": pd_lhs})
 
 
 def _validate_partition(whole, left, right):
@@ -178,33 +174,20 @@ def check_betti_splitting(
     right: MonomialIdeal,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
-    multigraded: bool = True,
-    statement: str = "splitting",
-    instance: "str | None" = None,
 ) -> VerificationReport:
     """Verify the additivity identity of a generator partition, plus its reg/pd consequences."""
     _validate_partition(whole, left, right)
-    inst = instance if instance is not None else _ideal_inst(whole, left, right)
-    mismatch, (tw, tl, tr, tm) = _splitting_identity(
-        whole, left, right, field, caps, multigraded
-    )
-    if mismatch is not None:
-        return _failed(statement, inst, mismatch)
-    reg_lhs = tw.regularity()
-    reg_rhs = max(tl.regularity(), tr.regularity(), tm.regularity() - 1)
-    pd_lhs = tw.projective_dimension()
-    pd_rhs = max(tl.projective_dimension(), tr.projective_dimension(), tm.projective_dimension() + 1)
-    if reg_lhs != reg_rhs:
-        return _failed(statement, inst, {"consequence": "reg", "lhs": reg_lhs, "rhs": reg_rhs})
-    if pd_lhs != pd_rhs:
-        return _failed(statement, inst, {"consequence": "pd", "lhs": pd_lhs, "rhs": pd_rhs})
-    return _passed(statement, inst, data={"reg": reg_lhs, "pd": pd_lhs})
+    tables = [betti_table(i, field, caps) for i in (whole, left, right, intersect(left, right))]
+    return _splitting_report("splitting", _ideal_inst(whole, left, right), *tables)
 
 
-def _linear_or_false(ideal, field, caps) -> bool:
-    if generated_in_single_degree(ideal) is None:
-        return False
-    return has_linear_resolution(ideal, field, caps)
+def _linear_table(ideal, field, caps):
+    """The Betti table of ideal when its resolution is linear, else None."""
+    d = generated_in_single_degree(ideal)
+    if d is None:
+        return None
+    table = betti_table(ideal, field, caps)
+    return table if table.is_linear(d) else None
 
 
 def check_doublelinear(
@@ -217,12 +200,13 @@ def check_doublelinear(
     """When both parts have linear resolutions the partition must be a splitting."""
     _validate_partition(whole, left, right)
     inst = _ideal_inst(whole, left, right)
-    if not _linear_or_false(left, field, caps) or not _linear_or_false(right, field, caps):
+    tl = _linear_table(left, field, caps)
+    tr = None if tl is None else _linear_table(right, field, caps)
+    if tr is None:
         return _skipped("doublelinear", inst, "a part does not have a linear resolution")
-    rep = check_betti_splitting(
-        whole, left, right, field, caps, statement="doublelinear", instance=inst
-    )
-    return rep
+    tw = betti_table(whole, field, caps)
+    tm = betti_table(intersect(left, right), field, caps)
+    return _splitting_report("doublelinear", inst, tw, tl, tr, tm)
 
 
 # -- colon regularity bounds ----------------------------------------------------------
@@ -378,110 +362,126 @@ def check_keylemma(
 
 def check_s_suspension_invariance(
     g: Graph,
-    s,
+    sets,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
-) -> VerificationReport:
-    """The one-vertex suspension preserves the induced matching number and regularity."""
+) -> list:
+    """The one-vertex suspension preserves the induced matching number and regularity;
+    one report per S in sets, in order."""
     if not g.edges:
         raise ValueError("the invariance check needs a graph with at least one edge")
-    gs = s_suspension(g, s)
-    inst = _ginst(g, S=s)
     im_g = induced_matching_number(g)
-    im_gs = induced_matching_number(gs)
     reg_g = regularity(edge_ideal(g), field, caps)
-    reg_gs = regularity(edge_ideal(gs), field, caps)
-    data = {"im": [im_g, im_gs], "reg": [reg_g, reg_gs]}
-    if im_g != im_gs or reg_g != reg_gs:
-        return _failed("suspension", inst, data, data=data)
-    return _passed("suspension", inst, data=data)
+    reports = []
+    for s in sets:
+        gs = s_suspension(g, s)
+        inst = _ginst(g, S=s)
+        im_gs = induced_matching_number(gs)
+        reg_gs = regularity(edge_ideal(gs), field, caps)
+        data = {"im": [im_g, im_gs], "reg": [reg_g, reg_gs]}
+        if im_g != im_gs or reg_g != reg_gs:
+            reports.append(_failed("suspension", inst, data, data=data))
+        else:
+            reports.append(_passed("suspension", inst, data=data))
+    return reports
 
 
-def _suspension_parts(g: Graph, s, k: int):
-    """The power of the suspended ideal and its two construction parts."""
-    n = g.n
-    gs = s_suspension(g, s)
-    igs = edge_ideal(gs)
-    ig = embed(edge_ideal(g), n + 1)
-    z = Monomial.variable(n + 1, n)
-    star = minimalize(
-        n + 1, (z * Monomial.variable(n + 1, v) for v in range(n) if v not in set(s))
+def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> "str | None":
+    """Why g fails the hypotheses of main1 and main2 (gap-free, I^j linear for
+    2 <= j <= k_max), or None when it meets them."""
+    if not is_gap_free(g):
+        return "hypothesis unmet: graph is not gap-free"
+    ideal = edge_ideal(g)
+    for j in range(2, k_max + 1):
+        if not has_linear_resolution(ideal_power(ideal, j), field, caps):
+            return f"hypothesis unmet: I^{j} has no linear resolution"
+    return None
+
+
+def _star(g: Graph, s):
+    """The ideal of the suspension's new edges z*x_v, v outside S, with z = x_n."""
+    z = Monomial.variable(g.n + 1, g.n)
+    return minimalize(
+        g.n + 1, (z * Monomial.variable(g.n + 1, v) for v in range(g.n) if v not in s)
     )
-    whole = ideal_power(igs, k)
-    left = ideal_power(ig, k)
-    right = ideal_product(star, ideal_power(igs, k - 1))
-    return whole, left, right, ig, igs, star, z
 
 
 def check_main1(
     g: Graph,
-    s,
+    sets,
     k: int = 2,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
-) -> VerificationReport:
-    """The k-th power of a suspended edge ideal splits along the new vertex."""
-    inst = _ginst(g, S=s, k=k)
+) -> list:
+    """The k-th power of a suspended edge ideal splits along the new vertex; one report
+    per S in sets, in order.  The S-independent I(G)^k and its table are computed once."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
     if k < 1:
         raise ValueError(f"main1 needs a power k >= 1, got {k}")
-    if not is_gap_free(g):
-        return _skipped("main1", inst, "hypothesis unmet: graph is not gap-free")
-    ideal = edge_ideal(g)
-    for j in range(2, k + 1):
-        if not has_linear_resolution(ideal_power(ideal, j), field, caps):
-            return _skipped("main1", inst, f"hypothesis unmet: I^{j} has no linear resolution")
-    whole, left, right, *_ = _suspension_parts(g, s, k)
-    if set(left.gens) & set(right.gens) or set(left.gens) | set(right.gens) != set(whole.gens):
-        raise RuntimeError("internal error: construction is not a generator partition")
-    return check_betti_splitting(
-        whole, left, right, field, caps, statement="main1", instance=inst
-    )
+    unmet = _power_hypothesis(g, k, field, caps)
+    if unmet is not None:
+        return [_skipped("main1", _ginst(g, S=s, k=k), unmet) for s in sets]
+    left = ideal_power(embed(edge_ideal(g), g.n + 1), k)
+    tl = betti_table(left, field, caps)
+    # for k >= 2 the intersection is z * I(G)^k for every S, so its table is shared
+    meets = {}
+    reports = []
+    for s in sets:
+        igs = edge_ideal(s_suspension(g, s))
+        whole = ideal_power(igs, k)
+        right = ideal_product(_star(g, s), ideal_power(igs, k - 1))
+        if set(left.gens) & set(right.gens) or set(left.gens) | set(right.gens) != set(whole.gens):
+            raise RuntimeError("internal error: construction is not a generator partition")
+        tw = betti_table(whole, field, caps)
+        tr = betti_table(right, field, caps)
+        meet = intersect(left, right)
+        if meet not in meets:
+            meets[meet] = betti_table(meet, field, caps)
+        reports.append(_splitting_report("main1", _ginst(g, S=s, k=k), tw, tl, tr, meets[meet]))
+    return reports
 
 
 def check_main2(
     g: Graph,
-    s,
+    sets,
     k_max: int = 3,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
-) -> VerificationReport:
-    """Powers >= 2 of a suspended edge ideal stay linear; includes the intersection identity."""
-    inst = _ginst(g, S=s, k_max=k_max)
+) -> list:
+    """Powers >= 2 of a suspended edge ideal stay linear, with the intersection identity;
+    one report per S in sets, in order.  The S-independent powers of I(G) are computed once."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    if not is_gap_free(g):
-        return _skipped("main2", inst, "hypothesis unmet: graph is not gap-free")
-    ideal = edge_ideal(g)
-    for j in range(2, k_max + 1):
-        if not has_linear_resolution(ideal_power(ideal, j), field, caps):
-            return _skipped("main2", inst, f"hypothesis unmet: I^{j} has no linear resolution")
-    regs = {}
+    unmet = _power_hypothesis(g, k_max, field, caps)
+    if unmet is not None:
+        return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
+    ig = embed(edge_ideal(g), g.n + 1)
+    z = principal_ideal(Monomial.variable(g.n + 1, g.n))
+    lefts = {k: ideal_power(ig, k) for k in range(2, k_max + 1)}
+    z_parts = {k: ideal_product(z, left) for k, left in lefts.items()}
+    return [_check_main2_set(g, s, k_max, lefts, z_parts, field, caps) for s in sets]
+
+
+def _check_main2_set(g, s, k_max, lefts, z_parts, field, caps):
+    """The main2 report of one set S; lefts and z_parts map k to I(G)^k and z * I(G)^k."""
+    inst = _ginst(g, S=s, k_max=k_max)
+    igs = edge_ideal(s_suspension(g, s))
+    star = _star(g, s)
+    below = igs  # I(G_S)^(k-1)
     for k in range(2, k_max + 1):
-        whole, left, right, ig, igs, star, z = _suspension_parts(g, s, k)
-        if not has_linear_resolution(whole, field, caps):
-            tab = betti_table(whole, field, caps)
-            return _failed(
-                "main2",
-                inst,
-                {"k": k, "reg": tab.regularity(), "expected": 2 * k},
-            )
-        regs[k] = 2 * k
-        meet = intersect(left, right)
-        z_part = ideal_product(principal_ideal(z), left)
-        if meet != z_part:
-            return _failed(
-                "main2",
-                inst,
-                {
-                    "k": k,
-                    "identity": "intersection",
-                    "lhs": meet.gen_strings(),
-                    "rhs": z_part.gen_strings(),
-                },
-            )
-    return _passed("main2", inst, data={"power_reg": regs})
+        whole = ideal_power(igs, k)
+        right = ideal_product(star, below)
+        below = whole
+        tab = betti_table(whole, field, caps)
+        if not tab.is_linear(2 * k):
+            return _failed("main2", inst, {"k": k, "reg": tab.regularity(), "expected": 2 * k})
+        meet = intersect(lefts[k], right)
+        if meet != z_parts[k]:
+            rhs = z_parts[k].gen_strings()
+            witness = {"k": k, "identity": "intersection", "lhs": meet.gen_strings(), "rhs": rhs}
+            return _failed("main2", inst, witness)
+    return _passed("main2", inst, data={"power_reg": {k: 2 * k for k in range(2, k_max + 1)}})
 
 
 def check_banerjee(
@@ -592,22 +592,24 @@ def check_hhz(
 # -- invariant one-vertex extensions ------------------------------------------------------
 
 
-def is_im_reg_invariant_extension(
-    g: Graph,
-    ext: Graph,
-    field: Field = RATIONALS,
-    caps: EngineCaps = DEFAULT_CAPS,
-) -> bool:
-    """True when ext adds one vertex to g preserving both im and regularity."""
-    if ext.n != g.n + 1:
-        raise ValueError("extension must have exactly one more vertex")
-    if induced_subgraph(ext, range(g.n)) != g:
-        raise ValueError("extension does not restrict to the original graph")
+def _invariant_extensions(g: Graph, field: Field, caps: EngineCaps, reg_g=None) -> list:
+    """enumerate_im_reg_extensions, for a caller that may already know reg_g = reg(I(g))."""
+    if g.n > 10:
+        raise ValueError("extension enumeration is desk scale only (n <= 10)")
+    exts = one_vertex_extensions(g)
+    if not exts:
+        return []
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    if induced_matching_number(ext) != induced_matching_number(g):
-        return False
-    return regularity(edge_ideal(ext), field, caps) == regularity(edge_ideal(g), field, caps)
+    im_g = induced_matching_number(g)
+    if reg_g is None:
+        reg_g = regularity(edge_ideal(g), field, caps)
+    return [
+        ext
+        for ext in exts
+        if induced_matching_number(ext) == im_g
+        and regularity(edge_ideal(ext), field, caps) == reg_g
+    ]
 
 
 def enumerate_im_reg_extensions(
@@ -616,13 +618,7 @@ def enumerate_im_reg_extensions(
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> list:
     """All one-vertex extensions of g preserving im and regularity."""
-    if g.n > 10:
-        raise ValueError("extension enumeration is desk scale only (n <= 10)")
-    return [
-        ext
-        for ext in one_vertex_extensions(g)
-        if is_im_reg_invariant_extension(g, ext, field, caps)
-    ]
+    return _invariant_extensions(g, field, caps)
 
 
 def probe_vertex_deletions(
@@ -630,10 +626,14 @@ def probe_vertex_deletions(
 ) -> VerificationReport:
     """Exploratory probe: regularity of every one-vertex-deleted induced subgraph."""
     inst = _ginst(g)
+    # deleting vertices of one orbit leaves the same relabelled subgraph
+    reg_of = {}
     regs = {}
     for v in range(g.n):
         h = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        regs[str(v)] = regularity(edge_ideal(h), field, caps) if h.edges else None
+        if h.edges and h not in reg_of:
+            reg_of[h] = regularity(edge_ideal(h), field, caps)
+        regs[str(v)] = reg_of[h] if h.edges else None
     return _passed("deletion-probe", inst, data={"deleted_vertex_reg": regs})
 
 
@@ -662,10 +662,9 @@ class ScanConfig:
 
 def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
     for k in ks:
-        power = ideal_power(ideal, k)
-        rk = regularity(power, field, caps)
+        tab = betti_table(ideal_power(ideal, k), field, caps)
+        rk = tab.regularity()
         if rk != 2 * k:
-            tab = betti_table(power, field, caps)
             return _failed(
                 statement,
                 instance,
@@ -708,7 +707,10 @@ def _scan_power_linearity(config: ScanConfig, g: Graph) -> list:
             ks = range(max(1, r - 1), config.k_max + 1)
             if not ks:
                 return [_skipped(statement, inst, f"empty k range for reg={r}")]
-        bad = _power_linearity_reports(statement, inst, ideal, ks, config.field, config.caps)
+        # ks holds k = 1 only when reg(I) = 2, which already passes
+        bad = _power_linearity_reports(
+            statement, inst, ideal, range(max(2, ks.start), ks.stop), config.field, config.caps
+        )
         if bad is not None:
             return [bad]
         return [_passed(statement, inst, data={"reg": r, "k_checked": list(ks)})]
@@ -735,12 +737,16 @@ def _scan_extensions(config: ScanConfig, g: Graph) -> list:
                     f"{bad.witness['reg']} != {bad.witness['expected']}",
                 )
             ]
+        # with k = 1 in ks the base check has shown reg(I) = 2, which each
+        # invariant extension keeps, so k = 1 passes for every extension
+        reg_g = 2 if ks.start == 1 else None
+        ext_ks = range(max(2, ks.start), ks.stop)
         out = []
-        for ext in enumerate_im_reg_extensions(g, config.field, config.caps):
+        for ext in _invariant_extensions(g, config.field, config.caps, reg_g):
             nbhd = sorted(ext.neighbors(g.n))
             inst = _ginst(g, z_neighborhood=nbhd, c_G=cg_threshold)
             bad = _power_linearity_reports(
-                statement, inst, edge_ideal(ext), ks, config.field, config.caps
+                statement, inst, edge_ideal(ext), ext_ks, config.field, config.caps
             )
             out.append(
                 bad
@@ -790,11 +796,11 @@ _HANDLERS = {
     "bht": lambda g, p, f, c: [check_bht_lower_bound(g, range(1, p.get("k_max", 3) + 1), f, c)],
     "hhz": lambda g, p, f, c: [check_hhz(g, p.get("k_max", 3), f, c)],
     "banerjee": lambda g, p, f, c: [check_banerjee(g, p.get("k_max", 3), f, c)],
-    "suspension": lambda g, p, f, c: [check_s_suspension_invariance(g, s, f, c) for s in _sets(g, p)],
+    "suspension": lambda g, p, f, c: check_s_suspension_invariance(g, _sets(g, p), f, c),
     "keylemma": _keylemma,
     "blemma": lambda g, p, f, c: [check_blemma_colon_structure(g, p.get("k", 1), None, f, c)],
-    "main1": lambda g, p, f, c: [check_main1(g, s, p.get("k", 2), f, c) for s in _sets(g, p)],
-    "main2": lambda g, p, f, c: [check_main2(g, s, p.get("k_max", 3), f, c) for s in _sets(g, p)],
+    "main1": lambda g, p, f, c: check_main1(g, _sets(g, p), p.get("k", 2), f, c),
+    "main2": lambda g, p, f, c: check_main2(g, _sets(g, p), p.get("k_max", 3), f, c),
     "deletion-probe": lambda g, p, f, c: [probe_vertex_deletions(g, f, c)],
 }
 

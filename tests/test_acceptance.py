@@ -153,13 +153,11 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_suspension_splitting_and_linearity():
     failures = []
     for g in (cycle(4), anticycle(5)):
-        for s in independent_sets(g):
-            if len(s) == g.n:
-                continue
-            rep1 = check_main1(g, s, 2)
+        sets = [s for s in independent_sets(g) if len(s) < g.n]
+        reports = zip(sets, check_main1(g, sets, 2), check_main2(g, sets, 3), strict=True)
+        for s, rep1, rep2 in reports:
             if rep1.verdict != "pass":
                 failures.append((g, s, "splitting", rep1.verdict, rep1.witness or rep1.reason))
-            rep2 = check_main2(g, s, 3)
             if rep2.verdict != "pass":
                 failures.append((g, s, "linearity", rep2.verdict, rep2.witness or rep2.reason))
     _report("criterion 7: suspension splitting (k=2) + linear powers k in {2,3} + identity", failures)

@@ -36,10 +36,8 @@ from edgeideals.monomials import (
 )
 from edgeideals.resolutions import (
     DEFAULT_CAPS,
-    TABLE_MEMO_SIZE,
     EngineCaps,
     Packing,
-    _betti_table,
     _COMPLEX_MEMO,
     betti_table,
     has_linear_resolution,
@@ -284,8 +282,7 @@ def test_membership_fallback_path_matches_table_path():
         # six variables
         ideal_power(edge_ideal(s_suspension(anticycle(5), {0, 1})), 2),
     ]:
-        # compute both tables afresh rather than read them from the memos
-        _betti_table.cache_clear()
+        # compute both tables afresh rather than read them from the complex memo
         _COMPLEX_MEMO.clear()
         assert betti_table(ideal, RATIONALS, tiny) == betti_table(ideal, RATIONALS)
 
@@ -308,26 +305,9 @@ PINNED_TABLES = [
 
 @pytest.mark.parametrize("name, build, caps, digest", PINNED_TABLES, ids=[p[0] for p in PINNED_TABLES])
 def test_multigraded_tables_match_their_pinned_digests(name, build, caps, digest):
-    _betti_table.cache_clear()
     table = betti_table(build(), RATIONALS, caps)
     text = json.dumps(table.to_json(include_multi=True), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_betti_memo_is_bounded_and_returns_the_cached_table():
-    _betti_table.cache_clear()
-    first = parse_ideal(["x0"], 1)
-    table = betti_table(first)
-    # the key is (ideal, field, caps) however the arguments are passed
-    assert betti_table(first, field=RATIONALS, caps=DEFAULT_CAPS) is table
-    assert betti_table(first, RATIONALS, EngineCaps()) is table
-    for d in range(2, TABLE_MEMO_SIZE + 20):
-        betti_table(parse_ideal([f"x0^{d}"], 1))
-        assert _betti_table.cache_info().currsize <= TABLE_MEMO_SIZE
-    assert _betti_table.cache_info().currsize == TABLE_MEMO_SIZE
-    # the least recently used table was dropped and is computed again
-    again = betti_table(first)
-    assert again is not table and again == table
 
 
 def test_betti_table_invariant_under_ambient_embedding():
@@ -504,10 +484,9 @@ def test_multigraded_entries_sum_to_graded():
     assert sums == t.entries
 
 
-def test_memoised_table_is_read_only():
+def test_betti_table_is_read_only():
     ideal = edge_ideal(anticycle(5))
     t = betti_table(ideal)
-    assert betti_table(ideal) is t
     with pytest.raises(TypeError):
         t.entries[(0, 9)] = 1
     with pytest.raises(TypeError):

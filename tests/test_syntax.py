@@ -1,6 +1,8 @@
-"""The package must parse as Python 3.10, the oldest version pyproject.toml allows."""
+"""The package must parse as Python 3.10, the oldest version pyproject.toml allows, and
+import nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,3 +17,19 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_source_imports_only_the_standard_library(path):
+    # the standard library is the only runtime dependency
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            assert top in sys.stdlib_module_names or top == "edgeideals", (path.name, name)

@@ -1,5 +1,7 @@
 """Statement verifiers: known instances, hypothesis handling, and scan behavior."""
 
+import functools
+
 import pytest
 
 from edgeideals.enumeration import enumerate_graphs
@@ -17,11 +19,13 @@ from edgeideals.monomials import (
     Monomial,
     edge_ideal,
     ideal_power,
+    minimalize,
     parse_ideal,
     parse_monomial,
     variable_ideal,
 )
 from edgeideals.verification import (
+    STATEMENTS,
     ScanConfig,
     VerificationReport,
     check_abc_bound,
@@ -39,7 +43,6 @@ from edgeideals.verification import (
     check_reg_bounds,
     check_s_suspension_invariance,
     enumerate_im_reg_extensions,
-    is_im_reg_invariant_extension,
     probe_vertex_deletions,
     run_statement,
     scan_conjecture,
@@ -211,28 +214,29 @@ def test_keylemma_instances():
 
 
 def test_suspension_invariance_instances():
-    rep = check_s_suspension_invariance(path(3), {0, 2})
+    [rep] = check_s_suspension_invariance(path(3), [{0, 2}])
     assert rep.verdict == "pass" and rep.data == {"im": [1, 1], "reg": [2, 2]}
-    rep = check_s_suspension_invariance(cycle(5), frozenset())
+    [rep] = check_s_suspension_invariance(cycle(5), [frozenset()])
     assert rep.verdict == "pass"
-    rep = check_s_suspension_invariance(TWO_K2, {0, 2})
+    [rep] = check_s_suspension_invariance(TWO_K2, [{0, 2}])
     assert rep.verdict == "pass" and rep.data == {"im": [2, 2], "reg": [3, 3]}
     with pytest.raises(ValueError):
-        check_s_suspension_invariance(cycle(4), {0, 1})
+        check_s_suspension_invariance(cycle(4), [{0, 1}])
 
 
 def test_main1_instances():
-    assert check_main1(cycle(4), {0, 2}, 2).verdict == "pass"
-    rep = check_main1(TWO_K2, {0, 2}, 2)
+    [rep] = check_main1(cycle(4), [{0, 2}], 2)
+    assert rep.verdict == "pass"
+    [rep] = check_main1(TWO_K2, [{0, 2}], 2)
     assert rep.verdict == "skipped"
     assert "gap-free" in rep.reason
 
 
 def test_main2_instances():
-    rep = check_main2(cycle(4), {0, 2}, 3)
+    [rep] = check_main2(cycle(4), [{0, 2}], 3)
     assert rep.verdict == "pass"
     assert rep.data["power_reg"] == {2: 4, 3: 6}
-    rep = check_main2(anticycle(5), {0}, 2)
+    [rep] = check_main2(anticycle(5), [{0}], 2)
     assert rep.verdict == "pass"
     assert rep.data["power_reg"] == {2: 4}
 
@@ -266,9 +270,9 @@ def test_main1_pass_implies_main2_linearity():
     # meta-property over a few instances: a passing splitting at k=2 comes
     # with linear suspended powers on the same instance
     for g, s in [(cycle(4), {0, 2}), (cycle(4), frozenset()), (anticycle(5), {0})]:
-        rep1 = check_main1(g, s, 2)
+        [rep1] = check_main1(g, [s], 2)
         if rep1.verdict == "pass":
-            assert check_main2(g, s, 2).verdict == "pass", (g, s)
+            assert check_main2(g, [s], 2)[0].verdict == "pass", (g, s)
 
 
 def test_four_bound_checks_are_mutually_consistent():
@@ -291,17 +295,6 @@ def test_four_bound_checks_are_mutually_consistent():
 # -- invariant extensions ------------------------------------------------------------------------
 
 
-def test_is_im_reg_invariant_extension():
-    p3 = path(3)
-    for s in [frozenset(), {0}, {2}, {0, 2}]:
-        assert is_im_reg_invariant_extension(p3, s_suspension(p3, s))
-    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    ext = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert is_im_reg_invariant_extension(path(3), ext)  # P3 -> P4 keeps im=1, reg=2
-    with pytest.raises(ValueError):
-        is_im_reg_invariant_extension(p3, p3)
-
-
 def test_enumerate_im_reg_extensions_contains_suspensions():
     p3 = path(3)
     exts = enumerate_im_reg_extensions(p3)
@@ -311,6 +304,7 @@ def test_enumerate_im_reg_extensions_contains_suspensions():
         if len(s) == p3.n:
             continue
         assert s_suspension(p3, s) in exts
+    assert Graph(4, [(0, 1), (1, 2), (2, 3)]) in exts  # P3 -> P4 keeps im=1, reg=2
     k2 = Graph(2, [(0, 1)])
     extsk2 = enumerate_im_reg_extensions(k2)
     assert s_suspension(k2, frozenset()) in extsk2  # the triangle cone qualifies
@@ -399,3 +393,56 @@ def test_run_statement_dispatch():
 def test_run_statement_gf2():
     reports = run_statement("froberg", cycle(5), field=GF2)
     assert reports[0].verdict == "pass"
+
+
+# -- one table per distinct ideal ------------------------------------------------------------------
+
+
+@pytest.fixture
+def lattice_ideals(monkeypatch):
+    """Every ideal whose lcm lattice is built, in order: one per Betti table computed."""
+    from edgeideals import resolutions
+
+    seen = []
+    lattice = resolutions.lcm_lattice
+
+    def recording(ideal, caps=resolutions.DEFAULT_CAPS):
+        seen.append(ideal)
+        return lattice(ideal, caps)
+
+    monkeypatch.setattr(resolutions, "lcm_lattice", recording)
+    return seen
+
+
+def _table_sharing_calls(g):
+    """(label, call) for every check and scan on g that must not compute a table twice."""
+    calls = [(st, functools.partial(run_statement, st, g)) for st in STATEMENTS]
+    for cfg in (
+        ScanConfig("np", k_max=3),
+        ScanConfig("generalnp", k_max=3),
+        ScanConfig("newconj2", k_max=3),
+        ScanConfig("newconj2", k_max=3, c_g=1),
+    ):
+        calls.append((cfg, functools.partial(scan_conjecture, cfg, [g])))
+    # split the edges at vertex 0
+    whole = edge_ideal(g)
+    at0 = [m for m in whole.gens if m.exps[0]]
+    rest = [m for m in whole.gens if not m.exps[0]]
+    if at0 and rest:
+        parts = (whole, minimalize(g.n, at0), minimalize(g.n, rest))
+        for check in (check_betti_splitting, check_doublelinear):
+            calls.append((check.__name__, functools.partial(check, *parts)))
+    return calls
+
+
+def test_each_check_computes_each_table_once(lattice_ideals):
+    for g in enumerate_graphs(4, require_edge=True) + [cycle(5), anticycle(5)]:
+        for label, call in _table_sharing_calls(g):
+            lattice_ideals.clear()
+            call()
+            repeated = {str(i) for i in lattice_ideals if lattice_ideals.count(i) > 1}
+            assert not repeated, (label, g, repeated)
+    lattice_ideals.clear()
+    run_statement("main2", anticycle(5), {"k_max": 3})
+    # I^2 and I^3 for the hypotheses, then I(G_S)^2 and I(G_S)^3 for each of 11 sets S
+    assert len(lattice_ideals) == 24
