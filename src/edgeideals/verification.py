@@ -592,6 +592,24 @@ def check_hhz(
 # -- invariant one-vertex extensions ------------------------------------------------------
 
 
+def is_im_reg_invariant_extension(
+    g: Graph,
+    ext: Graph,
+    field: Field = RATIONALS,
+    caps: EngineCaps = DEFAULT_CAPS,
+) -> bool:
+    """True when ext adds one vertex to g preserving both im and regularity."""
+    if ext.n != g.n + 1:
+        raise ValueError("extension must have exactly one more vertex")
+    if induced_subgraph(ext, range(g.n)) != g:
+        raise ValueError("extension does not restrict to the original graph")
+    if not g.edges:
+        raise ValueError("needs a graph with at least one edge")
+    if induced_matching_number(ext) != induced_matching_number(g):
+        return False
+    return regularity(edge_ideal(ext), field, caps) == regularity(edge_ideal(g), field, caps)
+
+
 def _invariant_extensions(g: Graph, field: Field, caps: EngineCaps, reg_g=None) -> list:
     """enumerate_im_reg_extensions, for a caller that may already know reg_g = reg(I(g))."""
     if g.n > 10:

@@ -43,6 +43,7 @@ from edgeideals.verification import (
     check_reg_bounds,
     check_s_suspension_invariance,
     enumerate_im_reg_extensions,
+    is_im_reg_invariant_extension,
     probe_vertex_deletions,
     run_statement,
     scan_conjecture,
@@ -293,6 +294,16 @@ def test_four_bound_checks_are_mutually_consistent():
 
 
 # -- invariant extensions ------------------------------------------------------------------------
+
+
+def test_is_im_reg_invariant_extension():
+    p3 = path(3)
+    for s in [frozenset(), {0}, {2}, {0, 2}]:
+        assert is_im_reg_invariant_extension(p3, s_suspension(p3, s))
+    ext = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert is_im_reg_invariant_extension(path(3), ext)  # P3 -> P4 keeps im=1, reg=2
+    with pytest.raises(ValueError):
+        is_im_reg_invariant_extension(p3, p3)
 
 
 def test_enumerate_im_reg_extensions_contains_suspensions():
