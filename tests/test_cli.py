@@ -80,8 +80,16 @@ def test_exit_codes(capsys):
         (["verify", "--statement", "bounds", "--max-n", "0"], "--max-n"),
         (["scan", "--conjecture", "np", "--max-n", "3", "--kmax", "0"], "--kmax"),
         (["scan", "--conjecture", "np", "--max-n", "-1"], "--max-n"),
+        (["scan", "--conjecture", "np", "--max-n", "4", "--kmax", "1"], "np scans need k_max >= 2"),
+        (
+            ["scan", "--conjecture", "newconj2", "--max-n", "4", "--cg", "3", "--kmax", "2"],
+            "newconj2 scans need k_max >= c_G",
+        ),
     ],
-    ids=["bht-kmax-0", "blemma-k-neg", "keylemma-k-neg", "max-n-neg", "max-n-0", "scan-kmax-0", "scan-max-n-neg"],
+    ids=[
+        "bht-kmax-0", "blemma-k-neg", "keylemma-k-neg", "max-n-neg", "max-n-0", "scan-kmax-0",
+        "scan-max-n-neg", "np-kmax-1", "newconj2-cg-above-kmax",
+    ],
 )
 def test_out_of_range_counts_exit_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--no-cache")
@@ -441,6 +449,12 @@ def test_bounds_gf2_stdout_bytes_are_pinned(capsys, monkeypatch):
     assert digest == "f68ba0a8df748c275dba1d0d11146f9d962c5e04097027afb62098e3b5293499"
 
 
+# stands for a file of G6_LINES: C5 as DqK (not canonical), an edgeless graph, C5 as its
+# canonical DUW, a triangle, and DqK again
+G6_FILE = "<graph6-file>"
+G6_LINES = "DqK\nA?\nDUW\nBw\nDqK\n"
+
+
 @pytest.mark.parametrize(
     "argv, lines, expected",
     [
@@ -482,12 +496,76 @@ def test_bounds_gf2_stdout_bytes_are_pinned(capsys, monkeypatch):
             2,
             "9709af7fa476cef3f75eb610e415296df00a4eb73970e2ec15ec3c93c841d793",
         ),
+        (
+            ("scan", "--conjecture", "np", "--max-n", "6", "--kmax", "3"),
+            8,
+            "c8c5d48085eb84c4f369a8db93692183533d867f2baa5bc90fae80a0a41c8ad0",
+        ),
+        (
+            ("scan", "--conjecture", "generalnp", "--max-n", "5", "--kmax", "3"),
+            41,
+            "76574a1877a801dcee7d7857838a3d223836410fcfabc08a4bc6b1188966ef69",
+        ),
+        (
+            ("scan", "--conjecture", "generalnp", "--max-n", "5", "--kmax", "3", "--reg-filter", "2"),
+            40,
+            "8c7e60999dc500760eb43ac579c7ac51fdc6255fb8e9c48713ee23152cb70249",
+        ),
+        (
+            ("scan", "--conjecture", "newconj2", "--max-n", "4", "--kmax", "2", "--cg", "1"),
+            143,
+            "0207ca9b11781ff57cfbc708adf2633fd08958d87e7dc123c4d6089e5c80ea18",
+        ),
+        (
+            ("scan", "--conjecture", "np", "--builder", "anticycle:5", "--kmax", "3"),
+            2,
+            "ea80ae7619336d461c265449fa75bcad7bec83a7202289b7708bffa58ae87198",
+        ),
+        (
+            ("scan", "--conjecture", "np", "--graph6-file", G6_FILE, "--kmax", "3"),
+            4,
+            "9208b176746ea985f2642eb427cf86caa9f49752e1fea7925d29f215fa96b429",
+        ),
+        (
+            ("scan", "--conjecture", "np", "--graph6-file", G6_FILE, "--kmax", "3", "--lattice-cap", "3"),
+            5,
+            "1368366c68dac927192db68f14b145db3f5fa12464c875ac60e9213506eb0a78",
+        ),
+        (
+            ("scan", "--conjecture", "generalnp", "--graph6-file", G6_FILE, "--kmax", "3"),
+            5,
+            "d568387a4a4e7e6f9af911157af8cfabb734745c1b80f19d8f22a1bc0dca891a",
+        ),
+        (
+            ("scan", "--conjecture", "generalnp", "--graph6-file", G6_FILE, "--kmax", "3", "--lattice-cap", "3"),
+            5,
+            "2642e23c583b15c1fadb74599776038927213ff57d4165d6901aa19e9c6f4820",
+        ),
+        (
+            ("scan", "--conjecture", "newconj2", "--graph6-file", G6_FILE, "--kmax", "2"),
+            56,
+            "4e75eea0903cad8bb8b922e6a88b51e365a0966a6ee6af2b0bf418f097263f2c",
+        ),
+        (
+            ("scan", "--conjecture", "newconj2", "--graph6-file", G6_FILE, "--kmax", "2", "--lattice-cap", "3"),
+            5,
+            "4b081b18c5d92753e9c9c514c024110569a8c16550fb89d415245ff3be559a68",
+        ),
     ],
-    ids=["main1", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear"],
+    ids=[
+        "main1", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear",
+        "np", "generalnp", "generalnp-reg-2", "newconj2-cg-1", "np-anticycle",
+        "np-file", "np-file-cap", "generalnp-file", "generalnp-file-cap", "newconj2-file",
+        "newconj2-file-cap",
+    ],
 )
-def test_per_graph_check_stdout_bytes_are_pinned(capsys, monkeypatch, argv, lines, expected):
-    # the checks that share one graph's tables across its S sets, extensions or parts
+def test_per_graph_check_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, lines, expected):
+    # the checks that share one graph's tables across its S sets, extensions or parts,
+    # and the conjecture scans
     monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    if G6_FILE in argv:
+        (tmp_path / "scan.g6").write_text(G6_LINES, encoding="ascii")
+        argv = tuple(str(tmp_path / "scan.g6") if a == G6_FILE else a for a in argv)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
