@@ -40,19 +40,19 @@ from .resolutions import (
     taylor_betti_oracle,
 )
 from .verification import (
+    CONJECTURES,
     FAIL,
     PASS,
     SKIPPED,
     STATEMENTS,
-    ScanConfig,
     check_abc_bound,
     check_betti_splitting,
     check_colon_reg_bound,
     check_doublelinear,
     check_s_suspension_invariance,
+    check_scan_range,
     enumerate_im_reg_extensions,
     run_statement,
-    scan_conjecture,
     summarize_reports,
 )
 
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
 
     p = sub.add_parser("scan", help="scan a graph family for conjecture counterexamples")
-    p.add_argument("--conjecture", required=True, choices=("np", "generalnp", "newconj2"))
+    p.add_argument("--conjecture", required=True, choices=CONJECTURES)
     _add_graph_flags(p, family=True)
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--reg-filter", type=int, help="only graphs with this regularity (np default: 3)")
@@ -312,28 +312,27 @@ def _cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def _verify_ideal_statement(args, field, caps) -> list:
+def _ideal_check(args):
+    """The check of an ideal statement on its parsed inputs, to be called with (field, caps)."""
     if args.nvars is None:
         raise ValueError(f"--statement {args.statement} needs --nvars")
     nv = args.nvars
     if args.statement in ("splitting", "doublelinear"):
         if not (args.ideal and args.part_j and args.part_k):
             raise ValueError("splitting statements need --ideal, --part-j and --part-k")
-        whole = parse_ideal(json.loads(args.ideal), nv)
-        left = parse_ideal(json.loads(args.part_j), nv)
-        right = parse_ideal(json.loads(args.part_k), nv)
+        parts = [parse_ideal(json.loads(t), nv) for t in (args.ideal, args.part_j, args.part_k)]
         fn = check_betti_splitting if args.statement == "splitting" else check_doublelinear
-        return [fn(whole, left, right, field, caps)]
+        return functools.partial(fn, *parts)
     if args.statement == "colon":
         if not (args.ideal and args.monomial):
             raise ValueError("colon needs --ideal and --monomial")
         ideal = parse_ideal(json.loads(args.ideal), nv)
-        return [check_colon_reg_bound(ideal, parse_monomial(args.monomial, nv), field, caps)]
+        return functools.partial(check_colon_reg_bound, ideal, parse_monomial(args.monomial, nv))
     if not (args.ideal and args.part_j):
         raise ValueError("abc needs --ideal (ambient I) and --part-j (sub-ideal J)")
     ambient = parse_ideal(json.loads(args.ideal), nv)
     sub = parse_ideal(json.loads(args.part_j), nv)
-    return [check_abc_bound(sub, ambient, None, field, caps)]
+    return functools.partial(check_abc_bound, sub, ambient, None)
 
 
 def _check_ranges(args) -> None:
@@ -379,9 +378,13 @@ def _family_item(base_key: dict, run, cache: ResultCache, g6: str) -> list:
     return reports
 
 
-def _run_family(args, base_key: dict, run) -> list:
-    """Report dicts of `run` over the family, sorted; --jobs workers use the cache themselves."""
+def _run_family(args, base_key: dict, statement: str, params: dict, field, caps) -> list:
+    """Report dicts of `statement` over the family, sorted; --jobs workers use the cache themselves.
+
+    The cache key of a graph's reports is base_key with the field, caps, graph and version."""
     cache = _cache(args)
+    run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
+    base_key = dict(base_key, field=field.token(), caps=caps.to_json())
     item = functools.partial(_family_item, base_key, run, cache)
     family = _family(args, cache)
     if args.jobs <= 1 or len(family) <= 1:
@@ -407,49 +410,30 @@ def _cmd_verify(args) -> int:
     field = _field(args)
     caps = _caps(args)
     statement = args.statement
+    if statement in _IDEAL_STATEMENTS:
+        check = _ideal_check(args)
+    elif statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}")
     _emit(_header("verify", args, field, caps, statement=statement))
     if statement in _IDEAL_STATEMENTS:
-        return _emit_reports([r.to_json() for r in _verify_ideal_statement(args, field, caps)])
-    if statement not in STATEMENTS:
-        raise ValueError(f"unknown statement {statement!r}")
+        return _emit_reports([check(field, caps).to_json()])
     params = _statement_params(args)
     base_key = {
         "op": "verify",
         "statement": statement,
         "params": {k: sorted(map(sorted, v)) if k in ("sets", "covers") else v for k, v in params.items()},
-        "field": field.token(),
-        "caps": caps.to_json(),
     }
-    run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
-    return _emit_reports(_run_family(args, base_key, run))
-
-
-def _scan_one(config: ScanConfig, g: Graph) -> list:
-    return scan_conjecture(config, [g])
+    return _emit_reports(_run_family(args, base_key, statement, params, field, caps))
 
 
 def _cmd_scan(args) -> int:
     field = _field(args)
     caps = _caps(args)
-    config = ScanConfig(
-        conjecture=args.conjecture,
-        k_max=args.kmax,
-        field=field,
-        caps=caps,
-        reg_filter=args.reg_filter,
-        c_g=args.cg,
-    )
+    params = {"k_max": args.kmax, "reg_filter": args.reg_filter, "c_g": args.cg}
+    check_scan_range(args.conjecture, params)
     _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=args.kmax))
-    base_key = {
-        "op": "scan",
-        "conjecture": args.conjecture,
-        "k_max": args.kmax,
-        "reg_filter": args.reg_filter,
-        "c_g": args.cg,
-        "field": field.token(),
-        "caps": caps.to_json(),
-    }
-    reports = _run_family(args, base_key, functools.partial(_scan_one, config))
+    base_key = {"op": "scan", "conjecture": args.conjecture, **params}
+    reports = _run_family(args, base_key, args.conjecture, params, field, caps)
     code = _emit_reports(reports)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:

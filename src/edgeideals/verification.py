@@ -1,4 +1,4 @@
-"""Instance verifiers for the regularity and splitting statements, plus conjecture scans.
+"""Instance verifiers for the regularity and splitting statements and the conjecture scans.
 
 Every verifier returns a VerificationReport with verdict pass, fail or
 skipped.  Failing reports always carry a witness that can be re-checked in
@@ -50,7 +50,6 @@ from .resolutions import (
     DEFAULT_CAPS,
     EngineCaps,
     betti_table,
-    has_linear_resolution,
     linear_quotients_order,
     regularity,
 )
@@ -386,16 +385,22 @@ def check_s_suspension_invariance(
     return reports
 
 
-def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> "str | None":
-    """Why g fails the hypotheses of main1 and main2 (gap-free, I^j linear for
-    2 <= j <= k_max), or None when it meets them."""
+def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> tuple:
+    """(unmet, powers, tables): why g fails the hypotheses of main1 and main2 (gap-free,
+    I^j linear for 2 <= j <= k_max), or None when it meets them.
+
+    powers maps j to I(G)^j in n + 1 variables, from j = 1 up to the last power checked,
+    and tables maps each j >= 2 of them to its Betti table.  The extra variable divides
+    no generator, so it changes no Betti number."""
+    powers, tables = {1: embed(edge_ideal(g), g.n + 1)}, {}
     if not is_gap_free(g):
-        return "hypothesis unmet: graph is not gap-free"
-    ideal = edge_ideal(g)
+        return "hypothesis unmet: graph is not gap-free", powers, tables
     for j in range(2, k_max + 1):
-        if not has_linear_resolution(ideal_power(ideal, j), field, caps):
-            return f"hypothesis unmet: I^{j} has no linear resolution"
-    return None
+        powers[j] = ideal_power(powers[1], j)
+        tables[j] = betti_table(powers[j], field, caps)
+        if not tables[j].is_linear(2 * j):
+            return f"hypothesis unmet: I^{j} has no linear resolution", powers, tables
+    return None, powers, tables
 
 
 def _star(g: Graph, s):
@@ -419,11 +424,11 @@ def check_main1(
         raise ValueError("needs a graph with at least one edge")
     if k < 1:
         raise ValueError(f"main1 needs a power k >= 1, got {k}")
-    unmet = _power_hypothesis(g, k, field, caps)
+    unmet, powers, tables = _power_hypothesis(g, k, field, caps)
     if unmet is not None:
         return [_skipped("main1", _ginst(g, S=s, k=k), unmet) for s in sets]
-    left = ideal_power(embed(edge_ideal(g), g.n + 1), k)
-    tl = betti_table(left, field, caps)
+    left = powers[k]
+    tl = tables[k] if k in tables else betti_table(left, field, caps)
     # for k >= 2 the intersection is z * I(G)^k for every S, so its table is shared
     meets = {}
     reports = []
@@ -453,13 +458,11 @@ def check_main2(
     one report per S in sets, in order.  The S-independent powers of I(G) are computed once."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    unmet = _power_hypothesis(g, k_max, field, caps)
+    unmet, lefts, _ = _power_hypothesis(g, k_max, field, caps)
     if unmet is not None:
         return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
-    ig = embed(edge_ideal(g), g.n + 1)
     z = principal_ideal(Monomial.variable(g.n + 1, g.n))
-    lefts = {k: ideal_power(ig, k) for k in range(2, k_max + 1)}
-    z_parts = {k: ideal_product(z, left) for k, left in lefts.items()}
+    z_parts = {k: ideal_product(z, lefts[k]) for k in range(2, k_max + 1)}
     return [_check_main2_set(g, s, k_max, lefts, z_parts, field, caps) for s in sets]
 
 
@@ -470,7 +473,7 @@ def _check_main2_set(g, s, k_max, lefts, z_parts, field, caps):
     star = _star(g, s)
     below = igs  # I(G_S)^(k-1)
     for k in range(2, k_max + 1):
-        whole = ideal_power(igs, k)
+        whole = ideal_product(below, igs)
         right = ideal_product(star, below)
         below = whole
         tab = betti_table(whole, field, caps)
@@ -658,24 +661,13 @@ def probe_vertex_deletions(
 # -- conjecture scans -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Parameters for a conjecture scan."""
-
-    conjecture: str
-    k_max: int = 2
-    field: Field = RATIONALS
-    caps: EngineCaps = DEFAULT_CAPS
-    reg_filter: "int | None" = None
-    c_g: "int | None" = None
-
-    def __post_init__(self):
-        if self.conjecture not in ("np", "generalnp", "newconj2"):
-            raise ValueError(f"unknown conjecture {self.conjecture!r}")
-        if self.conjecture == "np" and self.k_max < 2:
-            raise ValueError("np scans need k_max >= 2")
-        if self.conjecture == "newconj2" and (self.c_g or 2) > self.k_max:
-            raise ValueError("newconj2 scans need k_max >= c_G")
+def check_scan_range(conjecture: str, params: dict) -> None:
+    """Reject a k range the scan cannot check: np needs k_max >= 2, newconj2 c_G <= k_max."""
+    k_max = params.get("k_max", 2)
+    if conjecture == "np" and k_max < 2:
+        raise ValueError("np scans need k_max >= 2")
+    if conjecture == "newconj2" and (params.get("c_g") or 2) > k_max:
+        raise ValueError("newconj2 scans need k_max >= c_G")
 
 
 def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
@@ -691,43 +683,31 @@ def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
     return None
 
 
-def scan_conjecture(config: ScanConfig, graphs) -> list:
-    """Run one conjecture scan over the given graphs; reports sorted deterministically."""
-    reports = []
-    for g in graphs:
-        if not g.edges:
-            continue
-        if config.conjecture in ("np", "generalnp"):
-            reports.extend(_scan_power_linearity(config, g))
-        else:
-            reports.extend(_scan_extensions(config, g))
-    reports.sort(key=lambda r: (r.statement, r.instance))
-    return reports
-
-
-def _scan_power_linearity(config: ScanConfig, g: Graph) -> list:
-    statement = config.conjecture
+def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
+    """np or generalnp on one graph, reported on its canonical form; no report for a
+    graph outside the scan's hypotheses."""
+    check_scan_range(statement, p)
+    if not g.edges or not is_gap_free(g):
+        return []
     cg = canonical_graph(g)
     inst = _ginst(cg)
+    reg_filter = p.get("reg_filter")
     try:
-        if not is_gap_free(g):
-            return []
         ideal = edge_ideal(cg)
-        r = regularity(ideal, config.field, config.caps)
+        r = regularity(ideal, field, caps)
         if statement == "np":
-            reg_filter = 3 if config.reg_filter is None else config.reg_filter
-            if r != reg_filter:
+            if r != (3 if reg_filter is None else reg_filter):
                 return []
-            ks = range(2, config.k_max + 1)
+            ks = range(2, p.get("k_max", 2) + 1)
         else:
-            if config.reg_filter is not None and r != config.reg_filter:
+            if reg_filter is not None and r != reg_filter:
                 return []
-            ks = range(max(1, r - 1), config.k_max + 1)
+            ks = range(max(1, r - 1), p.get("k_max", 2) + 1)
             if not ks:
                 return [_skipped(statement, inst, f"empty k range for reg={r}")]
         # ks holds k = 1 only when reg(I) = 2, which already passes
         bad = _power_linearity_reports(
-            statement, inst, ideal, range(max(2, ks.start), ks.stop), config.field, config.caps
+            statement, inst, ideal, range(max(2, ks.start), ks.stop), field, caps
         )
         if bad is not None:
             return [bad]
@@ -736,44 +716,32 @@ def _scan_power_linearity(config: ScanConfig, g: Graph) -> list:
         return [_skipped(statement, inst, f"engine cap hit: {e}")]
 
 
-def _scan_extensions(config: ScanConfig, g: Graph) -> list:
+def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
+    """newconj2 on one graph: one report per im/reg-invariant one-vertex extension."""
     statement = "newconj2"
+    check_scan_range(statement, p)
+    if not g.edges:
+        return []
     base_inst = _ginst(g)
-    cg_threshold = 2 if config.c_g is None else config.c_g
-    ks = range(cg_threshold, config.k_max + 1)
-    try:
-        if not is_gap_free(g):
-            return [_skipped(statement, base_inst, "hypothesis unmet: base graph is not gap-free")]
-        ideal = edge_ideal(g)
-        bad = _power_linearity_reports(statement, base_inst, ideal, ks, config.field, config.caps)
-        if bad is not None:
-            return [
-                _skipped(
-                    statement,
-                    base_inst,
-                    f"hypothesis unmet: base reg(I^{bad.witness['k']}) = "
-                    f"{bad.witness['reg']} != {bad.witness['expected']}",
-                )
-            ]
-        # with k = 1 in ks the base check has shown reg(I) = 2, which each
-        # invariant extension keeps, so k = 1 passes for every extension
-        reg_g = 2 if ks.start == 1 else None
-        ext_ks = range(max(2, ks.start), ks.stop)
-        out = []
-        for ext in _invariant_extensions(g, config.field, config.caps, reg_g):
-            nbhd = sorted(ext.neighbors(g.n))
-            inst = _ginst(g, z_neighborhood=nbhd, c_G=cg_threshold)
-            bad = _power_linearity_reports(
-                statement, inst, edge_ideal(ext), ext_ks, config.field, config.caps
-            )
-            out.append(
-                bad
-                if bad is not None
-                else _passed(statement, inst, data={"k_checked": list(ks)})
-            )
-        return out
-    except CapExceeded as e:
-        return [_skipped(statement, base_inst, f"engine cap hit: {e}")]
+    cg_threshold = 2 if p.get("c_g") is None else p["c_g"]
+    ks = range(cg_threshold, p.get("k_max", 2) + 1)
+    if not is_gap_free(g):
+        return [_skipped(statement, base_inst, "hypothesis unmet: base graph is not gap-free")]
+    bad = _power_linearity_reports(statement, base_inst, edge_ideal(g), ks, field, caps)
+    if bad is not None:
+        w = bad.witness
+        reason = f"hypothesis unmet: base reg(I^{w['k']}) = {w['reg']} != {w['expected']}"
+        return [_skipped(statement, base_inst, reason)]
+    # with k = 1 in ks the base check has shown reg(I) = 2, which each
+    # invariant extension keeps, so k = 1 passes for every extension
+    reg_g = 2 if ks.start == 1 else None
+    ext_ks = range(max(2, ks.start), ks.stop)
+    out = []
+    for ext in _invariant_extensions(g, field, caps, reg_g):
+        inst = _ginst(g, z_neighborhood=sorted(ext.neighbors(g.n)), c_G=cg_threshold)
+        bad = _power_linearity_reports(statement, inst, edge_ideal(ext), ext_ks, field, caps)
+        out.append(bad if bad is not None else _passed(statement, inst, data={"k_checked": list(ks)}))
+    return out
 
 
 def summarize_reports(reports) -> list:
@@ -807,7 +775,8 @@ def _keylemma(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     return [check_keylemma(g, c, k, field, caps) for c in covers for k in ks]
 
 
-# statement -> handler(g, params, field, caps) giving one report per sub-instance
+# statement -> handler(g, params, field, caps) giving one report per sub-instance; a
+# handler that lets CapExceeded out gets one skipped report on g for the whole graph
 _HANDLERS = {
     "froberg": lambda g, p, f, c: [check_froberg(g, f, c)],
     "bounds": lambda g, p, f, c: [check_reg_bounds(g, f, c)],
@@ -820,9 +789,15 @@ _HANDLERS = {
     "main1": lambda g, p, f, c: check_main1(g, _sets(g, p), p.get("k", 2), f, c),
     "main2": lambda g, p, f, c: check_main2(g, _sets(g, p), p.get("k_max", 3), f, c),
     "deletion-probe": lambda g, p, f, c: [probe_vertex_deletions(g, f, c)],
+    "np": lambda g, p, f, c: _scan_power_linearity("np", g, p, f, c),
+    "generalnp": lambda g, p, f, c: _scan_power_linearity("generalnp", g, p, f, c),
+    "newconj2": _scan_extensions,
 }
 
-STATEMENTS = tuple(_HANDLERS)
+# the conjecture scans of `scan`, reading k_max, reg_filter and c_g from params
+CONJECTURES = ("np", "generalnp", "newconj2")
+# the statements of `verify`
+STATEMENTS = tuple(st for st in _HANDLERS if st not in CONJECTURES)
 
 
 def run_statement(
@@ -832,7 +807,8 @@ def run_statement(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> list:
-    """Run one named statement on one graph; returns one report per sub-instance."""
+    """Run one named statement or conjecture scan on one graph; returns one report per
+    sub-instance."""
     handler = _HANDLERS.get(statement)
     if handler is None:
         raise ValueError(f"unknown statement {statement!r}")

@@ -39,11 +39,10 @@ from edgeideals.resolutions import (
     taylor_betti_oracle,
 )
 from edgeideals.verification import (
-    ScanConfig,
     check_betti_splitting,
     check_main1,
     check_main2,
-    scan_conjecture,
+    run_statement,
 )
 
 
@@ -189,7 +188,7 @@ def test_criterion_9_splitting_negative_control():
 
 
 def test_criterion_10_np_scan_smoke(family6):
-    reports = scan_conjecture(ScanConfig("np", k_max=2), graphs=family6)
+    reports = [rep for g in family6 for rep in run_statement("np", g, {"k_max": 2})]
     failures = [r.to_json() for r in reports if r.verdict != "pass"]
     if not reports:
         failures.append("scan produced no family members")

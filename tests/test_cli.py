@@ -98,6 +98,29 @@ def test_out_of_range_counts_exit_two(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--statement", "nope", "--max-n", "3"],
+        ["--statement", "np", "--max-n", "3"],
+        ["--statement", "colon", "--ideal", '["x0"]', "--monomial", "x0"],
+        ["--statement", "colon", "--ideal", '["x0"]', "--nvars", "1"],
+        ["--statement", "splitting", "--ideal", '["x0","x1"]', "--part-j", '["x0"]', "--nvars", "2"],
+        ["--statement", "abc", "--ideal", '["x0"]', "--nvars", "1"],
+        ["--statement", "abc", "--ideal", "[x0", "--part-j", '["x0"]', "--nvars", "1"],
+    ],
+    ids=[
+        "unknown", "scan-only", "no-nvars", "colon-no-monomial", "splitting-no-part-k", "abc-no-part-j",
+        "bad-json",
+    ],
+)
+def test_verify_input_errors_print_no_header(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_explicit_power_indices_are_honoured(capsys):
     # 0 is a power index like any other, not a request for the statement's default
     code, out, _ = run_cli(capsys, "verify", "--statement", "blemma", "--builder", "cycle:5", "--k", "0")
@@ -195,6 +218,26 @@ def test_scan_np(capsys):
     lines = json_lines(out)
     assert len(lines) == 2
     assert lines[1]["verdict"] == "pass"
+
+
+def test_scan_runs_the_statement_once_per_family_graph(capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    calls = count_calls(monkeypatch, cli, "run_statement")
+    code, _, _ = run_cli(capsys, "scan", "--max-n", "4", "--conjecture", "newconj2", "--no-cache")
+    assert code == 0
+    family = [graph_to_graph6(g) for g in enumerate_graphs(4, require_edge=True)]
+    assert [(name, graph_to_graph6(g)) for name, g in calls] == [("newconj2", g6) for g6 in family]
+
+
+@pytest.mark.parametrize("conjecture, max_n", [("np", "6"), ("generalnp", "5"), ("newconj2", "4")])
+def test_scan_reports_are_sorted_and_deterministic(capsys, conjecture, max_n):
+    args = ["scan", "--conjecture", conjecture, "--max-n", max_n, "--kmax", "2", "--no-cache"]
+    _, first, _ = run_cli(capsys, *args)
+    _, second, _ = run_cli(capsys, *args)
+    assert first == second
+    keys = [(r["statement"], r["instance"]) for r in json_lines(first)[1:]]
+    assert keys and keys == sorted(keys)
 
 
 def test_scan_empty_file(tmp_path, capsys):
@@ -427,14 +470,21 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "fail" not in out
 
 
-def test_powers_main2_stdout_bytes_match_the_benchmark_reference(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "workload, argv",
+    [
+        ("powers-main2", ("verify", "--statement", "main2", "--builder", "anticycle:5", "--kmax", "3")),
+        ("squarefree-n7", ("verify", "--statement", "froberg", "--max-n", "7")),
+        ("bounds-gf2", ("verify", "--statement", "bounds", "--max-n", "7", "--field", "GF(2)")),
+    ],
+    ids=["powers-main2", "squarefree-n7", "bounds-gf2"],
+)
+def test_stdout_bytes_match_the_benchmark_reference(capsys, monkeypatch, workload, argv):
     # pins the CLI bytes that perfbench checks, so a refactor that changes them fails here
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    expected = json.loads(reference.read_text(encoding="utf-8"))["powers-main2"]["stdout_sha256"]
+    expected = json.loads(reference.read_text(encoding="utf-8"))[workload]["stdout_sha256"]
     monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
-    code, out, _ = run_cli(
-        capsys, "verify", "--statement", "main2", "--builder", "anticycle:5", "--kmax", "3"
-    )
+    code, out, _ = run_cli(capsys, *argv, "--no-cache")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 

@@ -1,5 +1,5 @@
-"""The package must parse as Python 3.10, the oldest version pyproject.toml allows, and
-import nothing outside the standard library."""
+"""The package must parse as Python 3.10, the oldest version pyproject.toml allows,
+import nothing outside the standard library, and export only names it binds."""
 
 import ast
 import sys
@@ -33,3 +33,9 @@ def test_source_imports_only_the_standard_library(path):
         for name in names:
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names or top == "edgeideals", (path.name, name)
+
+
+def test_every_exported_name_resolves():
+    import edgeideals
+
+    assert [name for name in edgeideals.__all__ if not hasattr(edgeideals, name)] == []

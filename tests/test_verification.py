@@ -24,9 +24,10 @@ from edgeideals.monomials import (
     parse_monomial,
     variable_ideal,
 )
+from edgeideals.resolutions import EngineCaps
 from edgeideals.verification import (
+    CONJECTURES,
     STATEMENTS,
-    ScanConfig,
     VerificationReport,
     check_abc_bound,
     check_banerjee,
@@ -46,7 +47,6 @@ from edgeideals.verification import (
     is_im_reg_invariant_extension,
     probe_vertex_deletions,
     run_statement,
-    scan_conjecture,
     summarize_reports,
 )
 
@@ -331,27 +331,35 @@ def test_probe_vertex_deletions():
 # -- scans ------------------------------------------------------------------------------------------
 
 
+def scan(conjecture, graphs, **params) -> list:
+    """The reports of one conjecture scan over graphs, one run_statement call per graph."""
+    return [rep for g in graphs for rep in run_statement(conjecture, g, params)]
+
+
 def test_np_scan_small():
-    reports = scan_conjecture(ScanConfig("np", k_max=2), enumerate_graphs(5, require_edge=True))
+    reports = scan("np", enumerate_graphs(5, require_edge=True), k_max=2)
     assert len(reports) == 1  # the 5-cycle is the only gap-free reg-3 class here
     assert reports[0].verdict == "pass"
     assert reports[0].data["reg"] == 3
 
 
 def test_np_scan_empty_family():
-    assert scan_conjecture(ScanConfig("np", k_max=2), graphs=[]) == []
+    assert scan("np", [], k_max=2) == []
+
+
+def test_scans_give_no_report_on_an_edgeless_graph():
+    for conjecture in CONJECTURES:
+        assert run_statement(conjecture, Graph(3, []), {"k_max": 3}) == []
 
 
 def test_generalnp_scan_small():
-    reports = scan_conjecture(ScanConfig("generalnp", k_max=2), enumerate_graphs(4, require_edge=True))
+    reports = scan("generalnp", enumerate_graphs(4, require_edge=True), k_max=2)
     assert reports
     assert all(r.verdict == "pass" for r in reports)
 
 
 def test_newconj2_scan_on_c5():
-    reports = scan_conjecture(
-        ScanConfig("newconj2", k_max=2, c_g=2), graphs=[cycle(5)]
-    )
+    reports = scan("newconj2", [cycle(5)], k_max=2, c_g=2)
     assert reports
     assert all(r.verdict == "pass" for r in reports)
     rows = summarize_reports([r.to_json() for r in reports])
@@ -360,29 +368,41 @@ def test_newconj2_scan_on_c5():
 
 
 def test_newconj2_scan_skips_gapped_base():
-    reports = scan_conjecture(
-        ScanConfig("newconj2", k_max=2, c_g=2), graphs=[TWO_K2]
-    )
+    reports = scan("newconj2", [TWO_K2], k_max=2, c_g=2)
     assert len(reports) == 1 and reports[0].verdict == "skipped"
 
 
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig("nope", k_max=2)
-    with pytest.raises(ValueError):
-        ScanConfig("np", k_max=1)
-    with pytest.raises(ValueError):
-        ScanConfig("newconj2", k_max=2, c_g=3)
+    with pytest.raises(ValueError, match="unknown statement"):
+        run_statement("nope", cycle(5), {"k_max": 2})
+    with pytest.raises(ValueError, match="np scans need k_max >= 2"):
+        run_statement("np", cycle(5), {"k_max": 1})
+    with pytest.raises(ValueError, match="newconj2 scans need k_max >= c_G"):
+        run_statement("newconj2", cycle(5), {"k_max": 2, "c_g": 3})
+    # the range is checked before the graph is looked at
+    with pytest.raises(ValueError, match="np scans need k_max >= 2"):
+        run_statement("np", Graph(3, []), {"k_max": 1})
 
 
-def test_scan_reports_are_sorted_and_deterministic():
-    cfg = ScanConfig("generalnp", k_max=2)
+def test_scan_reports_are_deterministic_and_canonical():
     family = enumerate_graphs(4, require_edge=True)
-    a = [r.to_json() for r in scan_conjecture(cfg, family)]
-    b = [r.to_json() for r in scan_conjecture(cfg, family)]
+    a = [r.to_json() for r in scan("generalnp", family, k_max=2)]
+    b = [r.to_json() for r in scan("generalnp", family, k_max=2)]
     assert a == b
-    insts = [r["instance"] for r in a]
-    assert insts == sorted(insts)
+    # np and generalnp report an isomorphic relabelling on the same canonical instance
+    c5 = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
+    assert [r.to_json() for r in run_statement("np", c5, {"k_max": 2})] == [
+        r.to_json() for r in run_statement("np", cycle(5), {"k_max": 2})
+    ]
+
+
+def test_np_cap_skips_keep_the_canonical_instance():
+    caps = EngineCaps(lattice_max=3)
+    c5 = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
+    (rep,) = run_statement("np", c5, {"k_max": 2}, caps=caps)
+    assert rep.verdict == "skipped" and rep.instance == "g6=DUW"
+    (rep,) = run_statement("newconj2", c5, {"k_max": 2}, caps=caps)
+    assert rep.verdict == "skipped" and rep.instance == "g6=DqK"
 
 
 # -- statement dispatch --------------------------------------------------------------------------
@@ -428,13 +448,13 @@ def lattice_ideals(monkeypatch):
 def _table_sharing_calls(g):
     """(label, call) for every check and scan on g that must not compute a table twice."""
     calls = [(st, functools.partial(run_statement, st, g)) for st in STATEMENTS]
-    for cfg in (
-        ScanConfig("np", k_max=3),
-        ScanConfig("generalnp", k_max=3),
-        ScanConfig("newconj2", k_max=3),
-        ScanConfig("newconj2", k_max=3, c_g=1),
+    for conjecture, params in (
+        ("np", {"k_max": 3}),
+        ("generalnp", {"k_max": 3}),
+        ("newconj2", {"k_max": 3}),
+        ("newconj2", {"k_max": 3, "c_g": 1}),
     ):
-        calls.append((cfg, functools.partial(scan_conjecture, cfg, [g])))
+        calls.append((conjecture, functools.partial(run_statement, conjecture, g, params)))
     # split the edges at vertex 0
     whole = edge_ideal(g)
     at0 = [m for m in whole.gens if m.exps[0]]
@@ -451,9 +471,16 @@ def test_each_check_computes_each_table_once(lattice_ideals):
         for label, call in _table_sharing_calls(g):
             lattice_ideals.clear()
             call()
-            repeated = {str(i) for i in lattice_ideals if lattice_ideals.count(i) > 1}
+            # the same generators in more variables have the same table
+            gens = [tuple(i.gen_strings()) for i in lattice_ideals]
+            repeated = {str(i) for i, key in zip(lattice_ideals, gens) if gens.count(key) > 1}
             assert not repeated, (label, g, repeated)
     lattice_ideals.clear()
     run_statement("main2", anticycle(5), {"k_max": 3})
     # I^2 and I^3 for the hypotheses, then I(G_S)^2 and I(G_S)^3 for each of 11 sets S
+    assert len(lattice_ideals) == 24
+    lattice_ideals.clear()
+    run_statement("main1", anticycle(5), {"k": 2})
+    # I^2 for the hypothesis and the left part, I(G_S)^2 and the right part for each of
+    # 11 sets S, and the intersection z * I^2 shared by all of them
     assert len(lattice_ideals) == 24
