@@ -24,7 +24,6 @@ from edgeideals.monomials import (
     parse_monomial,
     variable_ideal,
 )
-from edgeideals.resolutions import EngineCaps
 from edgeideals.verification import (
     CONJECTURES,
     STATEMENTS,
@@ -394,15 +393,6 @@ def test_scan_reports_are_deterministic_and_canonical():
     assert [r.to_json() for r in run_statement("np", c5, {"k_max": 2})] == [
         r.to_json() for r in run_statement("np", cycle(5), {"k_max": 2})
     ]
-
-
-def test_np_cap_skips_keep_the_canonical_instance():
-    caps = EngineCaps(lattice_max=3)
-    c5 = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
-    (rep,) = run_statement("np", c5, {"k_max": 2}, caps=caps)
-    assert rep.verdict == "skipped" and rep.instance == "g6=DUW"
-    (rep,) = run_statement("newconj2", c5, {"k_max": 2}, caps=caps)
-    assert rep.verdict == "skipped" and rep.instance == "g6=DqK"
 
 
 # -- statement dispatch --------------------------------------------------------------------------
