@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -54,6 +55,8 @@ from .verification import (
     enumerate_im_reg_extensions,
     run_statement,
     summarize_reports,
+    validate_colon_ideal,
+    validate_partition,
 )
 
 EXIT_OK = 0
@@ -68,6 +71,14 @@ CACHE_ENV = "EDGEIDEALS_CACHE"
 _BUILDERS = {"cycle": cycle, "anticycle": anticycle, "path": path, "complete": complete}
 
 _IDEAL_STATEMENTS = ("splitting", "doublelinear", "colon", "abc")
+
+# EngineCaps field -> its flag; a command has the flags of the caps it reads, no others
+_CAP_FLAGS = {
+    "lattice_max": "--lattice-cap",
+    "taylor_max_generators": "--taylor-cap",
+    "quotients_max_generators": "--lq-cap",
+    "quotients_time_budget": "--time-budget",
+}
 
 
 def _emit(obj) -> None:
@@ -128,18 +139,9 @@ def _family(args, cache: ResultCache) -> list:
 
 
 def _caps(args) -> EngineCaps:
-    return EngineCaps(
-        lattice_max=args.lattice_cap,
-        order_faces_max=DEFAULT_CAPS.order_faces_max,
-        taylor_max_generators=args.taylor_cap,
-        quotients_max_generators=args.lq_cap,
-        quotients_time_budget=args.time_budget,
-        membership_table_max=DEFAULT_CAPS.membership_table_max,
-    )
-
-
-def _field(args) -> Field:
-    return Field.from_token(args.field)
+    """DEFAULT_CAPS with the values of the cap flags the command has."""
+    given = {cap: getattr(args, cap) for cap in _CAP_FLAGS if hasattr(args, cap)}
+    return dataclasses.replace(DEFAULT_CAPS, **given)
 
 
 def _cache(args) -> ResultCache:
@@ -163,12 +165,12 @@ def _add_graph_flags(p, family: bool = False):
         p.add_argument("--max-n", type=int, help="internal exhaustive family up to n vertices")
 
 
-def _add_engine_flags(p):
+def _add_engine_flags(p, *caps):
+    """--field and the flags of the EngineCaps fields `caps`, with their defaults and types."""
     p.add_argument("--field", default="Q", help="coefficient field: Q (default) or GF(p)")
-    p.add_argument("--lattice-cap", type=int, default=DEFAULT_CAPS.lattice_max)
-    p.add_argument("--taylor-cap", type=int, default=DEFAULT_CAPS.taylor_max_generators)
-    p.add_argument("--lq-cap", type=int, default=DEFAULT_CAPS.quotients_max_generators)
-    p.add_argument("--time-budget", type=float, default=DEFAULT_CAPS.quotients_time_budget)
+    for cap in caps:
+        default = getattr(DEFAULT_CAPS, cap)
+        p.add_argument(_CAP_FLAGS[cap], dest=cap, type=type(default), default=default)
 
 
 def _add_cache_flags(p):
@@ -191,20 +193,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1, help="compute the k-th power first")
     p.add_argument("--oracle", action="store_true", help="cross-check with the Taylor strand oracle")
     p.add_argument("--multi", action="store_true", help="include the multigraded refinement")
-    _add_engine_flags(p)
+    _add_engine_flags(p, "lattice_max", "taylor_max_generators")
 
     p = sub.add_parser("suspend", help="one-vertex suspensions over independent sets")
     _add_graph_flags(p)
     p.add_argument("--set", dest="sset", help="comma-separated independent set (empty string for the cone)")
     p.add_argument("--all", action="store_true", help="suspend over every proper independent set")
     p.add_argument("--verify", action="store_true", help="emit JSON lines with im/reg invariance checks")
-    _add_engine_flags(p)
+    _add_engine_flags(p, "lattice_max")
 
     p = sub.add_parser("extend", help="one-vertex extensions, filtered to invariant ones by default")
     _add_graph_flags(p)
     p.add_argument("--all", action="store_true", help="emit all 2^n - 1 extensions, unfiltered")
     p.add_argument("--json", action="store_true", help="emit JSON lines with im/reg data")
-    _add_engine_flags(p)
+    _add_engine_flags(p, "lattice_max")
 
     p = sub.add_parser("verify", help="run a named statement over a graph family or an ideal instance")
     p.add_argument("--statement", required=True, help=", ".join(STATEMENTS + _IDEAL_STATEMENTS))
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part-k", help="JSON array: second part of the splitting")
     p.add_argument("--monomial", help="monomial for the colon bound, e.g. x0")
     p.add_argument("--nvars", type=int, help="ambient variable count for ideal inputs")
-    _add_engine_flags(p)
+    _add_engine_flags(p, "lattice_max", "quotients_max_generators", "quotients_time_budget")
     _add_cache_flags(p)
 
     p = sub.add_parser("scan", help="scan a graph family for conjecture counterexamples")
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reg-filter", type=int, help="only graphs with this regularity (np default: 3)")
     p.add_argument("--cg", type=int, default=2, help="power threshold c_G for newconj2")
     p.add_argument("--summary", help="write a per-statement CSV summary to this path")
-    _add_engine_flags(p)
+    _add_engine_flags(p, "lattice_max")
     _add_cache_flags(p)
 
     return ap
@@ -237,9 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_betti(args) -> int:
-    field = _field(args)
-    caps = _caps(args)
+def _cmd_betti(args, field: Field, caps: EngineCaps) -> int:
     if args.ideal:
         gens = json.loads(args.ideal)
         nvars = args.nvars
@@ -262,9 +262,7 @@ def _cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _cmd_suspend(args) -> int:
-    field = _field(args)
-    caps = _caps(args)
+def _cmd_suspend(args, field: Field, caps: EngineCaps) -> int:
     g = _single_graph(args)
     if args.all:
         sets = [frozenset(s) for s in independent_sets(g) if len(s) < g.n]
@@ -288,9 +286,7 @@ def _cmd_suspend(args) -> int:
     return EXIT_OK
 
 
-def _cmd_extend(args) -> int:
-    field = _field(args)
-    caps = _caps(args)
+def _cmd_extend(args, field: Field, caps: EngineCaps) -> int:
     g = _single_graph(args)
     if args.all:
         exts = one_vertex_extensions(g)
@@ -313,7 +309,7 @@ def _cmd_extend(args) -> int:
 
 
 def _ideal_check(args):
-    """The check of an ideal statement on its parsed inputs, to be called with (field, caps)."""
+    """The check of an ideal statement on its validated inputs, to be called with (field, caps)."""
     if args.nvars is None:
         raise ValueError(f"--statement {args.statement} needs --nvars")
     nv = args.nvars
@@ -321,12 +317,14 @@ def _ideal_check(args):
         if not (args.ideal and args.part_j and args.part_k):
             raise ValueError("splitting statements need --ideal, --part-j and --part-k")
         parts = [parse_ideal(json.loads(t), nv) for t in (args.ideal, args.part_j, args.part_k)]
+        validate_partition(*parts)
         fn = check_betti_splitting if args.statement == "splitting" else check_doublelinear
         return functools.partial(fn, *parts)
     if args.statement == "colon":
         if not (args.ideal and args.monomial):
             raise ValueError("colon needs --ideal and --monomial")
         ideal = parse_ideal(json.loads(args.ideal), nv)
+        validate_colon_ideal(ideal)
         return functools.partial(check_colon_reg_bound, ideal, parse_monomial(args.monomial, nv))
     if not (args.ideal and args.part_j):
         raise ValueError("abc needs --ideal (ambient I) and --part-j (sub-ideal J)")
@@ -336,11 +334,16 @@ def _ideal_check(args):
 
 
 def _check_ranges(args) -> None:
-    """Reject a negative power index, a largest power below 1 and a family below 1 vertex."""
+    """Reject a negative power index, a largest power or family size below 1 and a cap that is
+    not positive, before any output."""
     for name, low in (("k", 0), ("kmax", 1), ("max_n", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+    for cap, flag in _CAP_FLAGS.items():
+        value = getattr(args, cap, None)
+        if value is not None and not value > 0:
+            raise ValueError(f"{flag} must be positive, got {value}")
 
 
 def _statement_params(args) -> dict:
@@ -406,9 +409,7 @@ def _emit_reports(reports) -> int:
     return EXIT_FAIL if any(rep["verdict"] == FAIL for rep in reports) else EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    field = _field(args)
-    caps = _caps(args)
+def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
     statement = args.statement
     if statement in _IDEAL_STATEMENTS:
         check = _ideal_check(args)
@@ -426,9 +427,7 @@ def _cmd_verify(args) -> int:
     return _emit_reports(_run_family(args, base_key, statement, params, field, caps))
 
 
-def _cmd_scan(args) -> int:
-    field = _field(args)
-    caps = _caps(args)
+def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
     params = {"k_max": args.kmax, "reg_filter": args.reg_filter, "c_g": args.cg}
     check_scan_range(args.conjecture, params)
     _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=args.kmax))
@@ -460,7 +459,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         _check_ranges(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, Field.from_token(args.field), _caps(args))
     except CapExceeded as e:
         sys.stderr.write(f"cap overrun: {e}\n")
         return EXIT_CAP

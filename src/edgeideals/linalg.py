@@ -1,10 +1,10 @@
 """Exact rank computation over the rationals and over prime fields.
 
-Dense rank over Q uses Bareiss fraction-free elimination on Python integers,
-so integer matrices are handled exactly with no floating point anywhere.
-Dense rank over GF(p) uses ordinary Gaussian elimination with modular
-inverses.  Sparse boundary matrices go through `unit_pivot_rank`, which
-eliminates with unit pivots only and hands the rest to the dense kernels.
+Dense rank runs one fraction-free elimination loop on Python integers: Bareiss
+over Q, so integer matrices are handled exactly with no floating point
+anywhere, and the same updates reduced mod p over GF(p).  Sparse boundary
+matrices go through `unit_pivot_rank`, which eliminates with unit pivots only
+and hands the rest to the dense kernels.
 """
 
 from __future__ import annotations
@@ -63,13 +63,24 @@ GF2 = Field(2)
 
 
 def bareiss_rank(rows) -> int:
-    """Exact rank over Q of an integer matrix via fraction-free elimination.
+    """Exact rank over Q of an integer matrix via fraction-free elimination."""
+    return _fraction_free_rank([list(r) for r in rows], None)
 
-    Every intermediate entry is a minor of the input matrix, so the single
-    integer division per update is exact and there is no coefficient blowup
-    beyond determinant size.
+
+def mod_p_rank(rows, p: int) -> int:
+    """Rank over GF(p) of an integer matrix via fraction-free elimination mod p."""
+    return _fraction_free_rank([[v % p for v in r] for r in rows], p)
+
+
+def _fraction_free_rank(m: list, p) -> int:
+    """Rank of the row lists m, eliminated in place: over Q when p is None, else over GF(p).
+
+    Each update is row = row * pivot - f * pivot_row.  Over Q it ends with the
+    exact division by the previous pivot (Bareiss): every intermediate entry is
+    a minor of the input, so there is no coefficient blowup beyond determinant
+    size.  Over GF(p) it ends with % p; the scaling by the nonzero pivot is a
+    unit there, so it keeps the rank.
     """
-    m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
@@ -77,55 +88,20 @@ def bareiss_rank(rows) -> int:
     for c in range(nc):
         if rank == nr:
             break
-        piv = None
-        for i in range(rank, nr):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(rank, nr) if m[i][c]), None)
         if piv is None:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+        m[rank], m[piv] = m[piv], m[rank]
         pr = m[rank]
         pv = pr[c]
         for i in range(rank + 1, nr):
             row = m[i]
             f = row[c]
             for j in range(c + 1, nc):
-                row[j] = (row[j] * pv - f * pr[j]) // prev
+                v = row[j] * pv - f * pr[j]
+                row[j] = v // prev if p is None else v % p
             row[c] = 0
         prev = pv
-        rank += 1
-    return rank
-
-
-def mod_p_rank(rows, p: int) -> int:
-    """Rank over GF(p) of an integer matrix via Gaussian elimination mod p."""
-    m = [[v % p for v in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    for c in range(nc):
-        if rank == nr:
-            break
-        piv = None
-        for i in range(rank, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        pr = m[rank]
-        for i in range(rank + 1, nr):
-            row = m[i]
-            f = row[c]
-            if f:
-                f = (f * inv) % p
-                for j in range(c, nc):
-                    row[j] = (row[j] - f * pr[j]) % p
         rank += 1
     return rank
 

@@ -157,7 +157,8 @@ def _splitting_report(statement, inst, tw, tl, tr, tm):
     return _passed(statement, inst, data={"reg": reg_lhs, "pd": pd_lhs})
 
 
-def _validate_partition(whole, left, right):
+def validate_partition(whole, left, right):
+    """Raise ValueError unless left and right are nonzero and split the generators of whole."""
     if left.is_zero or right.is_zero:
         raise ValueError("both parts of a splitting must be nonzero")
     if left.nvars != whole.nvars or right.nvars != whole.nvars:
@@ -175,7 +176,7 @@ def check_betti_splitting(
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
     """Verify the additivity identity of a generator partition, plus its reg/pd consequences."""
-    _validate_partition(whole, left, right)
+    validate_partition(whole, left, right)
     tables = [betti_table(i, field, caps) for i in (whole, left, right, intersect(left, right))]
     return _splitting_report("splitting", _ideal_inst(whole, left, right), *tables)
 
@@ -197,7 +198,7 @@ def check_doublelinear(
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
     """When both parts have linear resolutions the partition must be a splitting."""
-    _validate_partition(whole, left, right)
+    validate_partition(whole, left, right)
     inst = _ideal_inst(whole, left, right)
     tl = _linear_table(left, field, caps)
     tr = None if tl is None else _linear_table(right, field, caps)
@@ -211,6 +212,12 @@ def check_doublelinear(
 # -- colon regularity bounds ----------------------------------------------------------
 
 
+def validate_colon_ideal(ideal: MonomialIdeal) -> None:
+    """Raise ValueError unless the colon bound is defined for ideal: nonzero and proper."""
+    if ideal.is_zero or ideal.is_unit:
+        raise ValueError("the bound needs a nonzero proper ideal")
+
+
 def check_colon_reg_bound(
     ideal: MonomialIdeal,
     m: Monomial,
@@ -218,8 +225,7 @@ def check_colon_reg_bound(
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
     """reg(I) <= max(reg(I:m)+deg m, reg(I,m)); equality when m is a variable of I."""
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("the bound needs a nonzero proper ideal")
+    validate_colon_ideal(ideal)
     inst = _ideal_inst(ideal) + f" m={m}"
     q = colon(ideal, m)
     s = ideal_sum(ideal, principal_ideal(m))
@@ -662,17 +668,22 @@ def probe_vertex_deletions(
 
 
 def check_scan_range(conjecture: str, params: dict) -> None:
-    """Reject a k range the scan cannot check: np needs k_max >= 2, newconj2 c_G <= k_max."""
+    """Reject a k range the scan cannot check: np needs k_max >= 2, newconj2 1 <= c_G <= k_max."""
     k_max = params.get("k_max", 2)
     if conjecture == "np" and k_max < 2:
         raise ValueError("np scans need k_max >= 2")
-    if conjecture == "newconj2" and (params.get("c_g") or 2) > k_max:
-        raise ValueError("newconj2 scans need k_max >= c_G")
+    c_g = 2 if params.get("c_g") is None else params["c_g"]
+    if conjecture == "newconj2" and not k_max >= c_g >= 1:
+        raise ValueError("newconj2 scans need k_max >= c_G >= 1")
 
 
 def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
+    """The failed report of the first k in the consecutive range ks with reg(I^k) != 2k, or None;
+    each power after the first is one product with the power before it."""
+    power = None
     for k in ks:
-        tab = betti_table(ideal_power(ideal, k), field, caps)
+        power = ideal_power(ideal, k) if power is None else ideal_product(power, ideal)
+        tab = betti_table(power, field, caps)
         rk = tab.regularity()
         if rk != 2 * k:
             return _failed(

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, and the cache."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -8,10 +9,11 @@ import pytest
 
 from edgeideals import __version__
 from edgeideals.cache import ResultCache
-from edgeideals.cli import main
+from edgeideals.cli import _caps, build_parser, main
 from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, cycle, path
+from edgeideals.resolutions import DEFAULT_CAPS
 
 
 def run_cli(capsys, *argv):
@@ -85,10 +87,26 @@ def test_exit_codes(capsys):
             ["scan", "--conjecture", "newconj2", "--max-n", "4", "--cg", "3", "--kmax", "2"],
             "newconj2 scans need k_max >= c_G",
         ),
+        (
+            ["scan", "--conjecture", "newconj2", "--max-n", "3", "--kmax", "2", "--cg", "0"],
+            "newconj2 scans need k_max >= c_G >= 1",
+        ),
+        (
+            ["scan", "--conjecture", "newconj2", "--max-n", "3", "--kmax", "2", "--cg", "-1"],
+            "newconj2 scans need k_max >= c_G >= 1",
+        ),
+        (["verify", "--statement", "froberg", "--builder", "cycle:5", "--lattice-cap", "-3"], "--lattice-cap"),
+        (["scan", "--conjecture", "np", "--max-n", "3", "--lattice-cap", "0"], "--lattice-cap"),
+        (["verify", "--statement", "hhz", "--builder", "cycle:5", "--lq-cap", "0"], "--lq-cap"),
+        (["verify", "--statement", "hhz", "--builder", "cycle:5", "--time-budget", "-1"], "--time-budget"),
+        (["verify", "--statement", "hhz", "--builder", "cycle:5", "--time-budget", "0"], "--time-budget"),
+        (["verify", "--statement", "hhz", "--builder", "cycle:5", "--time-budget", "nan"], "--time-budget"),
     ],
     ids=[
         "bht-kmax-0", "blemma-k-neg", "keylemma-k-neg", "max-n-neg", "max-n-0", "scan-kmax-0",
-        "scan-max-n-neg", "np-kmax-1", "newconj2-cg-above-kmax",
+        "scan-max-n-neg", "np-kmax-1", "newconj2-cg-above-kmax", "newconj2-cg-0", "newconj2-cg-neg",
+        "lattice-cap-neg", "scan-lattice-cap-0", "lq-cap-0", "time-budget-neg", "time-budget-0",
+        "time-budget-nan",
     ],
 )
 def test_out_of_range_counts_exit_two(capsys, argv, message):
@@ -108,10 +126,15 @@ def test_out_of_range_counts_exit_two(capsys, argv, message):
         ["--statement", "splitting", "--ideal", '["x0","x1"]', "--part-j", '["x0"]', "--nvars", "2"],
         ["--statement", "abc", "--ideal", '["x0"]', "--nvars", "1"],
         ["--statement", "abc", "--ideal", "[x0", "--part-j", '["x0"]', "--nvars", "1"],
+        [
+            "--statement", "splitting", "--ideal", '["x0","x1"]', "--part-j", '["x0"]', "--part-k", '["x0"]',
+            "--nvars", "2",
+        ],
+        ["--statement", "colon", "--ideal", "[]", "--monomial", "x0", "--nvars", "2"],
     ],
     ids=[
         "unknown", "scan-only", "no-nvars", "colon-no-monomial", "splitting-no-part-k", "abc-no-part-j",
-        "bad-json",
+        "bad-json", "splitting-not-a-partition", "colon-zero-ideal",
     ],
 )
 def test_verify_input_errors_print_no_header(capsys, argv):
@@ -119,6 +142,43 @@ def test_verify_input_errors_print_no_header(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# each command has the cap flags of the caps it reads, and no others
+COMMAND_CAP_FLAGS = {
+    "betti": {"--lattice-cap", "--taylor-cap"},
+    "suspend": {"--lattice-cap"},
+    "extend": {"--lattice-cap"},
+    "verify": {"--lattice-cap", "--lq-cap", "--time-budget"},
+    "scan": {"--lattice-cap"},
+}
+MINIMAL_ARGV = {
+    "betti": [],
+    "suspend": [],
+    "extend": [],
+    "verify": ["--statement", "froberg"],
+    "scan": ["--conjecture", "np"],
+}
+
+
+def test_each_command_has_only_the_cap_flags_it_reads(capsys):
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(COMMAND_CAP_FLAGS)
+    all_flags = set().union(*COMMAND_CAP_FLAGS.values())
+    for command, parser in sub.choices.items():
+        flags = {opt for a in parser._actions for opt in a.option_strings}
+        assert flags & (all_flags | {"--face-cap"}) == COMMAND_CAP_FLAGS[command], command
+        # with no cap flag given every cap is its default, so headers and cache keys keep their bytes
+        assert _caps(ap.parse_args([command, *MINIMAL_ARGV[command]])) == DEFAULT_CAPS, command
+    # a flag of a cap the command never reads is an input error before any output
+    code, out, _ = run_cli(capsys, "scan", "--conjecture", "np", "--max-n", "3", "--taylor-cap", "3")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "betti", "--builder", "cycle:4", "--time-budget", "1")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "verify", "--statement", "hhz", "--builder", "cycle:5", "--lq-cap", "7")
+    assert code == 0
+    assert json_lines(out)[0]["header"]["caps"] == dict(DEFAULT_CAPS.to_json(), quotients_max_generators=7)
 
 
 def test_explicit_power_indices_are_honoured(capsys):

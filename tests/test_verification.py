@@ -474,3 +474,24 @@ def test_each_check_computes_each_table_once(lattice_ideals):
     # I^2 for the hypothesis and the left part, I(G_S)^2 and the right part for each of
     # 11 sets S, and the intersection z * I^2 shared by all of them
     assert len(lattice_ideals) == 24
+
+
+def test_scans_build_each_power_with_one_product(monkeypatch):
+    from edgeideals import monomials, verification
+
+    calls = []
+    product = monomials.ideal_product
+
+    def counting(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    # ideal_power reaches ideal_product through monomials, the scans through verification
+    for module in (monomials, verification):
+        monkeypatch.setattr(module, "ideal_product", counting)
+    run_statement("np", anticycle(5), {"k_max": 4})
+    # I^2, I^3 and I^4, each one product with the power before it
+    assert len(calls) == 3
+    calls.clear()
+    run_statement("newconj2", anticycle(5), {"k_max": 3})
+    assert len(calls) == 34
