@@ -51,9 +51,9 @@ from .verification import (
     check_colon_reg_bound,
     check_doublelinear,
     check_s_suspension_invariance,
-    check_scan_range,
     enumerate_im_reg_extensions,
     run_statement,
+    statement_params,
     summarize_reports,
     validate_colon_ideal,
     validate_partition,
@@ -70,7 +70,18 @@ CACHE_ENV = "EDGEIDEALS_CACHE"
 
 _BUILDERS = {"cycle": cycle, "anticycle": anticycle, "path": path, "complete": complete}
 
-_IDEAL_STATEMENTS = ("splitting", "doublelinear", "colon", "abc")
+# dest of a flag of verify or scan -> the statement parameter it gives
+_PARAMS = {
+    "set": "sets", "cover": "covers", "k": "k", "kmax": "k_max", "reg_filter": "reg_filter", "cg": "c_g"
+}
+_IDEAL_FLAGS = ("ideal", "part_j", "part_k", "monomial", "nvars")
+# the ideal statements of verify -> the ideal flags each reads
+_IDEAL_STATEMENTS = {
+    "splitting": ("ideal", "part_j", "part_k", "nvars"),
+    "doublelinear": ("ideal", "part_j", "part_k", "nvars"),
+    "colon": ("ideal", "monomial", "nvars"),
+    "abc": ("ideal", "part_j", "nvars"),
+}
 
 # EngineCaps field -> its flag; a command has the flags of the caps it reads, no others
 _CAP_FLAGS = {
@@ -97,6 +108,11 @@ def _parse_vertex_set(text: str) -> frozenset:
     if not s:
         return frozenset()
     return frozenset(int(t) for t in s.split(","))
+
+
+def _one_set(text: str) -> list:
+    """A --set or --cover value as the one-element list of sets that the statements read."""
+    return [tuple(sorted(_parse_vertex_set(text)))]
 
 
 def _single_graph(args) -> Graph:
@@ -158,11 +174,14 @@ def _header(command: str, args, field: Field, caps: EngineCaps, **extra) -> dict
 
 
 def _add_graph_flags(p, family: bool = False):
-    p.add_argument("--builder", help="builder spec, e.g. cycle:5")
-    p.add_argument("--graph6", help="inline graph6 string")
+    """The graph-source flags, of which a run takes at most one; returns their group."""
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--builder", help="builder spec, e.g. cycle:5")
+    source.add_argument("--graph6", help="inline graph6 string")
     if family:
-        p.add_argument("--graph6-file", help="file with one graph6 string per line")
-        p.add_argument("--max-n", type=int, help="internal exhaustive family up to n vertices")
+        source.add_argument("--graph6-file", help="file with one graph6 string per line")
+        source.add_argument("--max-n", type=int, help="internal exhaustive family up to n vertices")
+    return source
 
 
 def _add_engine_flags(p, *caps):
@@ -187,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("betti", help="Betti table of an edge ideal or a given monomial ideal")
-    _add_graph_flags(p)
-    p.add_argument("--ideal", help='JSON array of monomial strings, e.g. \'["x0*x1","x1^2"]\'')
+    ideal_help = 'JSON array of monomial strings, e.g. \'["x0*x1","x1^2"]\''
+    _add_graph_flags(p).add_argument("--ideal", help=ideal_help)
     p.add_argument("--nvars", type=int, help="ambient variable count for --ideal")
     p.add_argument("--power", type=int, default=1, help="compute the k-th power first")
     p.add_argument("--oracle", action="store_true", help="cross-check with the Taylor strand oracle")
@@ -209,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p, "lattice_max")
 
     p = sub.add_parser("verify", help="run a named statement over a graph family or an ideal instance")
-    p.add_argument("--statement", required=True, help=", ".join(STATEMENTS + _IDEAL_STATEMENTS))
+    p.add_argument("--statement", required=True, help=", ".join(STATEMENTS + tuple(_IDEAL_STATEMENTS)))
     _add_graph_flags(p, family=True)
-    p.add_argument("--set", dest="sset", help="independent set for suspension/main1/main2")
-    p.add_argument("--cover", help="vertex cover for keylemma")
+    p.add_argument("--set", type=_one_set, help="independent set for suspension/main1/main2")
+    p.add_argument("--cover", type=_one_set, help="vertex cover for keylemma")
     p.add_argument("--k", type=int, help="power index (keylemma, blemma, main1)")
     p.add_argument("--kmax", type=int, help="largest power to check")
     p.add_argument("--ideal", help="JSON array of monomial strings (splitting/doublelinear/colon/abc)")
@@ -226,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan a graph family for conjecture counterexamples")
     p.add_argument("--conjecture", required=True, choices=CONJECTURES)
     _add_graph_flags(p, family=True)
-    p.add_argument("--kmax", type=int, default=2)
+    p.add_argument("--kmax", type=int, help="largest power to check (default 2)")
     p.add_argument("--reg-filter", type=int, help="only graphs with this regularity (np default: 3)")
-    p.add_argument("--cg", type=int, default=2, help="power threshold c_G for newconj2")
+    p.add_argument("--cg", type=int, help="power threshold c_G for newconj2 (default 2)")
     p.add_argument("--summary", help="write a per-statement CSV summary to this path")
     _add_engine_flags(p, "lattice_max")
     _add_cache_flags(p)
@@ -334,9 +353,9 @@ def _ideal_check(args):
 
 
 def _check_ranges(args) -> None:
-    """Reject a negative power index, a largest power or family size below 1 and a cap that is
-    not positive, before any output."""
-    for name, low in (("k", 0), ("kmax", 1), ("max_n", 1)):
+    """Reject a negative power index, a largest power, family size or job count below 1 and a
+    cap that is not positive, before any output."""
+    for name, low in (("k", 0), ("kmax", 1), ("max_n", 1), ("jobs", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
@@ -346,17 +365,23 @@ def _check_ranges(args) -> None:
             raise ValueError(f"{flag} must be positive, got {value}")
 
 
-def _statement_params(args) -> dict:
-    params: dict = {}
-    if args.sset is not None:
-        params["sets"] = [_parse_vertex_set(args.sset)]
-    if args.cover is not None:
-        params["covers"] = [tuple(sorted(_parse_vertex_set(args.cover)))]
-    if args.k is not None:
-        params["k"] = args.k
-    if args.kmax is not None:
-        params["k_max"] = args.kmax
-    return params
+def _reject_unread(args, statement: str, reads) -> None:
+    """Raise ValueError naming the first parameter or ideal flag given that statement does not read."""
+    for dest in (*_PARAMS, *_IDEAL_FLAGS):
+        if getattr(args, dest, None) is not None and dest not in reads:
+            raise ValueError(f"{statement} does not read --{dest.replace('_', '-')}")
+
+
+def _graph_inputs(args, statement: str) -> tuple:
+    """(params, cache, family) of a graph statement, all checked before any output: its
+    parameters from the flags given, with defaults filled in, and the family's graph6 strings."""
+    defaults = statement_params(statement, {})
+    reads = [dest for dest, name in _PARAMS.items() if name in defaults]
+    _reject_unread(args, statement, reads)
+    given = {_PARAMS[dest]: getattr(args, dest) for dest in reads if getattr(args, dest) is not None}
+    params = statement_params(statement, given)
+    cache = _cache(args)
+    return params, cache, _family(args, cache)
 
 
 def _is_report_list(value) -> bool:
@@ -381,15 +406,15 @@ def _family_item(base_key: dict, run, cache: ResultCache, g6: str) -> list:
     return reports
 
 
-def _run_family(args, base_key: dict, statement: str, params: dict, field, caps) -> list:
+def _run_family(args, cache: ResultCache, family: list, statement: str, params: dict, field, caps) -> list:
     """Report dicts of `statement` over the family, sorted; --jobs workers use the cache themselves.
 
-    The cache key of a graph's reports is base_key with the field, caps, graph and version."""
-    cache = _cache(args)
+    The cache key of a graph's reports holds the command, the statement, its parameters with
+    defaults filled in, the field, caps, graph and version."""
     run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
-    base_key = dict(base_key, field=field.token(), caps=caps.to_json())
+    base_key = dict(op=args.command, statement=statement, params=params)
+    base_key.update(field=field.token(), caps=caps.to_json())
     item = functools.partial(_family_item, base_key, run, cache)
-    family = _family(args, cache)
     if args.jobs <= 1 or len(family) <= 1:
         chunks = [item(g6) for g6 in family]
     else:
@@ -412,27 +437,21 @@ def _emit_reports(reports) -> int:
 def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
     statement = args.statement
     if statement in _IDEAL_STATEMENTS:
+        _reject_unread(args, statement, _IDEAL_STATEMENTS[statement])
         check = _ideal_check(args)
-    elif statement not in STATEMENTS:
-        raise ValueError(f"unknown statement {statement!r}")
-    _emit(_header("verify", args, field, caps, statement=statement))
-    if statement in _IDEAL_STATEMENTS:
+        _emit(_header("verify", args, field, caps, statement=statement))
         return _emit_reports([check(field, caps).to_json()])
-    params = _statement_params(args)
-    base_key = {
-        "op": "verify",
-        "statement": statement,
-        "params": {k: sorted(map(sorted, v)) if k in ("sets", "covers") else v for k, v in params.items()},
-    }
-    return _emit_reports(_run_family(args, base_key, statement, params, field, caps))
+    if statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}")
+    params, cache, family = _graph_inputs(args, statement)
+    _emit(_header("verify", args, field, caps, statement=statement))
+    return _emit_reports(_run_family(args, cache, family, statement, params, field, caps))
 
 
 def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
-    params = {"k_max": args.kmax, "reg_filter": args.reg_filter, "c_g": args.cg}
-    check_scan_range(args.conjecture, params)
-    _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=args.kmax))
-    base_key = {"op": "scan", "conjecture": args.conjecture, **params}
-    reports = _run_family(args, base_key, args.conjecture, params, field, caps)
+    params, cache, family = _graph_inputs(args, args.conjecture)
+    _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
+    reports = _run_family(args, cache, family, args.conjecture, params, field, caps)
     code = _emit_reports(reports)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:

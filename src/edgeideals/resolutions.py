@@ -224,48 +224,21 @@ class _PackedMembership:
 # -- lcm lattice ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LcmLattice:
-    """All lcms of nonempty generator subsets, plus a formal bottom element.
+def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
+    """The lcms of all nonempty generator subsets, as exponent tuples in increasing
+    lexicographic order: a linear extension of divisibility, so every element comes
+    before its multiples and the top comes last.
 
-    `exps` holds the elements as exponent tuples in increasing lexicographic
-    order: a linear extension of divisibility, so every element comes before
-    its multiples and the top comes last.  `elements`, `top` and `bottom`
-    build Monomials on request.
-    """
-
-    nvars: int
-    exps: list
-
-    @property
-    def elements(self) -> tuple:
-        return tuple(map(Monomial, self.exps))
-
-    @property
-    def top(self) -> Monomial:
-        return Monomial(self.exps[-1])
-
-    @property
-    def bottom(self) -> Monomial:
-        return Monomial.unit(self.nvars)
-
-    def __len__(self):
-        return len(self.exps)
-
-
-def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> LcmLattice:
-    """The lcm lattice, read off bitsets over the exponent box below the top when
-    the box has at most caps.membership_table_max points, else grown atom by atom
-    from packed multidegrees.  Raises CapExceeded past caps.lattice_max elements."""
+    They are read off bitsets over the exponent box below the top when the box has at
+    most caps.membership_table_max points, else grown atom by atom from packed
+    multidegrees.  Raises CapExceeded past caps.lattice_max elements."""
     _guard_proper(ideal, "the lcm lattice")
     gens = [g.exps for g in ideal.gens]
     top = tuple(map(max, zip(*gens)))
     box = _Box.fitting(top, caps)
     if box is not None:
-        exps = _box_lattice(box, gens, caps)
-    else:
-        exps = _packed_lattice(ideal, Packing(ideal.nvars, max(top)), caps)
-    return LcmLattice(ideal.nvars, exps)
+        return _box_lattice(box, gens, caps)
+    return _packed_lattice(ideal, Packing(ideal.nvars, max(top)), caps)
 
 
 def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tuple:
@@ -397,13 +370,13 @@ def betti_table(
 ) -> BettiTable:
     """Complete multigraded Betti table via lattice-supported membership complexes."""
     _guard_proper(ideal, "the Betti table")
-    lat = lcm_lattice(ideal, caps)
-    table, strides = _membership_table(ideal, lat.exps[-1], caps)
+    lattice = lcm_lattice(ideal, caps)
+    table, strides = _membership_table(ideal, lattice[-1], caps)
     down = [-s for s in strides]
     memo = _COMPLEX_MEMO.setdefault(field, {})
     entries: dict = {}
     multi: dict = {}
-    for exps in lat.exps:
+    for exps in lattice:
         # idx[f] lowers m by one in every support variable of the subset f
         idx = [sum(map(mul, exps, strides))]
         for step in compress(down, exps):

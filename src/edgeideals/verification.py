@@ -9,6 +9,7 @@ was hit, so a scan never drops an instance silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .complexes import CapExceeded
 from .graph6 import graph_to_graph6
@@ -304,12 +305,13 @@ def check_blemma_colon_structure(
     (L_i : L_{k+1}) containing (L_j : L_{k+1}).  Recorded, not asserted, when
     the graph is not gap-free.
     """
-    power = ideal_power(edge_ideal(g), n)
+    ideal = edge_ideal(g)
+    power = ideal_power(ideal, n)
     gens = list(ordering) if ordering is not None else power.sorted_gens()
     if sorted(gens, key=lambda m: m.exps) != sorted(power.gens, key=lambda m: m.exps):
         raise ValueError("ordering is not a permutation of the power's generators")
     inst = _ginst(g, n=n)
-    next_power = ideal_power(edge_ideal(g), n + 1)
+    next_power = ideal_product(power, ideal)
     violations = []
     for kk in range(1, len(gens)):
         last = gens[kk]
@@ -391,6 +393,15 @@ def check_s_suspension_invariance(
     return reports
 
 
+def _powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps):
+    """(k, I^k, Betti table of I^k) for k in the consecutive range ks; each power after the
+    first is one product with the power before it."""
+    power = None
+    for k in ks:
+        power = ideal_power(ideal, k) if power is None else ideal_product(power, ideal)
+        yield k, power, betti_table(power, field, caps)
+
+
 def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> tuple:
     """(unmet, powers, tables): why g fails the hypotheses of main1 and main2 (gap-free,
     I^j linear for 2 <= j <= k_max), or None when it meets them.
@@ -401,10 +412,9 @@ def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> t
     powers, tables = {1: embed(edge_ideal(g), g.n + 1)}, {}
     if not is_gap_free(g):
         return "hypothesis unmet: graph is not gap-free", powers, tables
-    for j in range(2, k_max + 1):
-        powers[j] = ideal_power(powers[1], j)
-        tables[j] = betti_table(powers[j], field, caps)
-        if not tables[j].is_linear(2 * j):
+    for j, power, table in _powers(powers[1], range(2, k_max + 1), field, caps):
+        powers[j], tables[j] = power, table
+        if not table.is_linear(2 * j):
             return f"hypothesis unmet: I^{j} has no linear resolution", powers, tables
     return None, powers, tables
 
@@ -428,8 +438,6 @@ def check_main1(
     per S in sets, in order.  The S-independent I(G)^k and its table are computed once."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    if k < 1:
-        raise ValueError(f"main1 needs a power k >= 1, got {k}")
     unmet, powers, tables = _power_hypothesis(g, k, field, caps)
     if unmet is not None:
         return [_skipped("main1", _ginst(g, S=s, k=k), unmet) for s in sets]
@@ -440,8 +448,9 @@ def check_main1(
     reports = []
     for s in sets:
         igs = edge_ideal(s_suspension(g, s))
-        whole = ideal_power(igs, k)
-        right = ideal_product(_star(g, s), ideal_power(igs, k - 1))
+        below = ideal_power(igs, k - 1)
+        whole = ideal_product(below, igs)
+        right = ideal_product(_star(g, s), below)
         if set(left.gens) & set(right.gens) or set(left.gens) | set(right.gens) != set(whole.gens):
             raise RuntimeError("internal error: construction is not a generator partition")
         tw = betti_table(whole, field, caps)
@@ -512,9 +521,8 @@ def check_banerjee(
     if r > 3:
         return _failed("banerjee", inst, {"reg": r, "bound": 3})
     power_regs = {}
-    for k in range(2, k_max + 1):
-        rk = regularity(ideal_power(ideal, k), field, caps)
-        power_regs[k] = rk
+    for k, _, table in _powers(ideal, range(2, k_max + 1), field, caps):
+        rk = power_regs[k] = table.regularity()
         if rk != 2 * k:
             return _failed("banerjee", inst, {"k": k, "reg": rk, "expected": 2 * k})
     return _passed("banerjee", inst, data={"reg": r, "power_regs": power_regs})
@@ -552,18 +560,17 @@ def check_reg_bounds(
 
 def check_bht_lower_bound(
     g: Graph,
-    k_values=(1, 2, 3),
+    k_max: int = 3,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
-    """reg(I(G)^k) >= 2k + im(G) - 1 for each requested k."""
-    inst = _ginst(g, k=list(k_values))
+    """reg(I(G)^k) >= 2k + im(G) - 1 for 1 <= k <= k_max."""
+    ks = range(1, k_max + 1)
+    inst = _ginst(g, k=list(ks))
     im = induced_matching_number(g)
-    ideal = edge_ideal(g)
     regs = {}
-    for k in k_values:
-        rk = regularity(ideal_power(ideal, k), field, caps)
-        regs[k] = rk
+    for k, _, table in _powers(edge_ideal(g), ks, field, caps):
+        rk = regs[k] = table.regularity()
         if rk < 2 * k + im - 1:
             return _failed(
                 "bht", inst, {"k": k, "reg": rk, "lower_bound": 2 * k + im - 1}
@@ -583,9 +590,8 @@ def check_hhz(
         return _skipped("hhz", inst, "hypothesis unmet: complement is not chordal")
     ideal = edge_ideal(g)
     regs = {}
-    for k in range(1, k_max + 1):
-        rk = regularity(ideal_power(ideal, k), field, caps)
-        regs[k] = rk
+    for k, _, table in _powers(ideal, range(1, k_max + 1), field, caps):
+        rk = regs[k] = table.regularity()
         if rk != 2 * k:
             return _failed("hhz", inst, {"k": k, "reg": rk, "expected": 2 * k})
     lq = linear_quotients_order(ideal, caps)
@@ -667,53 +673,35 @@ def probe_vertex_deletions(
 # -- conjecture scans -------------------------------------------------------------------
 
 
-def check_scan_range(conjecture: str, params: dict) -> None:
-    """Reject a k range the scan cannot check: np needs k_max >= 2, newconj2 1 <= c_G <= k_max."""
-    k_max = params.get("k_max", 2)
-    if conjecture == "np" and k_max < 2:
-        raise ValueError("np scans need k_max >= 2")
-    c_g = 2 if params.get("c_g") is None else params["c_g"]
-    if conjecture == "newconj2" and not k_max >= c_g >= 1:
-        raise ValueError("newconj2 scans need k_max >= c_G >= 1")
-
-
 def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
-    """The failed report of the first k in the consecutive range ks with reg(I^k) != 2k, or None;
-    each power after the first is one product with the power before it."""
-    power = None
-    for k in ks:
-        power = ideal_power(ideal, k) if power is None else ideal_product(power, ideal)
-        tab = betti_table(power, field, caps)
+    """The failed report of the first k in the consecutive range ks with reg(I^k) != 2k, or None."""
+    for k, _, tab in _powers(ideal, ks, field, caps):
         rk = tab.regularity()
         if rk != 2 * k:
-            return _failed(
-                statement,
-                instance,
-                {"k": k, "reg": rk, "expected": 2 * k, "table": tab.to_json()},
-            )
+            witness = {"k": k, "reg": rk, "expected": 2 * k, "table": tab.to_json()}
+            return _failed(statement, instance, witness)
     return None
 
 
 def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     """np or generalnp on one graph, reported on its canonical form; no report for a
     graph outside the scan's hypotheses."""
-    check_scan_range(statement, p)
     if not g.edges or not is_gap_free(g):
         return []
     cg = canonical_graph(g)
     inst = _ginst(cg)
-    reg_filter = p.get("reg_filter")
+    reg_filter = p["reg_filter"]
     try:
         ideal = edge_ideal(cg)
         r = regularity(ideal, field, caps)
         if statement == "np":
             if r != (3 if reg_filter is None else reg_filter):
                 return []
-            ks = range(2, p.get("k_max", 2) + 1)
+            ks = range(2, p["k_max"] + 1)
         else:
             if reg_filter is not None and r != reg_filter:
                 return []
-            ks = range(max(1, r - 1), p.get("k_max", 2) + 1)
+            ks = range(max(1, r - 1), p["k_max"] + 1)
             if not ks:
                 return [_skipped(statement, inst, f"empty k range for reg={r}")]
         # ks holds k = 1 only when reg(I) = 2, which already passes
@@ -730,12 +718,10 @@ def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps:
 def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     """newconj2 on one graph: one report per im/reg-invariant one-vertex extension."""
     statement = "newconj2"
-    check_scan_range(statement, p)
     if not g.edges:
         return []
     base_inst = _ginst(g)
-    cg_threshold = 2 if p.get("c_g") is None else p["c_g"]
-    ks = range(cg_threshold, p.get("k_max", 2) + 1)
+    ks = range(p["c_g"], p["k_max"] + 1)
     if not is_gap_free(g):
         return [_skipped(statement, base_inst, "hypothesis unmet: base graph is not gap-free")]
     bad = _power_linearity_reports(statement, base_inst, edge_ideal(g), ks, field, caps)
@@ -749,7 +735,7 @@ def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     ext_ks = range(max(2, ks.start), ks.stop)
     out = []
     for ext in _invariant_extensions(g, field, caps, reg_g):
-        inst = _ginst(g, z_neighborhood=sorted(ext.neighbors(g.n)), c_G=cg_threshold)
+        inst = _ginst(g, z_neighborhood=sorted(ext.neighbors(g.n)), c_G=ks.start)
         bad = _power_linearity_reports(statement, inst, edge_ideal(ext), ext_ks, field, caps)
         out.append(bad if bad is not None else _passed(statement, inst, data={"k_checked": list(ks)}))
     return out
@@ -772,43 +758,67 @@ def summarize_reports(reports) -> list:
 
 
 def _sets(g: Graph, p: dict):
-    sets = p.get("sets")
-    if sets is None:
-        sets = [s for s in independent_sets(g) if len(s) < g.n]
-    return sets
+    return [s for s in independent_sets(g) if len(s) < g.n] if p["sets"] is None else p["sets"]
 
 
 def _keylemma(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
-    covers = p.get("covers")
-    if covers is None:
-        covers = minimal_vertex_covers(g)
-    ks = [p["k"]] if p.get("k") is not None else [0, 1, 2]
+    covers = minimal_vertex_covers(g) if p["covers"] is None else p["covers"]
+    ks = [0, 1, 2] if p["k"] is None else [p["k"]]
     return [check_keylemma(g, c, k, field, caps) for c in covers for k in ks]
 
 
-# statement -> handler(g, params, field, caps) giving one report per sub-instance; a
-# handler that lets CapExceeded out gets one skipped report on g for the whole graph
-_HANDLERS = {
-    "froberg": lambda g, p, f, c: [check_froberg(g, f, c)],
-    "bounds": lambda g, p, f, c: [check_reg_bounds(g, f, c)],
-    "bht": lambda g, p, f, c: [check_bht_lower_bound(g, range(1, p.get("k_max", 3) + 1), f, c)],
-    "hhz": lambda g, p, f, c: [check_hhz(g, p.get("k_max", 3), f, c)],
-    "banerjee": lambda g, p, f, c: [check_banerjee(g, p.get("k_max", 3), f, c)],
-    "suspension": lambda g, p, f, c: check_s_suspension_invariance(g, _sets(g, p), f, c),
-    "keylemma": _keylemma,
-    "blemma": lambda g, p, f, c: [check_blemma_colon_structure(g, p.get("k", 1), None, f, c)],
-    "main1": lambda g, p, f, c: check_main1(g, _sets(g, p), p.get("k", 2), f, c),
-    "main2": lambda g, p, f, c: check_main2(g, _sets(g, p), p.get("k_max", 3), f, c),
-    "deletion-probe": lambda g, p, f, c: [probe_vertex_deletions(g, f, c)],
-    "np": lambda g, p, f, c: _scan_power_linearity("np", g, p, f, c),
-    "generalnp": lambda g, p, f, c: _scan_power_linearity("generalnp", g, p, f, c),
-    "newconj2": _scan_extensions,
+# statement -> (handler(g, params, field, caps) giving one report per sub-instance, the
+# parameters the handler reads with their defaults); a handler that lets CapExceeded out
+# gets one skipped report on g for the whole graph
+_REGISTRY = {
+    "froberg": (lambda g, p, f, c: [check_froberg(g, f, c)], {}),
+    "bounds": (lambda g, p, f, c: [check_reg_bounds(g, f, c)], {}),
+    "bht": (lambda g, p, f, c: [check_bht_lower_bound(g, p["k_max"], f, c)], {"k_max": 3}),
+    "hhz": (lambda g, p, f, c: [check_hhz(g, p["k_max"], f, c)], {"k_max": 3}),
+    "banerjee": (lambda g, p, f, c: [check_banerjee(g, p["k_max"], f, c)], {"k_max": 3}),
+    "suspension": (
+        lambda g, p, f, c: check_s_suspension_invariance(g, _sets(g, p), f, c),
+        {"sets": None},
+    ),
+    "keylemma": (_keylemma, {"covers": None, "k": None}),
+    "blemma": (lambda g, p, f, c: [check_blemma_colon_structure(g, p["k"], None, f, c)], {"k": 1}),
+    "main1": (lambda g, p, f, c: check_main1(g, _sets(g, p), p["k"], f, c), {"sets": None, "k": 2}),
+    "main2": (
+        lambda g, p, f, c: check_main2(g, _sets(g, p), p["k_max"], f, c),
+        {"sets": None, "k_max": 3},
+    ),
+    "deletion-probe": (lambda g, p, f, c: [probe_vertex_deletions(g, f, c)], {}),
+    "np": (partial(_scan_power_linearity, "np"), {"k_max": 2, "reg_filter": None}),
+    "generalnp": (partial(_scan_power_linearity, "generalnp"), {"k_max": 2, "reg_filter": None}),
+    "newconj2": (_scan_extensions, {"k_max": 2, "c_g": 2}),
 }
 
-# the conjecture scans of `scan`, reading k_max, reg_filter and c_g from params
+# the conjecture scans of `scan`
 CONJECTURES = ("np", "generalnp", "newconj2")
 # the statements of `verify`
-STATEMENTS = tuple(st for st in _HANDLERS if st not in CONJECTURES)
+STATEMENTS = tuple(st for st in _REGISTRY if st not in CONJECTURES)
+
+
+def statement_params(statement: str, given: dict) -> dict:
+    """The parameters of a statement: given over its defaults.  With given empty, the keys
+    are exactly the parameters the statement reads.
+
+    Raises ValueError for an unknown statement, a parameter it does not read, or a power
+    range it cannot check."""
+    if statement not in _REGISTRY:
+        raise ValueError(f"unknown statement {statement!r}")
+    defaults = _REGISTRY[statement][1]
+    for name in given:
+        if name not in defaults:
+            raise ValueError(f"{statement} does not read the parameter {name!r}")
+    p = {**defaults, **given}
+    if statement == "np" and p["k_max"] < 2:
+        raise ValueError("np scans need k_max >= 2")
+    if statement == "newconj2" and not p["k_max"] >= p["c_g"] >= 1:
+        raise ValueError("newconj2 scans need k_max >= c_G >= 1")
+    if statement == "main1" and p["k"] < 1:
+        raise ValueError(f"main1 needs a power k >= 1, got {p['k']}")
+    return p
 
 
 def run_statement(
@@ -820,10 +830,8 @@ def run_statement(
 ) -> list:
     """Run one named statement or conjecture scan on one graph; returns one report per
     sub-instance."""
-    handler = _HANDLERS.get(statement)
-    if handler is None:
-        raise ValueError(f"unknown statement {statement!r}")
+    p = statement_params(statement, params or {})
     try:
-        return handler(g, params or {}, field, caps)
+        return _REGISTRY[statement][0](g, p, field, caps)
     except CapExceeded as e:
         return [_skipped(statement, _ginst(g), f"engine cap hit: {e}")]

@@ -9,7 +9,7 @@ membership complexes instead, so agreement between the two is a real check.
 
 from edgeideals.complexes import CapExceeded, mask_homology_ranks
 from edgeideals.linalg import RATIONALS, Field
-from edgeideals.monomials import MonomialIdeal
+from edgeideals.monomials import Monomial, MonomialIdeal
 from edgeideals.resolutions import (
     DEFAULT_CAPS,
     BettiTable,
@@ -55,7 +55,7 @@ def interval_betti_oracle(
     _guard_proper(ideal, "the Betti table")
     entries: dict = {}
     multi: dict = {}
-    elements = lcm_lattice(ideal, caps).elements
+    elements = [Monomial(e) for e in lcm_lattice(ideal, caps)]
     for m in elements:
         interval = [p for p in elements if p != m and p.divides(m)]
         chains = order_complex(interval, lambda a, b: a != b and a.divides(b), caps.order_faces_max)

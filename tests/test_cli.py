@@ -14,6 +14,7 @@ from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, cycle, path
 from edgeideals.resolutions import DEFAULT_CAPS
+from edgeideals.verification import CONJECTURES, STATEMENTS, statement_params
 
 
 def run_cli(capsys, *argv):
@@ -101,12 +102,17 @@ def test_exit_codes(capsys):
         (["verify", "--statement", "hhz", "--builder", "cycle:5", "--time-budget", "-1"], "--time-budget"),
         (["verify", "--statement", "hhz", "--builder", "cycle:5", "--time-budget", "0"], "--time-budget"),
         (["verify", "--statement", "hhz", "--builder", "cycle:5", "--time-budget", "nan"], "--time-budget"),
+        (["verify", "--statement", "froberg", "--builder", "cycle:4", "--jobs", "-3"], "--jobs"),
+        (["verify", "--statement", "froberg", "--builder", "cycle:4", "--jobs", "0"], "--jobs"),
+        (["scan", "--conjecture", "np", "--graph6", "ZZZ"], "graph6"),
+        (["verify", "--statement", "froberg", "--graph6", "A_", "--builder", "cycle:4"], "not allowed with"),
+        (["scan", "--conjecture", "np", "--max-n", "3", "--builder", "cycle:4"], "not allowed with"),
     ],
     ids=[
         "bht-kmax-0", "blemma-k-neg", "keylemma-k-neg", "max-n-neg", "max-n-0", "scan-kmax-0",
         "scan-max-n-neg", "np-kmax-1", "newconj2-cg-above-kmax", "newconj2-cg-0", "newconj2-cg-neg",
         "lattice-cap-neg", "scan-lattice-cap-0", "lq-cap-0", "time-budget-neg", "time-budget-0",
-        "time-budget-nan",
+        "time-budget-nan", "jobs-neg", "jobs-0", "scan-bad-graph6", "two-sources", "scan-two-sources",
     ],
 )
 def test_out_of_range_counts_exit_two(capsys, argv, message):
@@ -131,10 +137,13 @@ def test_out_of_range_counts_exit_two(capsys, argv, message):
             "--nvars", "2",
         ],
         ["--statement", "colon", "--ideal", "[]", "--monomial", "x0", "--nvars", "2"],
+        ["--statement", "froberg"],
+        ["--statement", "froberg", "--builder", "foo:3"],
+        ["--statement", "froberg", "--graph6-file", "/nonexistent/graphs.g6"],
     ],
     ids=[
         "unknown", "scan-only", "no-nvars", "colon-no-monomial", "splitting-no-part-k", "abc-no-part-j",
-        "bad-json", "splitting-not-a-partition", "colon-zero-ideal",
+        "bad-json", "splitting-not-a-partition", "colon-zero-ideal", "no-graph", "bad-builder", "no-file",
     ],
 )
 def test_verify_input_errors_print_no_header(capsys, argv):
@@ -142,6 +151,94 @@ def test_verify_input_errors_print_no_header(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# flag -> (the statement parameter it gives, a value that cycle:4 accepts)
+PARAM_FLAGS = {
+    "--set": ("sets", "0"),
+    "--cover": ("covers", "0,2"),
+    "--k": ("k", "1"),
+    "--kmax": ("k_max", "2"),
+    "--reg-filter": ("reg_filter", "3"),
+    "--cg": ("c_g", "2"),
+}
+IDEAL_FLAGS = {
+    "--ideal": '["x0*x1"]',
+    "--part-j": '["x0*x1"]',
+    "--part-k": '["x1*x2"]',
+    "--monomial": "x0",
+    "--nvars": "3",
+}
+# the ideal statements of verify -> a valid argv, which gives exactly the ideal flags the statement reads
+SPLIT_ARGV = ["--ideal", '["x0*x1","x1*x2"]', "--part-j", '["x0*x1"]', "--part-k", '["x1*x2"]', "--nvars", "3"]
+IDEAL_ARGV = {
+    "splitting": SPLIT_ARGV,
+    "doublelinear": SPLIT_ARGV,
+    "colon": ["--ideal", '["x0*x1","x1*x2"]', "--monomial", "x0", "--nvars", "3"],
+    "abc": ["--ideal", '["x0","x1"]', "--part-j", '["x0*x1"]', "--nvars", "3"],
+}
+
+
+def _statement_runs():
+    """(argv, statement, parameter flags of its command, ideal flags it reads) for every
+    statement of verify and every conjecture of scan."""
+    verify_flags = ("--set", "--cover", "--k", "--kmax")
+    for st in STATEMENTS:
+        yield ["verify", "--statement", st, "--builder", "cycle:4"], st, verify_flags, set()
+    for st, argv in IDEAL_ARGV.items():
+        yield ["verify", "--statement", st, *argv], st, verify_flags, set(argv[::2])
+    for c in CONJECTURES:
+        yield ["scan", "--conjecture", c, "--builder", "cycle:4"], c, ("--kmax", "--reg-filter", "--cg"), set()
+
+
+def test_each_statement_takes_only_the_flags_it_reads(capsys):
+    read = []
+    for argv, statement, flags, ideal_reads in _statement_runs():
+        params = {} if statement in IDEAL_ARGV else statement_params(statement, {})
+        for flag in flags:
+            name, value = PARAM_FLAGS[flag]
+            code, out, err = run_cli(capsys, *argv, flag, value, "--no-cache")
+            if name in params:
+                read.append((statement, flag))
+                assert code == 0, (statement, flag, err)
+            else:
+                # an unread flag is an input error before any output, so it never reaches a cache key
+                assert (code, out, err) == (2, "", f"error: {statement} does not read {flag}\n")
+        if argv[0] == "scan":
+            continue
+        for flag, value in IDEAL_FLAGS.items():
+            if flag not in ideal_reads:
+                code, out, err = run_cli(capsys, *argv, flag, value, "--no-cache")
+                assert (code, out, err) == (2, "", f"error: {statement} does not read {flag}\n")
+    assert len(read) == 17
+    code, out, _ = run_cli(capsys, "verify", "--statement", "froberg", "--builder", "cycle:4", "--k", "3", "--set", "0")
+    assert (code, out) == (2, "")
+
+
+def test_defaults_share_a_cache_entry_with_their_explicit_values(tmp_path, capsys, monkeypatch):
+    puts = count_calls(monkeypatch, ResultCache, "put")
+    args = ["verify", "--statement", "main2", "--builder", "anticycle:5", "--cache-dir", str(tmp_path)]
+    _, default, _ = run_cli(capsys, *args)
+    assert len(puts) == 1
+    _, explicit, _ = run_cli(capsys, *args, "--kmax", "3")
+    assert len(puts) == 1
+    assert explicit == default
+
+
+def test_a_statement_without_parameters_keeps_its_cache_key(tmp_path, capsys):
+    # the key of a statement that reads no parameter is what it was when every flag entered the
+    # key, so a cache filled before keeps its hits
+    run_cli(capsys, "verify", "--statement", "bounds", "--builder", "cycle:4", "--cache-dir", str(tmp_path))
+    key = {
+        "op": "verify",
+        "statement": "bounds",
+        "params": {},
+        "field": "Q",
+        "caps": DEFAULT_CAPS.to_json(),
+        "graph6": graph_to_graph6(cycle(4)),
+        "version": __version__,
+    }
+    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache(tmp_path)._path(key).name]
 
 
 # each command has the cap flags of the caps it reads, and no others

@@ -18,12 +18,14 @@ from edgeideals.linalg import GF2
 from edgeideals.monomials import (
     Monomial,
     edge_ideal,
+    generated_in_single_degree,
     ideal_power,
     minimalize,
     parse_ideal,
     parse_monomial,
     variable_ideal,
 )
+from edgeideals.resolutions import taylor_betti_oracle
 from edgeideals.verification import (
     CONJECTURES,
     STATEMENTS,
@@ -46,6 +48,7 @@ from edgeideals.verification import (
     is_im_reg_invariant_extension,
     probe_vertex_deletions,
     run_statement,
+    statement_params,
     summarize_reports,
 )
 
@@ -260,7 +263,7 @@ def test_froberg_bounds_bht_hhz_single_graphs():
     assert check_froberg(cycle(4)).verdict == "pass"
     assert check_froberg(cycle(5)).verdict == "pass"
     assert check_reg_bounds(TWO_K2).verdict == "pass"
-    assert check_bht_lower_bound(cycle(5), (1, 2)).verdict == "pass"
+    assert check_bht_lower_bound(cycle(5), 2).verdict == "pass"
     assert check_hhz(cycle(4), 2).verdict == "pass"
     rep = check_hhz(cycle(5), 2)
     assert rep.verdict == "skipped"
@@ -279,7 +282,7 @@ def test_four_bound_checks_are_mutually_consistent():
     for g in enumerate_graphs(5, min_n=2, require_edge=True):
         froberg = check_froberg(g)
         bounds = check_reg_bounds(g)
-        bht = check_bht_lower_bound(g, (1, 2))
+        bht = check_bht_lower_bound(g, 2)
         hhz = check_hhz(g, 2)
         assert froberg.verdict == "pass" and bounds.verdict == "pass"
         assert bht.verdict == "pass"
@@ -411,6 +414,18 @@ def test_run_statement_dispatch():
         run_statement("nonsense", cycle(4))
 
 
+def test_statement_params_fill_defaults_and_reject_unread_parameters():
+    assert statement_params("froberg", {}) == {}
+    assert statement_params("main2", {}) == {"sets": None, "k_max": 3}
+    assert statement_params("newconj2", {"k_max": 3}) == {"k_max": 3, "c_g": 2}
+    with pytest.raises(ValueError, match="froberg does not read the parameter 'k'"):
+        run_statement("froberg", cycle(4), {"k": 3})
+    with pytest.raises(ValueError, match="np does not read the parameter 'c_g'"):
+        run_statement("np", cycle(5), {"c_g": 7})
+    with pytest.raises(ValueError, match="main1 needs a power k >= 1, got 0"):
+        run_statement("main1", cycle(4), {"k": 0})
+
+
 def test_run_statement_gf2():
     reports = run_statement("froberg", cycle(5), field=GF2)
     assert reports[0].verdict == "pass"
@@ -489,9 +504,52 @@ def test_scans_build_each_power_with_one_product(monkeypatch):
     # ideal_power reaches ideal_product through monomials, the scans through verification
     for module in (monomials, verification):
         monkeypatch.setattr(module, "ideal_product", counting)
-    run_statement("np", anticycle(5), {"k_max": 4})
-    # I^2, I^3 and I^4, each one product with the power before it
-    assert len(calls) == 3
-    calls.clear()
-    run_statement("newconj2", anticycle(5), {"k_max": 3})
-    assert len(calls) == 34
+    # I^2, I^3 and I^4 for np, each one product with the power before it; I^(k-1) of each
+    # suspension once for main1, and I^(n+1) as I^n * I for blemma
+    for statement, g, params, products in (
+        ("np", anticycle(5), {"k_max": 4}, 3),
+        ("newconj2", anticycle(5), {"k_max": 3}, 34),
+        ("banerjee", anticycle(5), {"k_max": 3}, 2),
+        ("hhz", cycle(4), {"k_max": 3}, 2),
+        ("bht", anticycle(5), {"k_max": 3}, 2),
+        ("main1", anticycle(5), {"k": 3}, 35),
+        ("main2", anticycle(5), {"k_max": 3}, 48),
+        ("blemma", anticycle(5), {"k": 2}, 2),
+    ):
+        calls.clear()
+        run_statement(statement, g, params)
+        assert len(calls) == products, statement
+
+
+@pytest.fixture
+def wrong_degree_four_tables(monkeypatch):
+    """verification.betti_table with one extra entry beta_{1,7} = 1 in the table of every ideal
+    generated in degree 4, such as the square of an edge ideal."""
+    from edgeideals import verification
+    from edgeideals.resolutions import BettiTable
+
+    table = verification.betti_table
+
+    def injected(ideal, field, caps):
+        t = table(ideal, field, caps)
+        if generated_in_single_degree(ideal) != 4:
+            return t
+        multi = {(i, m.exps): b for (i, m), b in t.multi.items()}
+        return BettiTable(t.field_token, t.nvars, {**t.entries, (1, 7): 1}, multi)
+
+    monkeypatch.setattr(verification, "betti_table", injected)
+
+
+def test_power_checks_fail_on_a_nonlinear_square(wrong_degree_four_tables, capsys):
+    from edgeideals.cli import main
+
+    for statement, g in (("banerjee", anticycle(5)), ("hhz", cycle(4)), ("np", anticycle(5))):
+        (rep,) = run_statement(statement, g, {"k_max": 3})
+        assert rep.verdict == "fail", statement
+        assert {k: rep.witness[k] for k in ("k", "reg", "expected")} == {"k": 2, "reg": 6, "expected": 4}
+    assert {"i": 1, "j": 7, "beta": 1} in rep.witness["table"]["entries"]
+    # the injected entry is the only fault: the Taylor oracle gives the true regularity of the
+    # square that hhz checks (anticycle(5)^2 has 15 generators, too many for the oracle here)
+    assert taylor_betti_oracle(ideal_power(edge_ideal(cycle(4)), 2)).regularity() == 4
+    assert main(["verify", "--statement", "banerjee", "--builder", "anticycle:5", "--no-cache"]) == 1
+    capsys.readouterr()
