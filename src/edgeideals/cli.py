@@ -82,6 +82,8 @@ _IDEAL_STATEMENTS = {
     "colon": ("ideal", "monomial", "nvars"),
     "abc": ("ideal", "part_j", "nvars"),
 }
+# the graph-source, cache and worker flags of verify and scan, which only graph statements read
+_FAMILY_FLAGS = ("builder", "graph6", "graph6_file", "max_n", "jobs", "cache_dir", "no_cache")
 
 # EngineCaps field -> its flag; a command has the flags of the caps it reads, no others
 _CAP_FLAGS = {
@@ -194,8 +196,9 @@ def _add_engine_flags(p, *caps):
 
 def _add_cache_flags(p):
     p.add_argument("--cache-dir", help=f"result cache directory (or ${CACHE_ENV})")
-    p.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over family items")
+    # no defaults, so that _reject_unread sees whether these were given
+    p.add_argument("--no-cache", action="store_true", default=None, help="disable the result cache")
+    p.add_argument("--jobs", type=int, help="parallel workers over family items (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,8 +369,9 @@ def _check_ranges(args) -> None:
 
 
 def _reject_unread(args, statement: str, reads) -> None:
-    """Raise ValueError naming the first parameter or ideal flag given that statement does not read."""
-    for dest in (*_PARAMS, *_IDEAL_FLAGS):
+    """Raise ValueError naming the first parameter, ideal or family flag given that statement
+    does not read."""
+    for dest in (*_PARAMS, *_IDEAL_FLAGS, *_FAMILY_FLAGS):
         if getattr(args, dest, None) is not None and dest not in reads:
             raise ValueError(f"{statement} does not read --{dest.replace('_', '-')}")
 
@@ -377,7 +381,7 @@ def _graph_inputs(args, statement: str) -> tuple:
     parameters from the flags given, with defaults filled in, and the family's graph6 strings."""
     defaults = statement_params(statement, {})
     reads = [dest for dest, name in _PARAMS.items() if name in defaults]
-    _reject_unread(args, statement, reads)
+    _reject_unread(args, statement, (*reads, *_FAMILY_FLAGS))
     given = {_PARAMS[dest]: getattr(args, dest) for dest in reads if getattr(args, dest) is not None}
     params = statement_params(statement, given)
     cache = _cache(args)
@@ -415,7 +419,7 @@ def _run_family(args, cache: ResultCache, family: list, statement: str, params: 
     base_key = dict(op=args.command, statement=statement, params=params)
     base_key.update(field=field.token(), caps=caps.to_json())
     item = functools.partial(_family_item, base_key, run, cache)
-    if args.jobs <= 1 or len(family) <= 1:
+    if (args.jobs or 1) <= 1 or len(family) <= 1:
         chunks = [item(g6) for g6 in family]
     else:
         import multiprocessing

@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .graphs import Graph
 
@@ -161,24 +162,41 @@ class MonomialIdeal:
 
 
 def minimalize(nvars: int, monomials) -> MonomialIdeal:
-    """Ideal minimally generated by the given monomials (drop divisible ones)."""
+    """Ideal minimally generated by the given Monomials or exponent tuples (drop divisible ones).
+
+    Kept generator j is bit j of the per-variable threshold bitsets: for each exponent v of
+    x_i among the candidates, le[i][v] holds the kept generators whose x_i exponent is at most
+    v, so the AND over i of le[i][e_i] is the set of kept generators dividing e.  Candidates
+    run in (degree, exponents) order, so a candidate is redundant iff that AND is nonzero, and
+    only kept generators become Monomials.
+    """
     pool = set()
     for m in monomials:
-        if not isinstance(m, Monomial):
-            m = Monomial(tuple(m))
-        if m.nvars != nvars:
+        if isinstance(m, Monomial):
+            e = m.exps
+        else:
+            e = tuple(map(operator.index, m))
+            if e and min(e) < 0:
+                raise ValueError("exponents must be nonnegative")
+        if len(e) != nvars:
             raise ValueError("generator ambient does not match requested ambient")
-        if m.is_unit:
+        if not any(e):
             return MonomialIdeal.unit(nvars)
-        pool.add(m)
-    # every ambient is checked above, so divisibility compares exponent tuples directly
+        pool.add(e)
+    # keyed by the exponents that occur, so the bitsets stay few whatever the exponent size
+    le = [dict.fromkeys(column, 0) for column in zip(*pool)]
     kept = []
-    for m in sorted(pool, key=grlex_key):
-        d, e = m.degree, m.exps
-        if any(kd < d and all(map(int.__le__, ke, e)) for kd, ke, _ in kept):
+    # sorting by exponents, then stably by degree, gives the (degree, exponents) order
+    for e in sorted(sorted(pool), key=sum):
+        if reduce(operator.and_, map(dict.__getitem__, le, e)):
             continue
-        kept.append((d, e, m))
-    return MonomialIdeal(nvars, frozenset(m for _, _, m in kept))
+        bit = 1 << len(kept)
+        for row, v in zip(le, e):
+            for w in row:
+                if w >= v:
+                    row[w] |= bit
+        kept.append(e)
+    return MonomialIdeal(nvars, frozenset(map(Monomial, kept)))
 
 
 def parse_ideal(strings, nvars: int) -> MonomialIdeal:
@@ -220,12 +238,8 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _same_ambient(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.nvars)
-    prods = {
-        tuple(x + y for x, y in zip(u.exps, v.exps))
-        for u in a.gens
-        for v in b.gens
-    }
-    return minimalize(a.nvars, (Monomial(p) for p in prods))
+    prods = {tuple(map(operator.add, u.exps, v.exps)) for u in a.gens for v in b.gens}
+    return minimalize(a.nvars, prods)
 
 
 def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -243,19 +257,16 @@ def colon(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """Colon ideal (a : m); equals the unit ideal exactly when m lies in a."""
     if m.nvars != a.nvars:
         raise ValueError("ambient mismatch between ideal and monomial")
-    return minimalize(a.nvars, (g.colon_quotient(m) for g in a.gens))
+    quots = (tuple(x - y if x > y else 0 for x, y in zip(g.exps, m.exps)) for g in a.gens)
+    return minimalize(a.nvars, quots)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _same_ambient(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.nvars)
-    lcms = {
-        tuple(map(max, u.exps, v.exps))
-        for u in a.gens
-        for v in b.gens
-    }
-    return minimalize(a.nvars, (Monomial(t) for t in lcms))
+    lcms = {tuple(map(max, u.exps, v.exps)) for u in a.gens for v in b.gens}
+    return minimalize(a.nvars, lcms)
 
 
 def is_generated_by_variables(a: MonomialIdeal) -> bool:

@@ -147,7 +147,9 @@ def test_out_of_range_counts_exit_two(capsys, argv, message):
     ],
 )
 def test_verify_input_errors_print_no_header(capsys, argv):
-    code, out, err = run_cli(capsys, "verify", *argv, "--no-cache")
+    # the ideal statements read no cache flag, so only graph statements get --no-cache
+    no_cache = () if argv[1] in IDEAL_ARGV else ("--no-cache",)
+    code, out, err = run_cli(capsys, "verify", *argv, *no_cache)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -181,14 +183,15 @@ IDEAL_ARGV = {
 
 def _statement_runs():
     """(argv, statement, parameter flags of its command, ideal flags it reads) for every
-    statement of verify and every conjecture of scan."""
+    statement of verify and every conjecture of scan; only graph statements read --no-cache."""
     verify_flags = ("--set", "--cover", "--k", "--kmax")
+    graph = ["--builder", "cycle:4", "--no-cache"]
     for st in STATEMENTS:
-        yield ["verify", "--statement", st, "--builder", "cycle:4"], st, verify_flags, set()
+        yield ["verify", "--statement", st, *graph], st, verify_flags, set()
     for st, argv in IDEAL_ARGV.items():
         yield ["verify", "--statement", st, *argv], st, verify_flags, set(argv[::2])
     for c in CONJECTURES:
-        yield ["scan", "--conjecture", c, "--builder", "cycle:4"], c, ("--kmax", "--reg-filter", "--cg"), set()
+        yield ["scan", "--conjecture", c, *graph], c, ("--kmax", "--reg-filter", "--cg"), set()
 
 
 def test_each_statement_takes_only_the_flags_it_reads(capsys):
@@ -197,7 +200,7 @@ def test_each_statement_takes_only_the_flags_it_reads(capsys):
         params = {} if statement in IDEAL_ARGV else statement_params(statement, {})
         for flag in flags:
             name, value = PARAM_FLAGS[flag]
-            code, out, err = run_cli(capsys, *argv, flag, value, "--no-cache")
+            code, out, err = run_cli(capsys, *argv, flag, value)
             if name in params:
                 read.append((statement, flag))
                 assert code == 0, (statement, flag, err)
@@ -208,11 +211,35 @@ def test_each_statement_takes_only_the_flags_it_reads(capsys):
             continue
         for flag, value in IDEAL_FLAGS.items():
             if flag not in ideal_reads:
-                code, out, err = run_cli(capsys, *argv, flag, value, "--no-cache")
+                code, out, err = run_cli(capsys, *argv, flag, value)
                 assert (code, out, err) == (2, "", f"error: {statement} does not read {flag}\n")
     assert len(read) == 17
     code, out, _ = run_cli(capsys, "verify", "--statement", "froberg", "--builder", "cycle:4", "--k", "3", "--set", "0")
     assert (code, out) == (2, "")
+
+
+# the graph-source, cache and worker flags, each with a value that would be valid for a graph statement
+FAMILY_FLAGS = {
+    "--max-n": ["9"],
+    "--jobs": ["4"],
+    "--builder": ["cycle:4"],
+    "--graph6": ["C~"],
+    "--graph6-file": ["graphs.g6"],
+    "--cache-dir": ["cache"],
+    "--no-cache": [],
+}
+
+
+def test_ideal_statements_reject_the_family_flags(capsys):
+    for statement, argv in IDEAL_ARGV.items():
+        for flag, value in FAMILY_FLAGS.items():
+            code, out, err = run_cli(capsys, "verify", "--statement", statement, *argv, flag, *value)
+            assert (code, out, err) == (2, "", f"error: {statement} does not read {flag}\n")
+    colon = ["verify", "--statement", "colon", "--ideal", '["x0*x1"]', "--monomial", "x0", "--nvars", "2"]
+    # an explicit --jobs 1 is a flag given, like any other value
+    assert run_cli(capsys, *colon, "--jobs", "1") == (2, "", "error: colon does not read --jobs\n")
+    # the first unread flag is named
+    assert run_cli(capsys, *colon, "--max-n", "9", "--jobs", "4") == (2, "", "error: colon does not read --max-n\n")
 
 
 def test_defaults_share_a_cache_entry_with_their_explicit_values(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.graphs import Graph, cycle, path
@@ -26,6 +26,7 @@ from edgeideals.monomials import (
     parse_monomial,
     variable_ideal,
 )
+from minimalize_reference import reference_minimalize
 
 
 def mono(*exps):
@@ -101,6 +102,48 @@ def test_minimalize_examples():
     assert z.is_zero and not z.is_unit
     u = minimalize(2, [mono(0, 0), mono(1, 0)])
     assert u.is_unit
+
+
+def _raised(call):
+    """(type, message) of the TypeError or ValueError that call raises."""
+    with pytest.raises((TypeError, ValueError)) as info:
+        call()
+    return info.type, str(info.value)
+
+
+def test_tuple_inputs_raise_what_monomial_raises():
+    cases = [((1.5, 0), TypeError), (("1", 0), TypeError)]
+    cases += [((1, -1), ValueError), ((1, 0, 0), ValueError)]
+    for exps, error in cases:
+        as_tuple = _raised(lambda: minimalize(2, [exps]))
+        assert as_tuple == _raised(lambda: minimalize(2, [Monomial(exps)]))
+        assert as_tuple[0] is error
+    # bools are ints, as in Monomial
+    assert minimalize(2, [(True, 2)]).gens == frozenset([mono(1, 2)])
+
+
+@st.composite
+def minimalize_inputs(draw):
+    """(nvars, candidates): up to 40 exponent vectors with repeats, each a Monomial or a tuple."""
+    nvars = draw(st.integers(1, 6))
+    drawn = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=30))
+    if drawn:
+        drawn += draw(st.lists(st.sampled_from(drawn), max_size=10))
+    kinds = draw(st.lists(st.booleans(), min_size=len(drawn), max_size=len(drawn)))
+    return nvars, [Monomial(e) if as_monomial else e for e, as_monomial in zip(drawn, kinds)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(minimalize_inputs())
+@example((2, []))
+@example((3, [(1, 0, 2), Monomial((0, 0, 0)), (0, 1, 0)]))
+@example((2, [(0, 0)]))
+@example((3, [(10**12, 1, 0), (10**12 + 1, 1, 3), (0, 10**30, 0), Monomial((0, 2, 10**30))]))
+def test_minimalize_matches_the_reference_loop(case):
+    nvars, candidates = case
+    got, want = minimalize(nvars, candidates), reference_minimalize(nvars, candidates)
+    assert got.gens == want.gens
+    assert got.sorted_gens() == want.sorted_gens()
 
 
 def test_edge_ideal_examples():

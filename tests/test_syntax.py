@@ -1,5 +1,6 @@
-"""The package must parse as Python 3.10, the oldest version pyproject.toml allows,
-import nothing outside the standard library, and export only names it binds."""
+"""The package and its tests, test oracles included, must parse as Python 3.10, the oldest
+version pyproject.toml allows; the package must import nothing outside the standard library
+and export only names it binds."""
 
 import ast
 import sys
@@ -8,13 +9,16 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "edgeideals").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def test_sources_are_found():
     assert any(p.name == "resolutions.py" for p in SOURCES)
+    assert any(p.name == "minimalize_reference.py" for p in TESTS)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+# file names are unique across the package and tests/, so the ids are too
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=[p.name for p in SOURCES + TESTS])
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 

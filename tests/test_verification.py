@@ -17,12 +17,17 @@ from edgeideals.graphs import (
 from edgeideals.linalg import GF2
 from edgeideals.monomials import (
     Monomial,
+    MonomialIdeal,
     edge_ideal,
+    embed,
     generated_in_single_degree,
     ideal_power,
+    ideal_product,
+    intersect,
     minimalize,
     parse_ideal,
     parse_monomial,
+    principal_ideal,
     variable_ideal,
 )
 from edgeideals.resolutions import taylor_betti_oracle
@@ -242,6 +247,25 @@ def test_main2_instances():
     [rep] = check_main2(anticycle(5), [{0}], 2)
     assert rep.verdict == "pass"
     assert rep.data["power_reg"] == {2: 4}
+
+
+def test_main2_fails_on_a_broken_intersection_identity(monkeypatch):
+    from edgeideals import verification
+
+    def lossy(a, b):
+        # the true intersection less its last generator
+        meet = intersect(a, b)
+        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1]})
+
+    monkeypatch.setattr(verification, "intersect", lossy)
+    g = anticycle(5)
+    [rep] = check_main2(g, [{0}], 2)
+    assert rep.verdict == "fail"
+    assert rep.witness["identity"] == "intersection" and rep.witness["k"] == 2
+    z = principal_ideal(Monomial.variable(g.n + 1, g.n))
+    rhs = ideal_product(z, ideal_power(embed(edge_ideal(g), g.n + 1), 2)).gen_strings()
+    assert rep.witness["rhs"] == rhs
+    assert rep.witness["lhs"] != rhs
 
 
 def test_banerjee_instances():
