@@ -23,10 +23,13 @@ complex at x_S depends only on the labelled induced subgraph on S), and a
 hit skips the cone test and the reduction.  The memo is emptied when it
 reaches COMPLEX_MEMO_SIZE complexes, so its memory stays bounded.
 
-An independent cross-check ships alongside: strand homology of the Taylor
-complex (capped by generator count), which `betti --oracle` runs.  The test
+An independent cross-check ships alongside and `betti --oracle` runs it: the
+Taylor oracle reads the strand of the Taylor complex at m off the complex of
+generator subsets whose lcm is strictly below m (capped by generator count),
+with no lattice, membership table or memo.  The test
 suite also keeps an order-complex oracle over open lcm-lattice intervals
-(`tests/interval_oracle.py`) and enforces that all three engines agree.
+(`tests/interval_oracle.py`) and enforces that all three engines agree.  All
+three rank their complexes with `complexes.mask_homology_ranks`.
 """
 
 from __future__ import annotations
@@ -401,7 +404,22 @@ def taylor_betti_oracle(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> BettiTable:
-    """Independent oracle: homology of the multigraded strands of the Taylor complex."""
+    """Independent oracle: homology of the multigraded strands of the Taylor complex.
+
+    The strand of the Taylor complex at m is spanned by the generator subsets
+    whose lcm is m.  It is the relative complex (Delta_m, Delta_<m), where
+    Delta_m is the full simplex on the generators dividing m and Delta_<m its
+    subsets whose lcm is not m.  Delta_m is contractible, so homology of the
+    strand in homological index i is the reduced homology of Delta_<m in
+    dimension i - 1:
+
+        beta_{i,m} = rank H~_{i-1}(Delta_<m).
+
+    Delta_<m is closed under subsets, a simplicial complex, so it is ranked by
+    `mask_homology_ranks` like every other complex; the strand itself is not,
+    and is never passed there.  The oracle uses no lcm lattice, membership
+    table or memo.  It enumerates every generator subset, hence the cap.
+    """
     _guard_proper(ideal, "the Betti table")
     gens = ideal.sorted_gens()
     g = len(gens)
@@ -411,46 +429,28 @@ def taylor_betti_oracle(
     nmask = 1 << g
     lcms = [None] * nmask
     lcms[0] = (0,) * ideal.nvars
+    # the generators dividing m: the union of the subsets whose lcm is m
+    divisors: dict = {}
     for mask in range(1, nmask):
         low = mask & -mask
         rest = mask ^ low
         a = atoms[low.bit_length() - 1]
-        lcms[mask] = a if not rest else tuple(map(max, lcms[rest], a))
-    strands: dict = {}
-    for mask in range(1, nmask):
-        strands.setdefault(lcms[mask], {}).setdefault(bin(mask).count("1"), []).append(mask)
+        lcms[mask] = m = a if not rest else tuple(map(max, lcms[rest], a))
+        divisors[m] = divisors.get(m, 0) | mask
     entries: dict = {}
     multi: dict = {}
-    for mexps, by_card in strands.items():
-        for lst in by_card.values():
-            lst.sort()
-        # boundary within the strand: drop a generator only if the lcm is unchanged
-        bd_rank = {}
-        for c, cols in by_card.items():
-            rows = by_card.get(c - 1)
-            if not rows:
-                bd_rank[c] = 0
-                continue
-            ridx = {f: i for i, f in enumerate(rows)}
-            mat = [[0] * len(cols) for _ in rows]
-            for col, mask in enumerate(cols):
-                sign = 1
-                rest = mask
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    child = mask ^ bit
-                    if lcms[child] == mexps:
-                        mat[ridx[child]][col] = sign
-                    sign = -sign
-            bd_rank[c] = field.matrix_rank(mat)
-        mdeg = sum(mexps)
-        for c, lst in by_card.items():
-            h = len(lst) - bd_rank.get(c, 0) - bd_rank.get(c + 1, 0)
-            if h:
-                i = c - 1
-                multi[(i, mexps)] = h
-                entries[(i, mdeg)] = entries.get((i, mdeg), 0) + h
+    for mexps, full in divisors.items():
+        # Delta_<m: the proper submasks of full, the empty set among them, whose lcm is not m
+        lower = []
+        sub = full
+        while sub:
+            sub = (sub - 1) & full
+            if lcms[sub] != mexps:
+                lower.append(sub)
+        deg = sum(mexps)
+        for i, r in mask_homology_ranks(lower, field).items():
+            multi[(i, mexps)] = r
+            entries[(i, deg)] = entries.get((i, deg), 0) + r
     return BettiTable(field.token(), ideal.nvars, entries, multi)
 
 

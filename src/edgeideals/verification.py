@@ -104,12 +104,8 @@ def _skipped(statement, instance, reason, witness=None):
     return VerificationReport(statement, instance, SKIPPED, reason=reason, witness=witness)
 
 
-def _g6(g: Graph) -> str:
-    return graph_to_graph6(g)
-
-
 def _ginst(g: Graph, **params) -> str:
-    parts = [f"g6={_g6(g)}"]
+    parts = [f"g6={graph_to_graph6(g)}"]
     for k in sorted(params):
         v = params[k]
         if isinstance(v, (set, frozenset, tuple, list)):

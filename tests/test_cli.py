@@ -45,6 +45,14 @@ def test_betti_power_and_oracle(capsys):
     assert doc["multi"]
 
 
+@pytest.mark.parametrize("argv", [["--builder", "anticycle:5", "--power", "2"], ["--builder", "complete:6"]])
+def test_betti_oracle_agrees_at_fifteen_generators(capsys, argv):
+    # 15 generators, under the default Taylor cap of 16: the oracle finishes and agrees
+    code, out, _ = run_cli(capsys, "betti", *argv)
+    assert code == 0
+    assert run_cli(capsys, "betti", *argv, "--oracle") == (0, out, "")
+
+
 def test_betti_graph6_and_ideal(capsys):
     g6 = graph_to_graph6(Graph(2, [(0, 1)]))
     code, out, _ = run_cli(capsys, "betti", "--graph6", g6)

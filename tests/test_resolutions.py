@@ -7,7 +7,7 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.complexes import CapExceeded
@@ -23,7 +23,7 @@ from edgeideals.graphs import (
     s_suspension,
 )
 from edgeideals.enumeration import enumerate_graphs
-from edgeideals.linalg import GF2, RATIONALS
+from edgeideals.linalg import GF2, RATIONALS, Field
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
@@ -47,6 +47,7 @@ from edgeideals.resolutions import (
     regularity,
     taylor_betti_oracle,
 )
+from dense_homology import dense_taylor_betti_oracle
 from interval_oracle import interval_betti_oracle
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
@@ -174,6 +175,22 @@ def test_taylor_oracle_examples():
     assert entries_of(t) == {(0, 2): 2, (1, 3): 1}
     xy = minimalize(2, [mono(1, 0), mono(0, 1)])
     assert taylor_betti_oracle(xy) == betti_table(xy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=7)
+    ),
+    st.sampled_from([RATIONALS, GF2, Field(3)]),
+)
+@example([(1, 1, 0), (0, 1, 1), (1, 0, 1)], Field(3))
+@example([(2, 0), (1, 1), (0, 2)], GF2)
+def test_taylor_oracle_matches_the_dense_strand_reference(exps, field):
+    gens = [Monomial(e) for e in exps if any(e)]
+    assume(gens)
+    ideal = minimalize(len(exps[0]), gens)
+    assert taylor_betti_oracle(ideal, field) == dense_taylor_betti_oracle(ideal, field)
 
 
 def test_taylor_generator_cap():

@@ -573,7 +573,8 @@ def test_power_checks_fail_on_a_nonlinear_square(wrong_degree_four_tables, capsy
         assert {k: rep.witness[k] for k in ("k", "reg", "expected")} == {"k": 2, "reg": 6, "expected": 4}
     assert {"i": 1, "j": 7, "beta": 1} in rep.witness["table"]["entries"]
     # the injected entry is the only fault: the Taylor oracle gives the true regularity of the
-    # square that hhz checks (anticycle(5)^2 has 15 generators, too many for the oracle here)
+    # squares that banerjee and np check, and of the one that hhz checks
+    assert taylor_betti_oracle(ideal_power(edge_ideal(anticycle(5)), 2)).regularity() == 4
     assert taylor_betti_oracle(ideal_power(edge_ideal(cycle(4)), 2)).regularity() == 4
     assert main(["verify", "--statement", "banerjee", "--builder", "anticycle:5", "--no-cache"]) == 1
     capsys.readouterr()
