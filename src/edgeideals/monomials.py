@@ -200,6 +200,9 @@ def minimalize(nvars: int, monomials) -> MonomialIdeal:
 
 
 def parse_ideal(strings, nvars: int) -> MonomialIdeal:
+    """The ideal generated by a list of monomial strings, such as a parsed JSON `--ideal`."""
+    if not isinstance(strings, (list, tuple)) or not all(isinstance(s, str) for s in strings):
+        raise ValueError(f"an ideal is a list of monomial strings, not {strings!r}")
     return minimalize(nvars, (parse_monomial(s, nvars) for s in strings))
 
 

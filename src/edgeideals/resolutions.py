@@ -6,15 +6,16 @@ m: the simplicial complex on the support of m whose faces are the squarefree
 chunks S with m/x_S still inside the ideal.  Its rank in dimension i-1 is the
 multigraded Betti number at (i, m).
 
-All of this lives in the exponent box below the lcm of the generators.  When
-the box has at most `EngineCaps.membership_table_max` points, a set of
-multidegrees is one Python int with a bit per point (`_Box`): membership in
-the ideal and the lcm lattice are upward closures and intersections of such
-bitsets, and each face bitmap is gathered from the membership table in one
-call.  A bigger box falls back to multidegrees packed one int each
-(`Packing`), where lcm and divisibility are a few whole-int operations.
-Multidegrees leave the engine as exponent tuples; Monomials are built only
-when a caller reads `BettiTable.multi`.
+All of this lives in the exponent box below the lcm of the generators, where
+a multidegree is one point index, sum(e_i * strides[i]).  When the box has at
+most `EngineCaps.membership_table_max` points, a set of multidegrees is one
+Python int with a bit per point (`_Box`): membership in the ideal and the lcm
+lattice are upward closures and intersections of such bitsets, and each face
+bitmap is gathered from the membership table in one call.  A bigger box keeps
+the same point indices: the lattice is grown atom by atom over exponent
+tuples, and membership decodes an index and ANDs per-variable threshold
+bitsets of the generators.  Multidegrees leave the engine as exponent tuples;
+Monomials are built only when a caller reads `BettiTable.multi`.
 
 The membership complex at m is determined by which support subsets are
 faces, one bit each, so its homology is memoised by that face bitmap and the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import compress, product
 from operator import itemgetter, mul
@@ -74,6 +76,11 @@ def _guard_proper(ideal: MonomialIdeal, what: str) -> None:
 # -- multidegrees in the exponent box ------------------------------------------
 
 
+def _strides(top: tuple) -> list:
+    """`_Box.strides` of the box below top, without building the box's bitsets."""
+    return [math.prod(t + 1 for t in top[i + 1 :]) for i in range(len(top))]
+
+
 class _Box:
     """The exponent box below top, whose subsets are bitsets in one Python int.
 
@@ -87,10 +94,7 @@ class _Box:
     def __init__(self, top: tuple, size: int):
         self.top = top
         self.size = size
-        strides = [1] * len(top)
-        for i in range(len(top) - 2, -1, -1):
-            strides[i] = strides[i + 1] * (top[i + 1] + 1)
-        self.strides = strides
+        self.strides = strides = _strides(top)
         # below[i]: the points whose exponent of x_i is below top[i], which can
         # still move up along axis i; one period of the pattern, doubled
         self.below = []
@@ -146,85 +150,54 @@ def _box_lattice(box: _Box, gens: list, caps: EngineCaps) -> list:
         # the points with m_i = 0 are those no point of the box moves up to
         lattice &= ~(box.below[i] << box.strides[i]) | reach
     lattice &= ~1  # the origin is the formal bottom, not an lcm
-    # counted before extraction; reported like the packed path, which stops one
-    # past the cap, so a skipped report reads the same on both paths
+    # counted before extraction; reported like the atom-by-atom path, which stops
+    # one past the cap, so a skipped report reads the same on both paths
     if lattice.bit_count() > caps.lattice_max:
         raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
     points = product(*(range(t + 1) for t in box.top))
     return list(compress(points, box.flags(lattice).replace(b"0", b"\0")))
 
 
-# -- packed multidegrees -----------------------------------------------------------
+class _ThresholdMembership:
+    """m in I by box index, as ASCII b"0"/b"1" like `_Box.flags`, for a box too big to hold
+    as a bitset.  Along each axis masks[k] holds the generators whose exponent is at most
+    values[k - 1], so the AND over the axes of the masks that an index decodes to is the
+    set of generators dividing m, as in `monomials.minimalize`."""
 
+    __slots__ = ("axes",)
 
-class Packing:
-    """Multidegrees of one ambient ring packed into Python ints, SWAR style.
+    def __init__(self, strides: list, gens: list):
+        self.axes = []
+        for stride, column in zip(strides, zip(*gens)):
+            values = sorted(set(column))
+            masks = [0] + [sum(1 << j for j, e in enumerate(column) if e <= v) for v in values]
+            self.axes.append((stride, values, masks))
 
-    Each variable owns a field of w = max_exp.bit_length() + 1 bits, x0 in the
-    most significant one, so comparing packed ints compares exponent tuples
-    lexicographically.  The top bit of every field is a guard bit that stored
-    values keep clear; subtracting across fields with the guard bits set
-    leaves each guard bit set exactly where that field did not borrow
-    (Warren, Hacker's Delight, ch. 2).  Used for exponent boxes too big to
-    hold as bitsets.
-    """
-
-    __slots__ = ("nvars", "w", "shifts", "guard", "low")
-
-    def __init__(self, nvars: int, max_exp: int):
-        w = max_exp.bit_length() + 1
-        self.nvars = nvars
-        self.w = w
-        self.shifts = tuple(w * (nvars - 1 - i) for i in range(nvars))
-        self.low = (1 << (w - 1)) - 1
-        self.guard = sum(1 << (s + w - 1) for s in self.shifts)
-
-    def pack(self, exps) -> int:
-        return sum(e << s for e, s in zip(exps, self.shifts))
-
-    def unpack(self, x: int) -> tuple:
-        low = self.low
-        return tuple((x >> s) & low for s in self.shifts)
-
-    def joins(self, b: int, elems) -> set:
-        """The lcms of b with each of elems, without a branch per field."""
-        h, low, top = self.guard, self.low, self.w - 1
-        bh = b | h
-        # where b_i >= x_i the guard survives and widens to a mask selecting b_i
-        return {x ^ ((b ^ x) & ((((bh - x) & h) >> top) * low)) for x in elems}
-
-    def divisible(self, x: int, gens) -> bool:
-        """True when some packed generator divides x."""
-        h = self.guard
-        xh = x | h
-        return any((xh - g) & h == h for g in gens)
-
-
-def _packed_lattice(ideal: MonomialIdeal, packing: Packing, caps: EngineCaps) -> list:
-    """Adds the atoms one at a time: L_k = L_{k-1} + {b_k} + (L_{k-1} joined with b_k)."""
-    elems: set = set()
-    for g in ideal.sorted_gens():
-        b = packing.pack(g.exps)
-        elems |= packing.joins(b, elems)
-        elems.add(b)
-        if len(elems) > caps.lattice_max:
-            raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
-    return list(map(packing.unpack, sorted(elems)))
-
-
-@dataclass(frozen=True, slots=True)
-class _PackedMembership:
-    """m in I for packed multidegrees m, by divisibility, as ASCII b"0"/b"1" like
-    `_Box.flags`; stands in for a box too big to hold as a bitset."""
-
-    packing: Packing
-    gens: list
-
-    def __getitem__(self, x: int) -> int:
-        return b"01"[self.packing.divisible(x, self.gens)]
+    def __getitem__(self, index: int) -> int:
+        common = -1
+        for stride, values, masks in self.axes:
+            e, index = divmod(index, stride)
+            common &= masks[bisect_right(values, e)]
+        return b"01"[common != 0]
 
 
 # -- lcm lattice ----------------------------------------------------------------
+
+
+def _joined_lattice(gens: list, caps: EngineCaps) -> list:
+    """Adds the atoms one at a time, L_k = L_{k-1} + {b_k} + (L_{k-1} joined with b_k),
+    joining column by column where b_k is nonzero."""
+    elems: set = set()
+    for b in gens:
+        columns = list(zip(*elems)) or [()] * len(b)
+        for i, v in enumerate(b):
+            if v:
+                columns[i] = [c if c > v else v for c in columns[i]]
+        elems.update(zip(*columns))
+        elems.add(b)
+        if len(elems) > caps.lattice_max:
+            raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
+    return sorted(elems)
 
 
 def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
@@ -233,27 +206,26 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
     before its multiples and the top comes last.
 
     They are read off bitsets over the exponent box below the top when the box has at
-    most caps.membership_table_max points, else grown atom by atom from packed
-    multidegrees.  Raises CapExceeded past caps.lattice_max elements."""
+    most caps.membership_table_max points, else grown atom by atom.  Raises CapExceeded
+    past caps.lattice_max elements."""
     _guard_proper(ideal, "the lcm lattice")
     gens = [g.exps for g in ideal.gens]
     top = tuple(map(max, zip(*gens)))
     box = _Box.fitting(top, caps)
     if box is not None:
         return _box_lattice(box, gens, caps)
-    return _packed_lattice(ideal, Packing(ideal.nvars, max(top)), caps)
+    return _joined_lattice(gens, caps)
 
 
 def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tuple:
     """m in I as ASCII b"0"/b"1" per point of the box below top, and the strides
-    that index it; for a box too big, a stand-in indexed by packed multidegree."""
+    that index it; for a box too big, a stand-in indexed the same way."""
+    gens = [g.exps for g in ideal.gens]
     box = _Box.fitting(top, caps)
     if box is not None:
-        gens = [g.exps for g in ideal.gens]
         return box.flags(box.up(box.points(gens), range(len(top)))), box.strides
-    packing = Packing(ideal.nvars, max(top))
-    table = _PackedMembership(packing, [packing.pack(g.exps) for g in ideal.sorted_gens()])
-    return table, [1 << s for s in packing.shifts]
+    strides = _strides(top)
+    return _ThresholdMembership(strides, gens), strides
 
 
 # -- Betti tables ------------------------------------------------------------------

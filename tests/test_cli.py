@@ -53,6 +53,19 @@ def test_betti_oracle_agrees_at_fifteen_generators(capsys, argv):
     assert run_cli(capsys, "betti", *argv, "--oracle") == (0, out, "")
 
 
+def test_betti_oracle_agrees_over_the_membership_table_cap(capsys):
+    # the box below the top has 2001 * 3001 * 1501 * 901 (about 8e12) points, far over the
+    # default membership_table_max, so default caps run the lattice grown atom by atom and
+    # the membership stand-in; the stdout digest was taken from an earlier fallback engine
+    ideal = '["x0^2000*x1","x1^3000*x2","x0*x2^1500","x3^900"]'
+    code, out, err = run_cli(capsys, "betti", "--ideal", ideal, "--nvars", "4", "--oracle")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reg"] == 7397
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "79e9c25739b09a592f4ec1c43fbfbafd6cb3d7d94933bff22a4f15d759691873"
+    )
+
+
 def test_betti_graph6_and_ideal(capsys):
     g6 = graph_to_graph6(Graph(2, [(0, 1)]))
     code, out, _ = run_cli(capsys, "betti", "--graph6", g6)
@@ -79,6 +92,11 @@ def test_exit_codes(capsys):
     # the interval oracle's face cap is a test-suite knob, not a CLI flag
     code, out, _ = run_cli(capsys, "betti", "--builder", "cycle:4", "--face-cap", "5")
     assert code == 2 and out == ""
+    # an ideal is a JSON list of monomial strings; a bare string is not read letter by letter
+    for ideal in ("[1]", '[["x0"]]', '"x0"', '{"x0": 1}'):
+        code, out, err = run_cli(capsys, "betti", "--ideal", ideal, "--nvars", "2")
+        assert (code, out) == (2, ""), ideal
+        assert "list of monomial strings" in err
 
 
 @pytest.mark.parametrize(
@@ -145,13 +163,17 @@ def test_out_of_range_counts_exit_two(capsys, argv, message):
             "--nvars", "2",
         ],
         ["--statement", "colon", "--ideal", "[]", "--monomial", "x0", "--nvars", "2"],
+        ["--statement", "splitting", "--ideal", "[null]", "--part-j", '["x0"]', "--part-k", '["x1"]', "--nvars", "2"],
+        ["--statement", "abc", "--ideal", '["x0"]', "--part-j", '"x0"', "--nvars", "1"],
+        ["--statement", "splitting", "--ideal", '["x0","x1"]', "--part-j", '["x0"]', "--part-k", "[2]", "--nvars", "2"],
         ["--statement", "froberg"],
         ["--statement", "froberg", "--builder", "foo:3"],
         ["--statement", "froberg", "--graph6-file", "/nonexistent/graphs.g6"],
     ],
     ids=[
         "unknown", "scan-only", "no-nvars", "colon-no-monomial", "splitting-no-part-k", "abc-no-part-j",
-        "bad-json", "splitting-not-a-partition", "colon-zero-ideal", "no-graph", "bad-builder", "no-file",
+        "bad-json", "splitting-not-a-partition", "colon-zero-ideal", "ideal-not-strings", "part-j-a-string",
+        "part-k-not-strings", "no-graph", "bad-builder", "no-file",
     ],
 )
 def test_verify_input_errors_print_no_header(capsys, argv):

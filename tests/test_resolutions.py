@@ -37,8 +37,8 @@ from edgeideals.monomials import (
 from edgeideals.resolutions import (
     DEFAULT_CAPS,
     EngineCaps,
-    Packing,
     _COMPLEX_MEMO,
+    _Box,
     betti_table,
     has_linear_resolution,
     lcm_lattice,
@@ -76,7 +76,7 @@ def test_lattice_examples():
 
 def test_lattice_cap():
     # the default box cap reads the lattice off the exponent box, a one-point
-    # box cap grows it from packed multidegrees
+    # box cap grows it atom by atom over exponent tuples
     for table_max in (DEFAULT_CAPS.membership_table_max, 1):
         caps = EngineCaps(lattice_max=3, membership_table_max=table_max)
         with pytest.raises(CapExceeded) as exc:
@@ -110,46 +110,8 @@ def test_lattice_order_extends_divisibility(exps):
     for i, m in enumerate(elems):
         assert not any(later.divides(m) for later in elems[i + 1 :])
     assert elems[-1] == reduce(Monomial.lcm, ideal.gens)
-    # the bitset lattice over the box and the packed one agree element for element
+    # the bitset lattice over the box and the one grown atom by atom agree element for element
     assert lat == lcm_lattice(ideal, EngineCaps(membership_table_max=1))
-
-
-# -- packed multidegrees --------------------------------------------------------------
-
-
-@st.composite
-def packed_pairs(draw):
-    nvars = draw(st.integers(1, 12))
-    # widths change at powers of two; 2^k - 1 fills every value bit of a field
-    max_exp = draw(st.integers(1, 40) | st.sampled_from([1, 3, 7, 8, 15, 16, 31, 32]))
-    exps = st.lists(
-        st.integers(0, max_exp) | st.sampled_from([0, max_exp]),
-        min_size=nvars,
-        max_size=nvars,
-    ).map(tuple)
-    return max_exp, draw(exps), draw(exps)
-
-
-@settings(max_examples=400, deadline=None)
-@given(packed_pairs())
-@example((1, (1, 0, 1), (0, 0, 1)))
-@example((7, (7, 0, 7, 3), (0, 7, 7, 4)))
-@example((8, (8, 0, 7), (7, 8, 0)))
-@example((31, (0,) * 12, (31,) * 12))
-def test_packed_arithmetic_matches_tuples(pair):
-    max_exp, a, b = pair
-    p = Packing(len(a), max_exp)
-    pa, pb = p.pack(a), p.pack(b)
-    assert p.unpack(pa) == a and p.unpack(pb) == b
-    assert p.joins(pa, [pb]) == {p.pack(tuple(map(max, a, b)))}
-    assert p.joins(pb, [pa, pb]) == {p.pack(tuple(map(max, a, b))), pb}
-    assert p.divisible(pb, [pa]) == all(x <= y for x, y in zip(a, b))
-    assert p.divisible(pa, [pb]) == all(x <= y for x, y in zip(b, a))
-    assert (pa < pb) == (a < b)
-
-
-def test_packed_width_follows_the_largest_exponent():
-    assert [Packing(3, e).w for e in (1, 2, 3, 4, 7, 8, 40)] == [2, 3, 3, 4, 4, 5, 7]
 
 
 # -- frozen tables ----------------------------------------------------------------
@@ -286,26 +248,59 @@ def test_engines_agree_with_larger_exponents():
         _agree_all_engines(minimalize(nvars, gens))
 
 
-def test_membership_fallback_path_matches_table_path():
-    # force the scan fallback by shrinking the membership table cap
-    tiny = EngineCaps(membership_table_max=1)
-    for ideal in [
-        ideal_power(edge_ideal(cycle(4)), 2),
-        parse_ideal(["x0^2", "x0*x1", "x1^2"], 2),
-        edge_ideal(cycle(5)),
-        # largest exponents 3 and 4: three- and four-bit fields
-        ideal_power(edge_ideal(path(3)), 3),
-        parse_ideal(["x0^3*x1", "x1^2*x2^3", "x0*x2^2", "x2^4"], 3),
-        # six variables
-        ideal_power(edge_ideal(s_suspension(anticycle(5), {0, 1})), 2),
-    ]:
-        # compute both tables afresh rather than read them from the complex memo
-        _COMPLEX_MEMO.clear()
-        assert betti_table(ideal, RATIONALS, tiny) == betti_table(ideal, RATIONALS)
+def _fallback_and_bitset_tables(ideal, field, fallback_caps):
+    # compute both tables afresh rather than read them from the complex memo
+    _COMPLEX_MEMO.clear()
+    fallback = betti_table(ideal, field, fallback_caps)
+    _COMPLEX_MEMO.clear()
+    return fallback, betti_table(ideal, field)
+
+
+def _exps(ideal):
+    return sorted(g.exps for g in ideal.gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=7)
+    ),
+    st.sampled_from([RATIONALS, GF2]),
+)
+@example(_exps(ideal_power(edge_ideal(cycle(4)), 2)), RATIONALS)
+@example(_exps(parse_ideal(["x0^2", "x0*x1", "x1^2"], 2)), RATIONALS)
+@example(_exps(edge_ideal(cycle(5))), RATIONALS)
+# largest exponents 3 and 4
+@example(_exps(ideal_power(edge_ideal(path(3)), 3)), RATIONALS)
+@example(_exps(parse_ideal(["x0^3*x1", "x1^2*x2^3", "x0*x2^2", "x2^4"], 3)), RATIONALS)
+# six variables
+@example(_exps(ideal_power(edge_ideal(s_suspension(anticycle(5), {0, 1})), 2)), RATIONALS)
+def test_membership_fallback_path_matches_table_path(exps, field):
+    # a one-point membership table cap forces the threshold-bitset stand-in
+    gens = [Monomial(e) for e in exps if any(e)]
+    assume(gens)
+    ideal = minimalize(len(exps[0]), gens)
+    fallback, bitset = _fallback_and_bitset_tables(ideal, field, EngineCaps(membership_table_max=1))
+    assert fallback == bitset
+
+
+def test_membership_table_cap_is_inclusive():
+    # a box of exactly membership_table_max points takes the bitset path, a bigger one falls back
+    ideal = parse_ideal(["x0^3*x1", "x1^2*x2^3", "x0*x2^2", "x2^4"], 3)
+    top = lcm_lattice(ideal)[-1]
+    size = 4 * 3 * 5
+    assert top == (3, 2, 4)
+    assert _Box.fitting(top, EngineCaps(membership_table_max=size)) is not None
+    assert _Box.fitting(top, EngineCaps(membership_table_max=size - 1)) is None
+    for field in (RATIONALS, GF2):
+        at_cap, bitset = _fallback_and_bitset_tables(ideal, field, EngineCaps(membership_table_max=size))
+        below_cap, _ = _fallback_and_bitset_tables(ideal, field, EngineCaps(membership_table_max=size - 1))
+        assert at_cap == below_cap == bitset
 
 
 # sha256 of json.dumps(table.to_json(include_multi=True), sort_keys=True), taken
-# from the packed-lattice engine that preceded the box engine
+# from an earlier engine that grew every lattice atom by atom; the last entry runs
+# the membership stand-in for boxes over the table cap
 PINNED_TABLES = [
     ("anticycle5-square", lambda: ideal_power(edge_ideal(anticycle(5)), 2), DEFAULT_CAPS,
      "566c32a8916c36c2c00f227c3ae1c02121d4377f736f5de26715f2b6f46301e4"),
@@ -314,7 +309,7 @@ PINNED_TABLES = [
     ("mixed-exponents",
      lambda: parse_ideal(["x0^3*x1", "x1^2*x2^2", "x0*x2^3", "x3^2", "x1*x3"], 4), DEFAULT_CAPS,
      "4b50f886bebdb29a9820fb6b61b87da57328b309e945441f442f1df429846a57"),
-    ("cycle5-square-packed", lambda: ideal_power(edge_ideal(cycle(5)), 2),
+    ("cycle5-square-fallback", lambda: ideal_power(edge_ideal(cycle(5)), 2),
      EngineCaps(membership_table_max=1),
      "f8dfe8498af60750ff78dd46e567bdeea532bc541a31505a52a6bec1e5ebe3ab"),
 ]

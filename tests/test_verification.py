@@ -578,3 +578,35 @@ def test_power_checks_fail_on_a_nonlinear_square(wrong_degree_four_tables, capsy
     assert taylor_betti_oracle(ideal_power(edge_ideal(cycle(4)), 2)).regularity() == 4
     assert main(["verify", "--statement", "banerjee", "--builder", "anticycle:5", "--no-cache"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "statement, g, builder",
+    # cycle(4) has reg 2 and a chordal complement; path(3) has reg 2 = m(G) + 1
+    [("froberg", cycle(4), "cycle:4"), ("bounds", path(3), "path:3")],
+)
+def test_regularity_checks_fail_on_a_shifted_regularity(monkeypatch, capsys, statement, g, builder):
+    from edgeideals import verification
+    from edgeideals.cli import main
+
+    # froberg and bounds read reg(I(G)) from resolutions.regularity, which calls its own
+    # betti_table, so the fault goes into verification.regularity: one too high on I(g) only
+    regularity = verification.regularity
+    ideal = edge_ideal(g)
+
+    def shifted(i, field, caps):
+        return regularity(i, field, caps) + (i == ideal)
+
+    monkeypatch.setattr(verification, "regularity", shifted)
+    (rep,) = run_statement(statement, g)
+    assert rep.verdict == "fail" and rep.reason is None, rep
+    assert rep.witness["reg"] == 3
+    # the shift is the only fault: the Taylor oracle gives the true reg, which the statement allows
+    true_reg = taylor_betti_oracle(ideal).regularity()
+    assert true_reg == 2 != rep.witness["reg"]
+    if statement == "froberg":
+        assert rep.witness["complement_chordal"]
+    else:
+        assert rep.witness["im"] + 1 <= true_reg <= rep.witness["matching"] + 1 < rep.witness["reg"]
+    assert main(["verify", "--statement", statement, "--builder", builder, "--no-cache"]) == 1
+    capsys.readouterr()
