@@ -55,8 +55,6 @@ from .verification import (
     run_statement,
     statement_params,
     summarize_reports,
-    validate_colon_ideal,
-    validate_partition,
 )
 
 EXIT_OK = 0
@@ -330,8 +328,8 @@ def _cmd_extend(args, field: Field, caps: EngineCaps) -> int:
     return EXIT_OK
 
 
-def _ideal_check(args):
-    """The check of an ideal statement on its validated inputs, to be called with (field, caps)."""
+def _ideal_report(args, field: Field, caps: EngineCaps):
+    """The report of an ideal statement on its parsed inputs; the check validates them."""
     if args.nvars is None:
         raise ValueError(f"--statement {args.statement} needs --nvars")
     nv = args.nvars
@@ -339,20 +337,18 @@ def _ideal_check(args):
         if not (args.ideal and args.part_j and args.part_k):
             raise ValueError("splitting statements need --ideal, --part-j and --part-k")
         parts = [parse_ideal(json.loads(t), nv) for t in (args.ideal, args.part_j, args.part_k)]
-        validate_partition(*parts)
         fn = check_betti_splitting if args.statement == "splitting" else check_doublelinear
-        return functools.partial(fn, *parts)
+        return fn(*parts, field, caps)
     if args.statement == "colon":
         if not (args.ideal and args.monomial):
             raise ValueError("colon needs --ideal and --monomial")
         ideal = parse_ideal(json.loads(args.ideal), nv)
-        validate_colon_ideal(ideal)
-        return functools.partial(check_colon_reg_bound, ideal, parse_monomial(args.monomial, nv))
+        return check_colon_reg_bound(ideal, parse_monomial(args.monomial, nv), field, caps)
     if not (args.ideal and args.part_j):
         raise ValueError("abc needs --ideal (ambient I) and --part-j (sub-ideal J)")
     ambient = parse_ideal(json.loads(args.ideal), nv)
     sub = parse_ideal(json.loads(args.part_j), nv)
-    return functools.partial(check_abc_bound, sub, ambient, None)
+    return check_abc_bound(sub, ambient, None, field, caps)
 
 
 def _check_ranges(args) -> None:
@@ -442,20 +438,22 @@ def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
     statement = args.statement
     if statement in _IDEAL_STATEMENTS:
         _reject_unread(args, statement, _IDEAL_STATEMENTS[statement])
-        check = _ideal_check(args)
-        _emit(_header("verify", args, field, caps, statement=statement))
-        return _emit_reports([check(field, caps).to_json()])
-    if statement not in STATEMENTS:
+        reports = [_ideal_report(args, field, caps).to_json()]
+    elif statement in STATEMENTS:
+        params, cache, family = _graph_inputs(args, statement)
+        reports = _run_family(args, cache, family, statement, params, field, caps)
+    else:
         raise ValueError(f"unknown statement {statement!r}")
-    params, cache, family = _graph_inputs(args, statement)
+    # the header follows the checks, so that an error a check raises leaves stdout empty
     _emit(_header("verify", args, field, caps, statement=statement))
-    return _emit_reports(_run_family(args, cache, family, statement, params, field, caps))
+    return _emit_reports(reports)
 
 
 def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
     params, cache, family = _graph_inputs(args, args.conjecture)
-    _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
     reports = _run_family(args, cache, family, args.conjecture, params, field, caps)
+    # the header follows the checks, as in verify
+    _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
     code = _emit_reports(reports)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:

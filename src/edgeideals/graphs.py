@@ -421,6 +421,8 @@ def s_suspension(g: Graph, s) -> Graph:
 
 def one_vertex_extensions(g: Graph):
     """All 2^n - 1 graphs adding one vertex z = n with a nonempty neighborhood in g."""
+    if g.n > 10:
+        raise ValueError("extension enumeration is desk scale only (n <= 10)")
     out = []
     for mask in range(1, 1 << g.n):
         extra = [(v, g.n) for v in range(g.n) if (mask >> v) & 1]

@@ -11,28 +11,23 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 
 
 def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
+    return k >= 2 and all(k % d for d in range(2, isqrt(k) + 1))
 
 
 @dataclass(frozen=True, slots=True)
 class Field:
-    """Coefficient field: rationals when p is None, otherwise GF(p)."""
+    """Coefficient field: rationals when p is None, otherwise GF(p) for a prime p < 2^31."""
 
     p: "int | None" = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        # p < 2^31 keeps the trial division of _is_prime under 2^16 steps
+        if self.p is not None and (self.p >= 1 << 31 or not _is_prime(self.p)):
+            raise ValueError(f"GF(p) needs a prime p < 2^31, got {self.p}")
 
     @property
     def is_rationals(self) -> bool:

@@ -209,20 +209,17 @@ def check_doublelinear(
 # -- colon regularity bounds ----------------------------------------------------------
 
 
-def validate_colon_ideal(ideal: MonomialIdeal) -> None:
-    """Raise ValueError unless the colon bound is defined for ideal: nonzero and proper."""
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("the bound needs a nonzero proper ideal")
-
-
 def check_colon_reg_bound(
     ideal: MonomialIdeal,
     m: Monomial,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
-    """reg(I) <= max(reg(I:m)+deg m, reg(I,m)); equality when m is a variable of I."""
-    validate_colon_ideal(ideal)
+    """reg(I) <= max(reg(I:m)+deg m, reg(I,m)); equality when m is a variable of I.
+
+    Raises ValueError for a zero or unit ideal, where the bound is not defined."""
+    if ideal.is_zero or ideal.is_unit:
+        raise ValueError("the bound needs a nonzero proper ideal")
     inst = _ideal_inst(ideal) + f" m={m}"
     q = colon(ideal, m)
     s = ideal_sum(ideal, principal_ideal(m))
@@ -398,29 +395,58 @@ def _powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps):
         yield k, power, betti_table(power, field, caps)
 
 
+def _nonlinear(k: int, table) -> "dict | None":
+    """The witness that I^k, whose Betti table is table, has no linear resolution, i.e.
+    reg(I^k) != 2k for an edge ideal I; None when it has one."""
+    r = table.regularity()
+    if r == 2 * k:
+        return None
+    return {"k": k, "reg": r, "expected": 2 * k, "table": table.to_json()}
+
+
+def _linear_powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps) -> tuple:
+    """(powers, witness): powers maps each k of the consecutive range ks, up to the first
+    nonlinear power, to (I^k, its Betti table); witness is that power's `_nonlinear` witness,
+    or None when every power in ks is linear."""
+    powers = {}
+    for k, power, table in _powers(ideal, ks, field, caps):
+        powers[k] = power, table
+        witness = _nonlinear(k, table)
+        if witness is not None:
+            return powers, witness
+    return powers, None
+
+
 def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> tuple:
-    """(unmet, powers, tables): why g fails the hypotheses of main1 and main2 (gap-free,
+    """(unmet, base, powers): why g fails the hypotheses of main1 and main2 (gap-free,
     I^j linear for 2 <= j <= k_max), or None when it meets them.
 
-    powers maps j to I(G)^j in n + 1 variables, from j = 1 up to the last power checked,
-    and tables maps each j >= 2 of them to its Betti table.  The extra variable divides
-    no generator, so it changes no Betti number."""
-    powers, tables = {1: embed(edge_ideal(g), g.n + 1)}, {}
+    base is I(G) in n + 1 variables and powers maps each j >= 2 checked to (I(G)^j, its
+    Betti table), also in n + 1 variables.  The extra variable divides no generator, so it
+    changes no Betti number."""
+    base = embed(edge_ideal(g), g.n + 1)
     if not is_gap_free(g):
-        return "hypothesis unmet: graph is not gap-free", powers, tables
-    for j, power, table in _powers(powers[1], range(2, k_max + 1), field, caps):
-        powers[j], tables[j] = power, table
-        if not table.is_linear(2 * j):
-            return f"hypothesis unmet: I^{j} has no linear resolution", powers, tables
-    return None, powers, tables
+        return "hypothesis unmet: graph is not gap-free", base, {}
+    powers, bad = _linear_powers(base, range(2, k_max + 1), field, caps)
+    if bad is not None:
+        return f"hypothesis unmet: I^{bad['k']} has no linear resolution", base, powers
+    return None, base, powers
 
 
-def _star(g: Graph, s):
-    """The ideal of the suspension's new edges z*x_v, v outside S, with z = x_n."""
+def _suspension_parts(g: Graph, s, ks: range):
+    """(k, I(G_S)^k, star * I(G_S)^(k-1)) for k in the consecutive range ks, where star is
+    the ideal of the suspension's new edges z*x_v, v outside S, with z = x_n.  Then
+    I(G_S)^k = I(G)^k + star * I(G_S)^(k-1), and each yielded ideal is one product."""
+    igs = edge_ideal(s_suspension(g, s))
     z = Monomial.variable(g.n + 1, g.n)
-    return minimalize(
+    star = minimalize(
         g.n + 1, (z * Monomial.variable(g.n + 1, v) for v in range(g.n) if v not in s)
     )
+    below = ideal_power(igs, ks.start - 1)
+    for k in ks:
+        whole = ideal_product(below, igs)
+        yield k, whole, ideal_product(star, below)
+        below = whole
 
 
 def check_main1(
@@ -434,19 +460,15 @@ def check_main1(
     per S in sets, in order.  The S-independent I(G)^k and its table are computed once."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    unmet, powers, tables = _power_hypothesis(g, k, field, caps)
+    unmet, base, powers = _power_hypothesis(g, k, field, caps)
     if unmet is not None:
         return [_skipped("main1", _ginst(g, S=s, k=k), unmet) for s in sets]
-    left = powers[k]
-    tl = tables[k] if k in tables else betti_table(left, field, caps)
+    left, tl = powers[k] if k in powers else (base, betti_table(base, field, caps))
     # for k >= 2 the intersection is z * I(G)^k for every S, so its table is shared
     meets = {}
     reports = []
     for s in sets:
-        igs = edge_ideal(s_suspension(g, s))
-        below = ideal_power(igs, k - 1)
-        whole = ideal_product(below, igs)
-        right = ideal_product(_star(g, s), below)
+        [(_, whole, right)] = _suspension_parts(g, s, range(k, k + 1))
         if set(left.gens) & set(right.gens) or set(left.gens) | set(right.gens) != set(whole.gens):
             raise RuntimeError("internal error: construction is not a generator partition")
         tw = betti_table(whole, field, caps)
@@ -469,28 +491,22 @@ def check_main2(
     one report per S in sets, in order.  The S-independent powers of I(G) are computed once."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    unmet, lefts, _ = _power_hypothesis(g, k_max, field, caps)
+    unmet, _, powers = _power_hypothesis(g, k_max, field, caps)
     if unmet is not None:
         return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
     z = principal_ideal(Monomial.variable(g.n + 1, g.n))
-    z_parts = {k: ideal_product(z, lefts[k]) for k in range(2, k_max + 1)}
-    return [_check_main2_set(g, s, k_max, lefts, z_parts, field, caps) for s in sets]
+    z_parts = {k: ideal_product(z, power) for k, (power, _) in powers.items()}
+    return [_check_main2_set(g, s, k_max, powers, z_parts, field, caps) for s in sets]
 
 
-def _check_main2_set(g, s, k_max, lefts, z_parts, field, caps):
-    """The main2 report of one set S; lefts and z_parts map k to I(G)^k and z * I(G)^k."""
+def _check_main2_set(g, s, k_max, powers, z_parts, field, caps):
+    """The main2 report of one set S; powers maps k to (I(G)^k, its table), z_parts to z * I(G)^k."""
     inst = _ginst(g, S=s, k_max=k_max)
-    igs = edge_ideal(s_suspension(g, s))
-    star = _star(g, s)
-    below = igs  # I(G_S)^(k-1)
-    for k in range(2, k_max + 1):
-        whole = ideal_product(below, igs)
-        right = ideal_product(star, below)
-        below = whole
-        tab = betti_table(whole, field, caps)
-        if not tab.is_linear(2 * k):
-            return _failed("main2", inst, {"k": k, "reg": tab.regularity(), "expected": 2 * k})
-        meet = intersect(lefts[k], right)
+    for k, whole, right in _suspension_parts(g, s, range(2, k_max + 1)):
+        bad = _nonlinear(k, betti_table(whole, field, caps))
+        if bad is not None:
+            return _failed("main2", inst, bad)
+        meet = intersect(powers[k][0], right)
         if meet != z_parts[k]:
             rhs = z_parts[k].gen_strings()
             witness = {"k": k, "identity": "intersection", "lhs": meet.gen_strings(), "rhs": rhs}
@@ -516,12 +532,10 @@ def check_banerjee(
     r = regularity(ideal, field, caps)
     if r > 3:
         return _failed("banerjee", inst, {"reg": r, "bound": 3})
-    power_regs = {}
-    for k, _, table in _powers(ideal, range(2, k_max + 1), field, caps):
-        rk = power_regs[k] = table.regularity()
-        if rk != 2 * k:
-            return _failed("banerjee", inst, {"k": k, "reg": rk, "expected": 2 * k})
-    return _passed("banerjee", inst, data={"reg": r, "power_regs": power_regs})
+    powers, bad = _linear_powers(ideal, range(2, k_max + 1), field, caps)
+    if bad is not None:
+        return _failed("banerjee", inst, bad)
+    return _passed("banerjee", inst, data={"reg": r, "power_regs": {k: 2 * k for k in powers}})
 
 
 # -- per-graph bound statements ---------------------------------------------------------
@@ -585,19 +599,16 @@ def check_hhz(
     if not is_chordal(complement(g)):
         return _skipped("hhz", inst, "hypothesis unmet: complement is not chordal")
     ideal = edge_ideal(g)
-    regs = {}
-    for k, _, table in _powers(ideal, range(1, k_max + 1), field, caps):
-        rk = regs[k] = table.regularity()
-        if rk != 2 * k:
-            return _failed("hhz", inst, {"k": k, "reg": rk, "expected": 2 * k})
+    powers, bad = _linear_powers(ideal, range(1, k_max + 1), field, caps)
+    if bad is not None:
+        return _failed("hhz", inst, bad)
     lq = linear_quotients_order(ideal, caps)
     if lq.status == "unknown":
         return _skipped("hhz", inst, f"linear-quotients search inconclusive: {lq.reason}")
     if lq.status != "found":
         return _failed("hhz", inst, {"linear_quotients": "none found"})
-    return _passed(
-        "hhz", inst, data={"power_regs": regs, "quotient_order": [str(m) for m in lq.order]}
-    )
+    order = [str(m) for m in lq.order]
+    return _passed("hhz", inst, data={"power_regs": {k: 2 * k for k in powers}, "quotient_order": order})
 
 
 # -- invariant one-vertex extensions ------------------------------------------------------
@@ -623,8 +634,6 @@ def is_im_reg_invariant_extension(
 
 def _invariant_extensions(g: Graph, field: Field, caps: EngineCaps, reg_g=None) -> list:
     """enumerate_im_reg_extensions, for a caller that may already know reg_g = reg(I(g))."""
-    if g.n > 10:
-        raise ValueError("extension enumeration is desk scale only (n <= 10)")
     exts = one_vertex_extensions(g)
     if not exts:
         return []
@@ -669,16 +678,6 @@ def probe_vertex_deletions(
 # -- conjecture scans -------------------------------------------------------------------
 
 
-def _power_linearity_reports(statement, instance, ideal, ks, field, caps):
-    """The failed report of the first k in the consecutive range ks with reg(I^k) != 2k, or None."""
-    for k, _, tab in _powers(ideal, ks, field, caps):
-        rk = tab.regularity()
-        if rk != 2 * k:
-            witness = {"k": k, "reg": rk, "expected": 2 * k, "table": tab.to_json()}
-            return _failed(statement, instance, witness)
-    return None
-
-
 def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     """np or generalnp on one graph, reported on its canonical form; no report for a
     graph outside the scan's hypotheses."""
@@ -701,11 +700,9 @@ def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps:
             if not ks:
                 return [_skipped(statement, inst, f"empty k range for reg={r}")]
         # ks holds k = 1 only when reg(I) = 2, which already passes
-        bad = _power_linearity_reports(
-            statement, inst, ideal, range(max(2, ks.start), ks.stop), field, caps
-        )
+        _, bad = _linear_powers(ideal, range(max(2, ks.start), ks.stop), field, caps)
         if bad is not None:
-            return [bad]
+            return [_failed(statement, inst, bad)]
         return [_passed(statement, inst, data={"reg": r, "k_checked": list(ks)})]
     except CapExceeded as e:
         return [_skipped(statement, inst, f"engine cap hit: {e}")]
@@ -720,10 +717,9 @@ def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     ks = range(p["c_g"], p["k_max"] + 1)
     if not is_gap_free(g):
         return [_skipped(statement, base_inst, "hypothesis unmet: base graph is not gap-free")]
-    bad = _power_linearity_reports(statement, base_inst, edge_ideal(g), ks, field, caps)
+    _, bad = _linear_powers(edge_ideal(g), ks, field, caps)
     if bad is not None:
-        w = bad.witness
-        reason = f"hypothesis unmet: base reg(I^{w['k']}) = {w['reg']} != {w['expected']}"
+        reason = f"hypothesis unmet: base reg(I^{bad['k']}) = {bad['reg']} != {bad['expected']}"
         return [_skipped(statement, base_inst, reason)]
     # with k = 1 in ks the base check has shown reg(I) = 2, which each
     # invariant extension keeps, so k = 1 passes for every extension
@@ -732,8 +728,9 @@ def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     out = []
     for ext in _invariant_extensions(g, field, caps, reg_g):
         inst = _ginst(g, z_neighborhood=sorted(ext.neighbors(g.n)), c_G=ks.start)
-        bad = _power_linearity_reports(statement, inst, edge_ideal(ext), ext_ks, field, caps)
-        out.append(bad if bad is not None else _passed(statement, inst, data={"k_checked": list(ks)}))
+        _, bad = _linear_powers(edge_ideal(ext), ext_ks, field, caps)
+        data = {"k_checked": list(ks)}
+        out.append(_passed(statement, inst, data=data) if bad is None else _failed(statement, inst, bad))
     return out
 
 

@@ -169,11 +169,15 @@ def test_out_of_range_counts_exit_two(capsys, argv, message):
         ["--statement", "froberg"],
         ["--statement", "froberg", "--builder", "foo:3"],
         ["--statement", "froberg", "--graph6-file", "/nonexistent/graphs.g6"],
+        # errors that the checks raise on the family's graphs, after its inputs were read
+        ["--statement", "main2", "--max-n", "3", "--set", "0,1"],
+        ["--statement", "keylemma", "--builder", "cycle:4", "--cover", "9"],
     ],
     ids=[
         "unknown", "scan-only", "no-nvars", "colon-no-monomial", "splitting-no-part-k", "abc-no-part-j",
         "bad-json", "splitting-not-a-partition", "colon-zero-ideal", "ideal-not-strings", "part-j-a-string",
-        "part-k-not-strings", "no-graph", "bad-builder", "no-file",
+        "part-k-not-strings", "no-graph", "bad-builder", "no-file", "set-not-independent",
+        "cover-out-of-range",
     ],
 )
 def test_verify_input_errors_print_no_header(capsys, argv):
@@ -349,6 +353,22 @@ def test_explicit_power_indices_are_honoured(capsys):
         capsys, "verify", "--statement", "main1", "--builder", "cycle:4", "--set", "0,2", "--k", "0"
     )
     assert code == 2 and "k >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["betti", "--builder", "path:3", "--field", "GF(1000000000000000003)"], "p < 2^31"),
+        (["extend", "--builder", "path:11"], "n <= 10"),
+        (["extend", "--builder", "path:11", "--all"], "n <= 10"),
+        (["extend", "--builder", "path:11", "--all", "--json"], "n <= 10"),
+    ],
+    ids=["huge-field", "extend-n-11", "extend-all-n-11", "extend-all-json-n-11"],
+)
+def test_oversized_inputs_exit_two_before_any_output(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_suspend(capsys):
@@ -815,17 +835,27 @@ G6_LINES = "DqK\nA?\nDUW\nBw\nDqK\n"
             5,
             "4b081b18c5d92753e9c9c514c024110569a8c16550fb89d415245ff3be559a68",
         ),
+        (
+            ("verify", "--statement", "banerjee", "--max-n", "5"),
+            48,
+            "791736fc4a63f61f76930ad62d6e38ab928aeac826f57980097a2d57d4ad35f3",
+        ),
+        (
+            ("verify", "--statement", "hhz", "--max-n", "5"),
+            48,
+            "324d65e846c0ca4636f75c091aa9bc66da5de6f9cd9803c1485796638248fcf0",
+        ),
     ],
     ids=[
         "main1", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear",
         "np", "generalnp", "generalnp-reg-2", "newconj2-cg-1", "np-anticycle",
         "np-file", "np-file-cap", "generalnp-file", "generalnp-file-cap", "newconj2-file",
-        "newconj2-file-cap",
+        "newconj2-file-cap", "banerjee", "hhz",
     ],
 )
 def test_per_graph_check_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv, lines, expected):
     # the checks that share one graph's tables across its S sets, extensions or parts,
-    # and the conjecture scans
+    # the power checks banerjee and hhz, and the conjecture scans
     monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
     if G6_FILE in argv:
         (tmp_path / "scan.g6").write_text(G6_LINES, encoding="ascii")

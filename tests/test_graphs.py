@@ -349,6 +349,9 @@ def test_one_vertex_extensions():
     assert len(exts) == 3
     exts3 = one_vertex_extensions(path(3))
     assert len(exts3) == 7
+    # 2^11 - 1 graphs are past desk scale; none is built
+    with pytest.raises(ValueError, match="n <= 10"):
+        one_vertex_extensions(path(11))
     for ext in exts3:
         assert induced_subgraph(ext, range(3)) == path(3)
         assert ext.degree(3) > 0

@@ -137,6 +137,20 @@ def test_field_tokens_and_validation():
         Field.from_token("R")
 
 
+def test_fields_refuse_a_prime_of_2_to_the_31_before_trial_division(monkeypatch):
+    from edgeideals import linalg
+
+    assert Field(2**31 - 1).token() == "GF(2147483647)"
+
+    def refuse(k):
+        raise AssertionError(f"trial division of {k}")
+
+    monkeypatch.setattr(linalg, "_is_prime", refuse)
+    for p in (2**31, 1000000000000000003):
+        with pytest.raises(ValueError, match=r"p < 2\^31"):
+            Field(p)
+
+
 def test_empty_and_degenerate_matrices():
     assert bareiss_rank([]) == 0
     assert bareiss_rank([[0, 0]]) == 0

@@ -545,10 +545,9 @@ def test_scans_build_each_power_with_one_product(monkeypatch):
         assert len(calls) == products, statement
 
 
-@pytest.fixture
-def wrong_degree_four_tables(monkeypatch):
-    """verification.betti_table with one extra entry beta_{1,7} = 1 in the table of every ideal
-    generated in degree 4, such as the square of an edge ideal."""
+def inject_beta_1_7(monkeypatch, select):
+    """Give verification.betti_table one extra entry beta_{1,7} = 1 in the table of every ideal
+    that select accepts."""
     from edgeideals import verification
     from edgeideals.resolutions import BettiTable
 
@@ -556,7 +555,7 @@ def wrong_degree_four_tables(monkeypatch):
 
     def injected(ideal, field, caps):
         t = table(ideal, field, caps)
-        if generated_in_single_degree(ideal) != 4:
+        if not select(ideal):
             return t
         multi = {(i, m.exps): b for (i, m), b in t.multi.items()}
         return BettiTable(t.field_token, t.nvars, {**t.entries, (1, 7): 1}, multi)
@@ -564,19 +563,89 @@ def wrong_degree_four_tables(monkeypatch):
     monkeypatch.setattr(verification, "betti_table", injected)
 
 
+@pytest.fixture
+def wrong_degree_four_tables(monkeypatch):
+    """verification.betti_table with one extra entry beta_{1,7} = 1 in the table of every ideal
+    generated in degree 4, such as the square of an edge ideal."""
+    inject_beta_1_7(monkeypatch, lambda ideal: generated_in_single_degree(ideal) == 4)
+
+
 def test_power_checks_fail_on_a_nonlinear_square(wrong_degree_four_tables, capsys):
     from edgeideals.cli import main
 
-    for statement, g in (("banerjee", anticycle(5)), ("hhz", cycle(4)), ("np", anticycle(5))):
+    for statement, g in (
+        ("banerjee", anticycle(5)), ("hhz", cycle(4)), ("generalnp", anticycle(5)), ("np", anticycle(5))
+    ):
         (rep,) = run_statement(statement, g, {"k_max": 3})
         assert rep.verdict == "fail", statement
         assert {k: rep.witness[k] for k in ("k", "reg", "expected")} == {"k": 2, "reg": 6, "expected": 4}
     assert {"i": 1, "j": 7, "beta": 1} in rep.witness["table"]["entries"]
     # the injected entry is the only fault: the Taylor oracle gives the true regularity of the
-    # squares that banerjee and np check, and of the one that hhz checks
+    # squares that banerjee, generalnp and np check, and of the one that hhz checks
     assert taylor_betti_oracle(ideal_power(edge_ideal(anticycle(5)), 2)).regularity() == 4
     assert taylor_betti_oracle(ideal_power(edge_ideal(cycle(4)), 2)).regularity() == 4
     assert main(["verify", "--statement", "banerjee", "--builder", "anticycle:5", "--no-cache"]) == 1
+    argv = ["scan", "--conjecture", "generalnp", "--builder", "anticycle:5", "--kmax", "3", "--no-cache"]
+    assert main(argv) == 1
+    capsys.readouterr()
+
+
+def _nonlinear_square_witness(rep):
+    assert rep.verdict == "fail", rep
+    assert {k: rep.witness[k] for k in ("k", "reg", "expected")} == {"k": 2, "reg": 6, "expected": 4}
+    assert {"i": 1, "j": 7, "beta": 1} in rep.witness["table"]["entries"]
+
+
+def test_newconj2_fails_on_a_nonlinear_extension_square(monkeypatch, capsys):
+    from edgeideals.cli import main
+
+    # only the squares of the extensions, in one variable more than P3, are hit; the base passes
+    inject_beta_1_7(
+        monkeypatch, lambda ideal: ideal.nvars == 4 and generated_in_single_degree(ideal) == 4
+    )
+    g = path(3)
+    reports = run_statement("newconj2", g)
+    exts = enumerate_im_reg_extensions(g)
+    assert exts and len(reports) == len(exts)
+    for rep, ext in zip(reports, exts):
+        assert "z_neighborhood" in rep.instance
+        _nonlinear_square_witness(rep)
+        assert taylor_betti_oracle(ideal_power(edge_ideal(ext), 2)).regularity() == 4
+    assert main(["scan", "--conjecture", "newconj2", "--builder", "path:3", "--no-cache"]) == 1
+    capsys.readouterr()
+
+
+def test_main1_fails_on_a_broken_splitting(monkeypatch, capsys):
+    from edgeideals.cli import main
+
+    # the whole I(G_S)^2 is the only part with generators both with and without z, so the
+    # hypothesis and the tables of the right part and of the intersection stay true
+    inject_beta_1_7(monkeypatch, lambda ideal: {bool(m.exps[-1]) for m in ideal.gens} == {True, False})
+    g, s = path(3), (0, 2)
+    [rep] = check_main1(g, [s], 2)
+    assert rep.verdict == "fail", rep
+    assert rep.witness == {"i": 1, "j": 7, "lhs": 1, "rhs": 0}
+    # the true beta_{1,7} of the whole is the 0 that the other three tables give
+    whole = ideal_power(edge_ideal(s_suspension(g, s)), 2)
+    assert taylor_betti_oracle(whole).beta(1, 7) == 0
+    assert main(["verify", "--statement", "main1", "--builder", "path:3", "--set", "0,2", "--no-cache"]) == 1
+    capsys.readouterr()
+
+
+def test_main2_fails_on_a_nonlinear_suspended_square(monkeypatch, capsys):
+    from edgeideals.cli import main
+
+    # only ideals with a generator divisible by z = x_n are hit, so the hypothesis on I(G)^j holds
+    inject_beta_1_7(
+        monkeypatch,
+        lambda ideal: generated_in_single_degree(ideal) == 4 and any(m.exps[-1] for m in ideal.gens),
+    )
+    g, s = path(3), (0, 2)
+    [rep] = check_main2(g, [s], 2)
+    _nonlinear_square_witness(rep)
+    assert taylor_betti_oracle(ideal_power(edge_ideal(s_suspension(g, s)), 2)).regularity() == 4
+    argv = ["verify", "--statement", "main2", "--builder", "path:3", "--set", "0,2", "--kmax", "2"]
+    assert main([*argv, "--no-cache"]) == 1
     capsys.readouterr()
 
 
