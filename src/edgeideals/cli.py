@@ -294,10 +294,12 @@ def _cmd_suspend(args, field: Field, caps: EngineCaps) -> int:
         for s in sets:
             sys.stdout.write(graph_to_graph6(s_suspension(g, s)) + "\n")
         return EXIT_OK
-    for s, rep in zip(sets, check_s_suspension_invariance(g, sets, field, caps)):
+    suspensions = [s_suspension(g, s) for s in sets]
+    reports = check_s_suspension_invariance(g, sets, field, caps, suspensions)
+    for s, gs, rep in zip(sets, suspensions, reports):
         _emit(
             {
-                "graph6": graph_to_graph6(s_suspension(g, s)),
+                "graph6": graph_to_graph6(gs),
                 "set": sorted(s),
                 "verdict": rep.verdict,
                 "im_reg": rep.data,
@@ -310,7 +312,7 @@ def _cmd_extend(args, field: Field, caps: EngineCaps) -> int:
     g = _single_graph(args)
     if args.all:
         exts = one_vertex_extensions(g)
-        invariant = set(enumerate_im_reg_extensions(g, field, caps)) if args.json else set()
+        invariant = set(enumerate_im_reg_extensions(g, field, caps, exts)) if args.json else set()
     else:
         exts = enumerate_im_reg_extensions(g, field, caps)
         invariant = set(exts)

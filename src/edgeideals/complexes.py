@@ -8,9 +8,6 @@ dimension -1.  These two are distinct values.
 
 from __future__ import annotations
 
-import functools
-import operator
-
 from .linalg import Field, unit_pivot_rank
 
 
@@ -28,7 +25,7 @@ def mask_homology_ranks(face_masks, field: Field) -> dict:
     """Reduced homology ranks of a complex whose faces are vertex bitmasks.
 
     Returns {cardinality c: rank of reduced homology in dimension c-1},
-    omitting zero ranks.  Detects cones early (all ranks vanish).
+    omitting zero ranks.
     """
     faces = set(face_masks)
     if not faces:
@@ -37,15 +34,6 @@ def mask_homology_ranks(face_masks, field: Field) -> dict:
     for f in faces:
         by_card.setdefault(bin(f).count("1"), []).append(f)
     cards = sorted(by_card)
-    # cone shortcut: an apex vertex contained in a coface of every face; it
-    # lies in every facet, so only the vertices common to the faces of top
-    # cardinality are tried
-    v = functools.reduce(operator.and_, by_card[cards[-1]])
-    while v:
-        bit = v & -v
-        v ^= bit
-        if all((f | bit) in faces for f in faces):
-            return {}
     for lst in by_card.values():
         lst.sort()
     # rank of the boundary map from cardinality c to c-1, reduced from the top

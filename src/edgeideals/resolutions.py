@@ -17,12 +17,24 @@ tuples, and membership decodes an index and ANDs per-variable threshold
 bitsets of the generators.  Multidegrees leave the engine as exponent tuples;
 Monomials are built only when a caller reads `BettiTable.multi`.
 
+The membership complex at m is the upper Koszul simplicial complex K^m
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm. 1.34).  It is a
+cone with apex i when m_i >= 1 and, for every F in supp(m) without i,
+m - e_F in I implies m - e_F - e_i in I; a cone is acyclic over every field,
+so its point adds no Betti number.  On the bitset path the cones of the whole
+box are found with a few shifts per pair of axes (`_cones`), and the face loop
+skips them before it gathers a face bitmap.  A box with every exponent at
+most 1 skips the search: no squarefree lattice point is a cone, since a
+generator g dividing m with g_i = 1 gives the face supp(m) - supp(g), and
+adding i to it lands on g/x_i, outside I.  The fallback for bigger boxes
+skips nothing.
+
 The membership complex at m is determined by which support subsets are
 faces, one bit each, so its homology is memoised by that face bitmap and the
 field.  Ideals of one family share many complexes (for an edge ideal the
 complex at x_S depends only on the labelled induced subgraph on S), and a
-hit skips the cone test and the reduction.  The memo is emptied when it
-reaches COMPLEX_MEMO_SIZE complexes, so its memory stays bounded.
+hit skips the reduction.  The memo is emptied when it reaches
+COMPLEX_MEMO_SIZE complexes, so its memory stays bounded.
 
 An independent cross-check ships alongside and `betti --oracle` runs it: the
 Taylor oracle reads the strand of the Taylor complex at m off the complex of
@@ -136,6 +148,27 @@ def _up_all_but_one(box: _Box, bits: int, axes: list) -> list:
     return _up_all_but_one(box, box.up(bits, b), a) + _up_all_but_one(box, box.up(bits, a), b)
 
 
+def _cones(box: _Box, member: int) -> int:
+    """The points whose membership complex is a cone, as a bitset over the box.
+
+    member is the bitset of I.  Apex i fails at m exactly when m = q + e_F for some
+    F without i and some q in I with q_i = m_i and q - e_i outside I.  Those q are
+    D_i = member minus the points one step up along axis i from a member, and widening
+    D_i by one step along each other axis in turn adds every such F.  The points with
+    m_i >= 1 outside the widened D_i are the cones with apex i.
+    """
+    axes = [i for i, t in enumerate(box.top) if t]
+    cones = 0
+    for i in axes:
+        below, step = box.below[i], box.strides[i]
+        bad = member & ~((member & below) << step)
+        for j in axes:
+            if j != i:
+                bad |= (bad & box.below[j]) << box.strides[j]
+        cones |= (below << step) & ~bad
+    return cones
+
+
 def _box_lattice(box: _Box, gens: list, caps: EngineCaps) -> list:
     """The lattice as a bitset over the box, extracted in increasing order.
 
@@ -218,14 +251,19 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
 
 
 def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tuple:
-    """m in I as ASCII b"0"/b"1" per point of the box below top, and the strides
-    that index it; for a box too big, a stand-in indexed the same way."""
+    """(membership, cones, strides): m in I and the cone points (`_cones`), each as
+    ASCII b"0"/b"1" per point of the box below top, and the strides that index both.
+
+    cones is None for a squarefree box, whose lattice has no cone, and for a box too
+    big, whose membership is a stand-in indexed the same way."""
     gens = [g.exps for g in ideal.gens]
     box = _Box.fitting(top, caps)
-    if box is not None:
-        return box.flags(box.up(box.points(gens), range(len(top)))), box.strides
-    strides = _strides(top)
-    return _ThresholdMembership(strides, gens), strides
+    if box is None:
+        strides = _strides(top)
+        return _ThresholdMembership(strides, gens), None, strides
+    member = box.up(box.points(gens), range(len(top)))
+    cones = box.flags(_cones(box, member)) if max(top) > 1 else None
+    return box.flags(member), cones, box.strides
 
 
 # -- Betti tables ------------------------------------------------------------------
@@ -306,6 +344,8 @@ class BettiTable:
         return f"BettiTable[{self.field_token}]({cells})"
 
 
+_SET = ord("1")  # a set point of `_Box.flags`
+
 # Membership complexes whose homology is kept in memory, over all fields; the
 # memo is emptied when it reaches this many.
 COMPLEX_MEMO_SIZE = 1 << 14
@@ -346,7 +386,7 @@ def betti_table(
     """Complete multigraded Betti table via lattice-supported membership complexes."""
     _guard_proper(ideal, "the Betti table")
     lattice = lcm_lattice(ideal, caps)
-    table, strides = _membership_table(ideal, lattice[-1], caps)
+    table, cones, strides = _membership_table(ideal, lattice[-1], caps)
     down = [-s for s in strides]
     memo = _COMPLEX_MEMO.setdefault(field, {})
     entries: dict = {}
@@ -354,6 +394,8 @@ def betti_table(
     for exps in lattice:
         # idx[f] lowers m by one in every support variable of the subset f
         idx = [sum(map(mul, exps, strides))]
+        if cones and cones[idx[0]] == _SET:  # a cone: acyclic, no Betti number at m
+            continue
         for step in compress(down, exps):
             idx += [i + step for i in idx]
         idx.reverse()

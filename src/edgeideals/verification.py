@@ -365,16 +365,19 @@ def check_s_suspension_invariance(
     sets,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
+    suspensions=None,
 ) -> list:
     """The one-vertex suspension preserves the induced matching number and regularity;
-    one report per S in sets, in order."""
+    one report per S in sets, in order.  A caller that has built s_suspension(g, S) for
+    each S passes them, in the same order, as suspensions."""
     if not g.edges:
         raise ValueError("the invariance check needs a graph with at least one edge")
     im_g = induced_matching_number(g)
     reg_g = regularity(edge_ideal(g), field, caps)
+    if suspensions is None:
+        suspensions = [s_suspension(g, s) for s in sets]
     reports = []
-    for s in sets:
-        gs = s_suspension(g, s)
+    for s, gs in zip(sets, suspensions):
         inst = _ginst(g, S=s)
         im_gs = induced_matching_number(gs)
         reg_gs = regularity(edge_ideal(gs), field, caps)
@@ -632,9 +635,10 @@ def is_im_reg_invariant_extension(
     return regularity(edge_ideal(ext), field, caps) == regularity(edge_ideal(g), field, caps)
 
 
-def _invariant_extensions(g: Graph, field: Field, caps: EngineCaps, reg_g=None) -> list:
+def _invariant_extensions(g: Graph, field: Field, caps: EngineCaps, reg_g=None, exts=None) -> list:
     """enumerate_im_reg_extensions, for a caller that may already know reg_g = reg(I(g))."""
-    exts = one_vertex_extensions(g)
+    if exts is None:
+        exts = one_vertex_extensions(g)
     if not exts:
         return []
     if not g.edges:
@@ -654,9 +658,11 @@ def enumerate_im_reg_extensions(
     g: Graph,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
+    exts=None,
 ) -> list:
-    """All one-vertex extensions of g preserving im and regularity."""
-    return _invariant_extensions(g, field, caps)
+    """All one-vertex extensions of g preserving im and regularity, in the order of
+    `one_vertex_extensions`; a caller that has built that list passes it as exts."""
+    return _invariant_extensions(g, field, caps, exts=exts)
 
 
 def probe_vertex_deletions(

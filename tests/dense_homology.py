@@ -2,8 +2,7 @@
 
 `dense_mask_homology_ranks` is the engine's former rank loop, kept as the
 reference for the sparse unit-pivot reduction in
-`complexes.mask_homology_ranks`.  It has no cone shortcut, so cones are
-checked against their matrices too.  `dense_taylor_betti_oracle` is the former
+`complexes.mask_homology_ranks`.  `dense_taylor_betti_oracle` is the former
 Taylor oracle, kept as the reference for `resolutions.taylor_betti_oracle`.
 """
 

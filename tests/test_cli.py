@@ -397,6 +397,37 @@ def test_extend(capsys):
     assert docs and all(d["invariant"] for d in docs)
 
 
+# sha256 of stdout, taken when each graph was built twice
+@pytest.mark.parametrize(
+    "argv, name, builds, digest",
+    [
+        (["extend", "--builder", "anticycle:5", "--all", "--json"], "one_vertex_extensions", 1,
+         "7520610f04a5192691df8abced63e2c4dd989ca28fa566122dcb65f88678391b"),
+        # one suspension for each of the 11 independent sets of anticycle(5) but V
+        (["suspend", "--builder", "anticycle:5", "--all", "--verify"], "s_suspension", 11,
+         "d7024076d27efc1475550d42f007c1efe2f65c740bb71d4bdf52ba32069ff371"),
+    ],
+    ids=["extend", "suspend"],
+)
+def test_extend_and_suspend_build_each_graph_once(capsys, monkeypatch, argv, name, builds, digest):
+    from edgeideals import cli, graphs, verification
+
+    calls = []
+    build = getattr(graphs, name)
+
+    def counting(g, *args):
+        calls.append(g)
+        return build(g, *args)
+
+    # the CLI and the checks each look the builder up in their own globals
+    for module in (cli, verification):
+        monkeypatch.setattr(module, name, counting)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert len(calls) == builds
+
+
 def test_verify_family(capsys):
     code, out, _ = run_cli(capsys, "verify", "--statement", "froberg", "--max-n", "4")
     assert code == 0

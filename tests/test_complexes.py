@@ -105,25 +105,6 @@ def test_reduction_examples(monkeypatch):
     assert shapes == [(0, 0)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(1, (1 << 6) - 1), min_size=1, max_size=6))
-@example(CONE)
-@example((0b0111, 0b1011))  # two triangles on the edge {0, 1}: both are apexes
-def test_cone_shortcut_fires_exactly_on_cones(facets):
-    faces = closure(facets)
-    support = max(faces).bit_length()
-    is_cone = any(all(f | 1 << v in faces for f in faces) for v in range(support))
-    calls = []
-    bareiss = linalg.bareiss_rank
-    linalg.bareiss_rank = lambda rows: calls.append(rows) or bareiss(rows)
-    try:
-        mask_homology_ranks(faces, RATIONALS)
-    finally:
-        linalg.bareiss_rank = bareiss
-    # every complex here has an edge map to reduce unless it is cut short as a cone
-    assert (not calls) == is_cone
-
-
 def test_order_complex_of_divisor_poset():
     items = [2, 3, 4, 6]
     chains = order_complex(items, lambda a, b: b % a == 0 and a != b, 1000)

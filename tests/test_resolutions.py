@@ -5,6 +5,7 @@ import json
 import random
 from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,6 +40,8 @@ from edgeideals.resolutions import (
     EngineCaps,
     _COMPLEX_MEMO,
     _Box,
+    _cones,
+    _membership_table,
     betti_table,
     has_linear_resolution,
     lcm_lattice,
@@ -275,13 +278,89 @@ def _exps(ideal):
 @example(_exps(parse_ideal(["x0^3*x1", "x1^2*x2^3", "x0*x2^2", "x2^4"], 3)), RATIONALS)
 # six variables
 @example(_exps(ideal_power(edge_ideal(s_suspension(anticycle(5), {0, 1})), 2)), RATIONALS)
+# a cone whose apex x2 sits on an axis with top exponent 1, at (3, 2, 1)
+@example([(3, 0, 1), (1, 2, 0), (3, 1, 0)], RATIONALS)
+@example(_exps(ideal_power(edge_ideal(anticycle(5)), 3)), GF2)
 def test_membership_fallback_path_matches_table_path(exps, field):
-    # a one-point membership table cap forces the threshold-bitset stand-in
+    # a one-point membership table cap forces the threshold-bitset stand-in, which
+    # skips no cone, so this also checks the cone skip of the bitset path
     gens = [Monomial(e) for e in exps if any(e)]
     assume(gens)
     ideal = minimalize(len(exps[0]), gens)
     fallback, bitset = _fallback_and_bitset_tables(ideal, field, EngineCaps(membership_table_max=1))
     assert fallback == bitset
+
+
+def _flagged_lattice(ideal) -> tuple:
+    """The lattice of ideal and the set of its points that `_cones` flags."""
+    lattice = lcm_lattice(ideal)
+    box = _Box.fitting(lattice[-1], DEFAULT_CAPS)
+    gens = [g.exps for g in ideal.gens]
+    cones = _cones(box, box.up(box.points(gens), range(ideal.nvars)))
+    return lattice, {m for m in lattice if cones >> sum(map(mul, m, box.strides)) & 1}
+
+
+def _is_cone_by_definition(gens, m) -> bool:
+    """Whether the membership complex at m has an apex: a support variable that joins every
+    face to a face.  The faces are the support subsets f with m - e_f in I, by divisibility."""
+    support = [i for i, e in enumerate(m) if e]
+    faces = set()
+    for f in range(1 << len(support)):
+        lower = list(m)
+        for k, i in enumerate(support):
+            lower[i] -= f >> k & 1
+        if any(all(a <= b for a, b in zip(g, lower)) for g in gens):
+            faces.add(f)
+    return any(all(f | 1 << v in faces for f in faces) for v in range(len(support)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=7)
+    )
+)
+@example([(3, 0, 1), (1, 2, 0), (3, 1, 0)])
+@example(_exps(ideal_power(edge_ideal(cycle(4)), 2)))
+def test_cones_are_the_lattice_points_with_an_apex(exps):
+    gens = [Monomial(e) for e in exps if any(e)]
+    assume(gens)
+    ideal = minimalize(len(exps[0]), gens)
+    gens = [g.exps for g in ideal.gens]
+    lattice, flagged = _flagged_lattice(ideal)
+    for m in lattice:
+        assert (m in flagged) == _is_cone_by_definition(gens, m), m
+    # a minimal generator's complex is {empty face}, which is no cone
+    assert not flagged.intersection(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=8)
+    )
+)
+@example(_exps(edge_ideal(cycle(5))))
+def test_squarefree_lattices_have_no_cone(exps):
+    gens = [Monomial(e) for e in exps if any(e)]
+    assume(gens)
+    ideal = minimalize(len(exps[0]), gens)
+    lattice, flagged = _flagged_lattice(ideal)
+    assert not flagged
+    # so the search is skipped on squarefree boxes
+    assert _membership_table(ideal, lattice[-1], DEFAULT_CAPS)[1] is None
+
+
+def test_cone_skip_keeps_the_lattice_cap():
+    ideal = ideal_power(edge_ideal(anticycle(5)), 2)
+    lattice, flagged = _flagged_lattice(ideal)
+    assert flagged
+    # the cap counts the whole lattice, cones included
+    size = len(lattice)
+    with pytest.raises(CapExceeded) as exc:
+        betti_table(ideal, RATIONALS, EngineCaps(lattice_max=size - 1))
+    assert (exc.value.cap, exc.value.limit, exc.value.size) == ("lattice_max", size - 1, size)
+    assert betti_table(ideal, RATIONALS, EngineCaps(lattice_max=size)) == betti_table(ideal)
 
 
 def test_membership_table_cap_is_inclusive():
