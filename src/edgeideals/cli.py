@@ -350,7 +350,7 @@ def _ideal_report(args, field: Field, caps: EngineCaps):
         raise ValueError("abc needs --ideal (ambient I) and --part-j (sub-ideal J)")
     ambient = parse_ideal(json.loads(args.ideal), nv)
     sub = parse_ideal(json.loads(args.part_j), nv)
-    return check_abc_bound(sub, ambient, None, field, caps)
+    return check_abc_bound(sub, ambient, field, caps)
 
 
 def _check_ranges(args) -> None:

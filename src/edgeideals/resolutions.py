@@ -14,8 +14,9 @@ lattice are upward closures and intersections of such bitsets, and each face
 bitmap is gathered from the membership table in one call.  A bigger box keeps
 the same point indices: the lattice is grown atom by atom over exponent
 tuples, and membership decodes an index and ANDs per-variable threshold
-bitsets of the generators.  Multidegrees leave the engine as exponent tuples;
-Monomials are built only when a caller reads `BettiTable.multi`.
+bitsets of the generators.  Multidegrees leave the engine as exponent tuples:
+`BettiTable.multi` is keyed by them and the graded entries are summed from it,
+so a Monomial is built only to print a multidegree in `BettiTable.to_json`.
 
 The membership complex at m is the upper Koszul simplicial complex K^m
 (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm. 1.34).  It is a
@@ -57,7 +58,7 @@ from types import MappingProxyType
 
 from .complexes import CapExceeded, mask_homology_ranks
 from .linalg import RATIONALS, Field
-from .monomials import Monomial, MonomialIdeal, generated_in_single_degree, grlex_key
+from .monomials import Monomial, MonomialIdeal, generated_in_single_degree
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,36 +273,29 @@ def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tup
 class BettiTable:
     """Graded Betti numbers of an ideal with the multigraded refinement.
 
-    entries maps (homological index i, total degree j) to a positive count;
-    multi maps (i, multidegree Monomial) to a positive count.  Both are
-    read-only views, because one check hands the same table to several
-    consumers, such as a linearity test and then a splitting identity.  The
-    constructor takes the multigraded counts keyed by (i, exponent tuple);
-    multi builds its Monomials on first access.
+    multi maps (homological index i, multidegree exponent tuple) to a positive
+    count, and entries maps (i, total degree j) to the sum of the counts of
+    degree j, summed once here.  Both are read-only views, because one check
+    hands the same table to several consumers, such as a linearity test and
+    then a splitting identity.
     """
 
-    __slots__ = ("field_token", "nvars", "entries", "_multi", "_multi_view")
+    __slots__ = ("field_token", "entries", "multi")
 
-    def __init__(self, field_token: str, nvars: int, entries: dict, multi: dict):
+    def __init__(self, field_token: str, multi: dict):
         self.field_token = field_token
-        self.nvars = nvars
-        self.entries = MappingProxyType(dict(entries))
-        self._multi = dict(multi)
-        self._multi_view = None
-
-    @property
-    def multi(self) -> MappingProxyType:
-        if self._multi_view is None:
-            self._multi_view = MappingProxyType(
-                {(i, Monomial(e)): b for (i, e), b in self._multi.items()}
-            )
-        return self._multi_view
+        self.multi = MappingProxyType(dict(multi))
+        entries: dict = {}
+        for (i, e), b in self.multi.items():
+            j = sum(e)
+            entries[(i, j)] = entries.get((i, j), 0) + b
+        self.entries = MappingProxyType(entries)
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def beta_multi(self, i: int, m: Monomial) -> int:
-        return self._multi.get((i, m.exps), 0)
+    def beta_multi(self, i: int, exps: tuple) -> int:
+        return self.multi.get((i, exps), 0)
 
     def regularity(self) -> int:
         return max(j - i for i, j in self.entries)
@@ -316,8 +310,7 @@ class BettiTable:
         return (
             isinstance(other, BettiTable)
             and self.field_token == other.field_token
-            and self.entries == other.entries
-            and self._multi == other._multi
+            and self.multi == other.multi
         )
 
     def to_json(self, include_multi: bool = False) -> dict:
@@ -331,11 +324,10 @@ class BettiTable:
             "pd": self.projective_dimension(),
         }
         if include_multi:
+            # (i, degree, exponents) is grlex order within each homological index
             out["multi"] = [
-                {"i": i, "m": str(m), "beta": b}
-                for (i, m), b in sorted(
-                    self.multi.items(), key=lambda kv: (kv[0][0], grlex_key(kv[0][1]))
-                )
+                {"i": i, "m": str(Monomial(e)), "beta": self.multi[(i, e)]}
+                for i, _, e in sorted((i, sum(e), e) for i, e in self.multi)
             ]
         return out
 
@@ -389,7 +381,6 @@ def betti_table(
     table, cones, strides = _membership_table(ideal, lattice[-1], caps)
     down = [-s for s in strides]
     memo = _COMPLEX_MEMO.setdefault(field, {})
-    entries: dict = {}
     multi: dict = {}
     for exps in lattice:
         # idx[f] lowers m by one in every support variable of the subset f
@@ -405,12 +396,9 @@ def betti_table(
         ranks = memo.get(bitmap)
         if ranks is None:  # a miss; hits skip the call
             ranks = _complex_ranks(bitmap, field)
-        if ranks:
-            deg = sum(exps)
-            for i, r in ranks:
-                multi[(i, exps)] = r
-                entries[(i, deg)] = entries.get((i, deg), 0) + r
-    return BettiTable(field.token(), ideal.nvars, entries, multi)
+        for i, r in ranks:
+            multi[(i, exps)] = r
+    return BettiTable(field.token(), multi)
 
 
 def taylor_betti_oracle(
@@ -451,7 +439,6 @@ def taylor_betti_oracle(
         a = atoms[low.bit_length() - 1]
         lcms[mask] = m = a if not rest else tuple(map(max, lcms[rest], a))
         divisors[m] = divisors.get(m, 0) | mask
-    entries: dict = {}
     multi: dict = {}
     for mexps, full in divisors.items():
         # Delta_<m: the proper submasks of full, the empty set among them, whose lcm is not m
@@ -461,11 +448,9 @@ def taylor_betti_oracle(
             sub = (sub - 1) & full
             if lcms[sub] != mexps:
                 lower.append(sub)
-        deg = sum(mexps)
         for i, r in mask_homology_ranks(lower, field).items():
             multi[(i, mexps)] = r
-            entries[(i, deg)] = entries.get((i, deg), 0) + r
-    return BettiTable(field.token(), ideal.nvars, entries, multi)
+    return BettiTable(field.token(), multi)
 
 
 # -- derived invariants ------------------------------------------------------------

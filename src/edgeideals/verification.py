@@ -136,12 +136,12 @@ def _splitting_report(statement, inst, tw, tl, tr, tm):
     mkeys = set(tw.multi)
     mkeys.update(tl.multi)
     mkeys.update(tr.multi)
-    mkeys.update((i + 1, m) for i, m in tm.multi)
-    for i, m in mkeys:
-        lhs = tw.beta_multi(i, m)
-        rhs = tl.beta_multi(i, m) + tr.beta_multi(i, m) + tm.beta_multi(i - 1, m)
+    mkeys.update((i + 1, e) for i, e in tm.multi)
+    for i, e in sorted(mkeys):
+        lhs = tw.beta_multi(i, e)
+        rhs = tl.beta_multi(i, e) + tr.beta_multi(i, e) + tm.beta_multi(i - 1, e)
         if lhs != rhs:
-            mismatch = {"i": i, "multidegree": str(m), "lhs": lhs, "rhs": rhs}
+            mismatch = {"i": i, "multidegree": str(Monomial(e)), "lhs": lhs, "rhs": rhs}
             return _failed(statement, inst, mismatch)
     reg_lhs = tw.regularity()
     reg_rhs = max(tl.regularity(), tr.regularity(), tm.regularity() - 1)
@@ -247,7 +247,6 @@ def check_colon_reg_bound(
 def check_abc_bound(
     sub: MonomialIdeal,
     ambient: MonomialIdeal,
-    ordering=None,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
@@ -263,9 +262,7 @@ def check_abc_bound(
         return _skipped("abc", inst, f"degree hypothesis fails: n1={n1}, n2={n2}")
     if not all(ambient.contains(g) for g in sub.gens):
         return _skipped("abc", inst, "sub-ideal is not contained in the ambient ideal")
-    order = list(ordering) if ordering is not None else ambient.sorted_gens()
-    if sorted(order, key=lambda m: m.exps) != sorted(ambient.gens, key=lambda m: m.exps):
-        raise ValueError("ordering is not a permutation of the ambient generators")
+    order = ambient.sorted_gens()
     a_term = regularity(colon(sub, order[0]), field, caps) + n1
     b_terms = []
     acc = sub
@@ -287,7 +284,6 @@ def check_abc_bound(
 def check_blemma_colon_structure(
     g: Graph,
     n: int = 1,
-    ordering=None,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
@@ -300,9 +296,7 @@ def check_blemma_colon_structure(
     """
     ideal = edge_ideal(g)
     power = ideal_power(ideal, n)
-    gens = list(ordering) if ordering is not None else power.sorted_gens()
-    if sorted(gens, key=lambda m: m.exps) != sorted(power.gens, key=lambda m: m.exps):
-        raise ValueError("ordering is not a permutation of the power's generators")
+    gens = power.sorted_gens()
     inst = _ginst(g, n=n)
     next_power = ideal_product(power, ideal)
     violations = []
@@ -780,7 +774,7 @@ _REGISTRY = {
         {"sets": None},
     ),
     "keylemma": (_keylemma, {"covers": None, "k": None}),
-    "blemma": (lambda g, p, f, c: [check_blemma_colon_structure(g, p["k"], None, f, c)], {"k": 1}),
+    "blemma": (lambda g, p, f, c: [check_blemma_colon_structure(g, p["k"], f, c)], {"k": 1}),
     "main1": (lambda g, p, f, c: check_main1(g, _sets(g, p), p["k"], f, c), {"sets": None, "k": 2}),
     "main2": (
         lambda g, p, f, c: check_main2(g, _sets(g, p), p["k_max"], f, c),
@@ -813,6 +807,8 @@ def statement_params(statement: str, given: dict) -> dict:
     p = {**defaults, **given}
     if statement == "np" and p["k_max"] < 2:
         raise ValueError("np scans need k_max >= 2")
+    if statement == "main2" and p["k_max"] < 2:
+        raise ValueError("main2 needs k_max >= 2")
     if statement == "newconj2" and not p["k_max"] >= p["c_g"] >= 1:
         raise ValueError("newconj2 scans need k_max >= c_G >= 1")
     if statement == "main1" and p["k"] < 1:

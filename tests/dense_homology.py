@@ -78,7 +78,6 @@ def dense_taylor_betti_oracle(
     strands: dict = {}
     for mask in range(1, nmask):
         strands.setdefault(lcms[mask], {}).setdefault(bin(mask).count("1"), []).append(mask)
-    entries: dict = {}
     multi: dict = {}
     for mexps, by_card in strands.items():
         for lst in by_card.values():
@@ -103,11 +102,8 @@ def dense_taylor_betti_oracle(
                         mat[ridx[child]][col] = sign
                     sign = -sign
             bd_rank[c] = field.matrix_rank(mat)
-        mdeg = sum(mexps)
         for c, lst in by_card.items():
             h = len(lst) - bd_rank.get(c, 0) - bd_rank.get(c + 1, 0)
             if h:
-                i = c - 1
-                multi[(i, mexps)] = h
-                entries[(i, mdeg)] = entries.get((i, mdeg), 0) + h
-    return BettiTable(field.token(), ideal.nvars, entries, multi)
+                multi[(c - 1, mexps)] = h
+    return BettiTable(field.token(), multi)

@@ -53,7 +53,6 @@ def interval_betti_oracle(
     small ideals; the face cap applies per interval.
     """
     _guard_proper(ideal, "the Betti table")
-    entries: dict = {}
     multi: dict = {}
     elements = [Monomial(e) for e in lcm_lattice(ideal, caps)]
     for m in elements:
@@ -62,5 +61,4 @@ def interval_betti_oracle(
         # a chain of c elements is a face of dimension c - 1: homological index c
         for i, r in mask_homology_ranks(chains, field).items():
             multi[(i, m.exps)] = r
-            entries[(i, m.degree)] = entries.get((i, m.degree), 0) + r
-    return BettiTable(field.token(), ideal.nvars, entries, multi)
+    return BettiTable(field.token(), multi)

@@ -110,6 +110,7 @@ def test_exit_codes(capsys):
         (["scan", "--conjecture", "np", "--max-n", "3", "--kmax", "0"], "--kmax"),
         (["scan", "--conjecture", "np", "--max-n", "-1"], "--max-n"),
         (["scan", "--conjecture", "np", "--max-n", "4", "--kmax", "1"], "np scans need k_max >= 2"),
+        (["verify", "--statement", "main2", "--builder", "cycle:4", "--kmax", "1"], "main2 needs k_max >= 2"),
         (
             ["scan", "--conjecture", "newconj2", "--max-n", "4", "--cg", "3", "--kmax", "2"],
             "newconj2 scans need k_max >= c_G",
@@ -136,7 +137,8 @@ def test_exit_codes(capsys):
     ],
     ids=[
         "bht-kmax-0", "blemma-k-neg", "keylemma-k-neg", "max-n-neg", "max-n-0", "scan-kmax-0",
-        "scan-max-n-neg", "np-kmax-1", "newconj2-cg-above-kmax", "newconj2-cg-0", "newconj2-cg-neg",
+        "scan-max-n-neg", "np-kmax-1", "main2-kmax-1", "newconj2-cg-above-kmax", "newconj2-cg-0",
+        "newconj2-cg-neg",
         "lattice-cap-neg", "scan-lattice-cap-0", "lq-cap-0", "time-budget-neg", "time-budget-0",
         "time-budget-nan", "jobs-neg", "jobs-0", "scan-bad-graph6", "two-sources", "scan-two-sources",
     ],

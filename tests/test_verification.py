@@ -1,6 +1,7 @@
 """Statement verifiers: known instances, hypothesis handling, and scan behavior."""
 
 import functools
+import json
 
 import pytest
 
@@ -14,7 +15,7 @@ from edgeideals.graphs import (
     path,
     s_suspension,
 )
-from edgeideals.linalg import GF2
+from edgeideals.linalg import GF2, RATIONALS
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
@@ -117,6 +118,46 @@ def test_betti_splitting_partition_validation():
         check_betti_splitting(whole, bad, bad)
 
 
+def test_betti_splitting_fails_on_a_moved_multigraded_count(monkeypatch, capsys):
+    from edgeideals import verification
+    from edgeideals.cli import main
+    from edgeideals.resolutions import DEFAULT_CAPS, BettiTable
+
+    gens = ["x0*x1", "x1*x2", "x2*x3"]
+    whole, left, right = (parse_ideal(p, 4) for p in (gens, gens[:1], gens[1:]))
+    assert check_betti_splitting(whole, left, right).verdict == "pass"
+    # beta_{1,x0x1x2} of I(P4) moves to x0^3, of the same degree, so the graded identity holds
+    moved, to = (1, (1, 1, 1, 0)), (1, (3, 0, 0, 0))
+    table = verification.betti_table
+
+    def shifted(ideal, field, caps):
+        t = table(ideal, field, caps)
+        if ideal != whole:
+            return t
+        multi = dict(t.multi)
+        multi[to] = multi.pop(moved)
+        return BettiTable(t.field_token, multi)
+
+    monkeypatch.setattr(verification, "betti_table", shifted)
+    tw, tl, tr, tm = (
+        shifted(x, RATIONALS, DEFAULT_CAPS) for x in (whole, left, right, intersect(left, right))
+    )
+    assert tw.entries == table(whole, RATIONALS, DEFAULT_CAPS).entries
+    rep = check_betti_splitting(whole, left, right)
+    assert rep.verdict == "fail", rep
+    assert set(rep.witness) == {"i", "multidegree", "lhs", "rhs"}
+    i, m = rep.witness["i"], rep.witness["multidegree"]
+    assert (i, m) in {(1, "x0*x1*x2"), (1, "x0^3")}
+    e = parse_monomial(m, 4).exps
+    assert rep.witness["lhs"] == tw.beta_multi(i, e)
+    assert rep.witness["rhs"] == tl.beta_multi(i, e) + tr.beta_multi(i, e) + tm.beta_multi(i - 1, e)
+    assert rep.witness["lhs"] != rep.witness["rhs"]
+    argv = ["verify", "--statement", "splitting", "--nvars", "4", "--ideal", json.dumps(gens)]
+    argv += ["--part-j", json.dumps(gens[:1]), "--part-k", json.dumps(gens[1:])]
+    assert main(argv) == 1
+    capsys.readouterr()
+
+
 def test_doublelinear():
     whole = parse_ideal(["x0*x1", "x2*x3"], 4)
     rep = check_doublelinear(
@@ -199,11 +240,6 @@ def test_blemma_small_graphs():
     rep = check_blemma_colon_structure(TWO_K2, 1)
     assert rep.verdict in ("pass", "skipped")
     assert rep.verdict == "pass"  # holds vacuously here; recorded either way
-
-
-def test_blemma_rejects_bad_ordering():
-    with pytest.raises(ValueError):
-        check_blemma_colon_structure(cycle(4), 1, ordering=[Monomial((1, 1, 0, 0))])
 
 
 # -- cover colons -----------------------------------------------------------------------
@@ -546,8 +582,8 @@ def test_scans_build_each_power_with_one_product(monkeypatch):
 
 
 def inject_beta_1_7(monkeypatch, select):
-    """Give verification.betti_table one extra entry beta_{1,7} = 1 in the table of every ideal
-    that select accepts."""
+    """Give verification.betti_table one extra multigraded entry beta_{1,x0^7} = 1, hence one
+    extra graded entry beta_{1,7} = 1, in the table of every ideal that select accepts."""
     from edgeideals import verification
     from edgeideals.resolutions import BettiTable
 
@@ -557,8 +593,8 @@ def inject_beta_1_7(monkeypatch, select):
         t = table(ideal, field, caps)
         if not select(ideal):
             return t
-        multi = {(i, m.exps): b for (i, m), b in t.multi.items()}
-        return BettiTable(t.field_token, t.nvars, {**t.entries, (1, 7): 1}, multi)
+        x0_7 = (7,) + (0,) * (ideal.nvars - 1)
+        return BettiTable(t.field_token, {**t.multi, (1, x0_7): 1})
 
     monkeypatch.setattr(verification, "betti_table", injected)
 
