@@ -43,6 +43,7 @@ from .resolutions import (
 from .verification import (
     CONJECTURES,
     FAIL,
+    FIELD_FREE,
     PASS,
     SKIPPED,
     STATEMENTS,
@@ -186,7 +187,8 @@ def _add_graph_flags(p, family: bool = False):
 
 def _add_engine_flags(p, *caps):
     """--field and the flags of the EngineCaps fields `caps`, with their defaults and types."""
-    p.add_argument("--field", default="Q", help="coefficient field: Q (default) or GF(p)")
+    # no default, so that _graph_inputs sees whether it was given
+    p.add_argument("--field", help="coefficient field: Q (default) or GF(p)")
     for cap in caps:
         default = getattr(DEFAULT_CAPS, cap)
         p.add_argument(_CAP_FLAGS[cap], dest=cap, type=type(default), default=default)
@@ -380,6 +382,8 @@ def _graph_inputs(args, statement: str) -> tuple:
     defaults = statement_params(statement, {})
     reads = [dest for dest, name in _PARAMS.items() if name in defaults]
     _reject_unread(args, statement, (*reads, *_FAMILY_FLAGS))
+    if statement in FIELD_FREE and args.field is not None:
+        raise ValueError(f"{statement} does not read --field")
     given = {_PARAMS[dest]: getattr(args, dest) for dest in reads if getattr(args, dest) is not None}
     params = statement_params(statement, given)
     cache = _cache(args)
@@ -412,10 +416,10 @@ def _run_family(args, cache: ResultCache, family: list, statement: str, params: 
     """Report dicts of `statement` over the family, sorted; --jobs workers use the cache themselves.
 
     The cache key of a graph's reports holds the command, the statement, its parameters with
-    defaults filled in, the field, caps, graph and version."""
+    defaults filled in, the field unless the statement is `FIELD_FREE`, caps, graph and version."""
     run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
     base_key = dict(op=args.command, statement=statement, params=params)
-    base_key.update(field=field.token(), caps=caps.to_json())
+    base_key.update({} if statement in FIELD_FREE else {"field": field.token()}, caps=caps.to_json())
     item = functools.partial(_family_item, base_key, run, cache)
     if (args.jobs or 1) <= 1 or len(family) <= 1:
         chunks = [item(g6) for g6 in family]
@@ -482,7 +486,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         _check_ranges(args)
-        return _COMMANDS[args.command](args, Field.from_token(args.field), _caps(args))
+        field = Field.from_token("Q" if args.field is None else args.field)
+        return _COMMANDS[args.command](args, field, _caps(args))
     except CapExceeded as e:
         sys.stderr.write(f"cap overrun: {e}\n")
         return EXIT_CAP

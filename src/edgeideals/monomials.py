@@ -2,7 +2,9 @@
 
 Ideals are stored by their minimal monomial generating set.  The zero ideal
 has no generators; the unit ideal is the singleton {1}.  All values are
-immutable and all operations are pure.
+immutable and all operations are pure.  `intersect` takes the minimal points of
+up(a) & up(b) in the exponent box below both tops; it takes the pairwise lcms
+only when that box has more than `box.BOX_MAX` points.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
+from .box import _Box
 from .graphs import Graph
 
 
@@ -268,8 +271,13 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _same_ambient(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.nvars)
-    lcms = {tuple(map(max, u.exps, v.exps)) for u in a.gens for v in b.gens}
-    return minimalize(a.nvars, lcms)
+    ea, eb = [g.exps for g in a.gens], [g.exps for g in b.gens]
+    box = _Box.fitting(tuple(map(max, *ea, *eb)))
+    if box is None:
+        return minimalize(a.nvars, {tuple(map(max, u, v)) for u in ea for v in eb})
+    axes = range(a.nvars)
+    meet = box.up(box.points(ea), axes) & box.up(box.points(eb), axes)
+    return MonomialIdeal(a.nvars, frozenset(map(Monomial, box.exponents(box.minimal(meet)))))
 
 
 def is_generated_by_variables(a: MonomialIdeal) -> bool:

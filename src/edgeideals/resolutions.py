@@ -6,15 +6,16 @@ m: the simplicial complex on the support of m whose faces are the squarefree
 chunks S with m/x_S still inside the ideal.  Its rank in dimension i-1 is the
 multigraded Betti number at (i, m).
 
-All of this lives in the exponent box below the lcm of the generators, where
-a multidegree is one point index, sum(e_i * strides[i]).  When the box has at
-most `EngineCaps.membership_table_max` points, a set of multidegrees is one
-Python int with a bit per point (`_Box`): membership in the ideal and the lcm
-lattice are upward closures and intersections of such bitsets, and each face
-bitmap is gathered from the membership table in one call.  A bigger box keeps
-the same point indices: the lattice is grown atom by atom over exponent
-tuples, and membership decodes an index and ANDs per-variable threshold
-bitsets of the generators.  Multidegrees leave the engine as exponent tuples:
+All of this lives in the exponent box below the lcm of the generators, where a
+multidegree is one point index, sum(e_i * strides[i]).  When the box has at
+most `EngineCaps.membership_table_max` points (by default `box.BOX_MAX`), a set
+of multidegrees is one Python int with a bit per point (`box._Box`, shared with
+`monomials.intersect`, which also runs in the box): membership in the ideal and
+the lcm lattice are upward closures and intersections of such bitsets, and each
+face bitmap is gathered from the membership table in one call.  A bigger box
+keeps the same point indices: the lattice is grown atom by atom over exponent
+tuples, and membership decodes an index and ANDs per-variable threshold bitsets
+of the generators.  Multidegrees leave the engine as exponent tuples:
 `BettiTable.multi` is keyed by them and the graded entries are summed from it,
 so a Monomial is built only to print a multidegree in `BettiTable.to_json`.
 
@@ -48,14 +49,14 @@ three rank their complexes with `complexes.mask_homology_ranks`.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import compress, product
+from itertools import compress
 from operator import itemgetter, mul
 from types import MappingProxyType
 
+from .box import BOX_MAX, _Box, _strides, _up_all_but_one
 from .complexes import CapExceeded, mask_homology_ranks
 from .linalg import RATIONALS, Field
 from .monomials import Monomial, MonomialIdeal, generated_in_single_degree
@@ -70,7 +71,7 @@ class EngineCaps:
     taylor_max_generators: int = 16
     quotients_max_generators: int = 24
     quotients_time_budget: float = 10.0
-    membership_table_max: int = 1 << 21
+    membership_table_max: int = BOX_MAX
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -87,66 +88,6 @@ def _guard_proper(ideal: MonomialIdeal, what: str) -> None:
 
 
 # -- multidegrees in the exponent box ------------------------------------------
-
-
-def _strides(top: tuple) -> list:
-    """`_Box.strides` of the box below top, without building the box's bitsets."""
-    return [math.prod(t + 1 for t in top[i + 1 :]) for i in range(len(top))]
-
-
-class _Box:
-    """The exponent box below top, whose subsets are bitsets in one Python int.
-
-    Bit sum(e_i * strides[i]) stands for the exponent tuple e, x0 varying
-    slowest, so increasing bit index is lexicographic order of exponent tuples:
-    a linear extension of divisibility.
-    """
-
-    __slots__ = ("top", "size", "strides", "below")
-
-    def __init__(self, top: tuple, size: int):
-        self.top = top
-        self.size = size
-        self.strides = strides = _strides(top)
-        # below[i]: the points whose exponent of x_i is below top[i], which can
-        # still move up along axis i; one period of the pattern, doubled
-        self.below = []
-        for s, t in zip(strides, top):
-            bits, width = (1 << (s * t)) - 1, s * (t + 1)
-            while width < size:
-                bits |= bits << width
-                width *= 2
-            self.below.append(bits & ((1 << size) - 1))
-
-    @classmethod
-    def fitting(cls, top: tuple, caps: EngineCaps) -> "_Box | None":
-        """The box below top, or None when it has more than membership_table_max points."""
-        size = math.prod(t + 1 for t in top)
-        return cls(top, size) if size <= caps.membership_table_max else None
-
-    def points(self, exps) -> int:
-        """The bitset of the given exponent tuples."""
-        return sum(1 << sum(map(mul, e, self.strides)) for e in exps)
-
-    def up(self, bits: int, axes) -> int:
-        """The upward closure of bits along the given axes."""
-        for i in axes:
-            below, step = self.below[i], self.strides[i]
-            for _ in range(self.top[i]):
-                bits |= (bits & below) << step
-        return bits
-
-    def flags(self, bits: int) -> bytes:
-        """ASCII b"0"/b"1" per point, indexed by point index."""
-        return format(bits, f"0{self.size}b")[::-1].encode()
-
-
-def _up_all_but_one(box: _Box, bits: int, axes: list) -> list:
-    """(i, closure of bits along every axis but i) for each i in axes, by halving."""
-    if len(axes) == 1:
-        return [(axes[0], bits)]
-    a, b = axes[: len(axes) // 2], axes[len(axes) // 2 :]
-    return _up_all_but_one(box, box.up(bits, b), a) + _up_all_but_one(box, box.up(bits, a), b)
 
 
 def _cones(box: _Box, member: int) -> int:
@@ -188,8 +129,7 @@ def _box_lattice(box: _Box, gens: list, caps: EngineCaps) -> list:
     # one past the cap, so a skipped report reads the same on both paths
     if lattice.bit_count() > caps.lattice_max:
         raise CapExceeded("lattice_max", caps.lattice_max, caps.lattice_max + 1)
-    points = product(*(range(t + 1) for t in box.top))
-    return list(compress(points, box.flags(lattice).replace(b"0", b"\0")))
+    return box.exponents(lattice)
 
 
 class _ThresholdMembership:
@@ -245,7 +185,7 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
     _guard_proper(ideal, "the lcm lattice")
     gens = [g.exps for g in ideal.gens]
     top = tuple(map(max, zip(*gens)))
-    box = _Box.fitting(top, caps)
+    box = _Box.fitting(top, caps.membership_table_max)
     if box is not None:
         return _box_lattice(box, gens, caps)
     return _joined_lattice(gens, caps)
@@ -258,7 +198,7 @@ def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tup
     cones is None for a squarefree box, whose lattice has no cone, and for a box too
     big, whose membership is a stand-in indexed the same way."""
     gens = [g.exps for g in ideal.gens]
-    box = _Box.fitting(top, caps)
+    box = _Box.fitting(top, caps.membership_table_max)
     if box is None:
         strides = _strides(top)
         return _ThresholdMembership(strides, gens), None, strides

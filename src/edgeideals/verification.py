@@ -786,6 +786,8 @@ _REGISTRY = {
     "newconj2": (_scan_extensions, {"k_max": 2, "c_g": 2}),
 }
 
+# the statements whose reports do not depend on the field
+FIELD_FREE = ("blemma",)
 # the conjecture scans of `scan`
 CONJECTURES = ("np", "generalnp", "newconj2")
 # the statements of `verify`

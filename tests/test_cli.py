@@ -304,6 +304,35 @@ def test_a_statement_without_parameters_keeps_its_cache_key(tmp_path, capsys):
     assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache(tmp_path)._path(key).name]
 
 
+def test_blemma_reads_no_field(tmp_path, capsys):
+    # blemma's reports do not depend on the field, so an explicit --field is an unread flag
+    argv = ["verify", "--statement", "blemma", "--builder", "cycle:5", "--k", "2"]
+    for field in ("Q", "GF(2)"):
+        code, out, err = run_cli(capsys, *argv, "--field", field, "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: blemma does not read --field\n")
+    assert not any(tmp_path.iterdir())
+    # the default run keeps its bytes, header field included, and a key without the field
+    code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and json_lines(out)[0]["header"]["field"] == "Q"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "895399908b448f9fbc1844be046c5affcc4d42578b84f117b579952edde901fa"
+    )
+    key = {
+        "op": "verify",
+        "statement": "blemma",
+        "params": {"k": 2},
+        "caps": DEFAULT_CAPS.to_json(),
+        "graph6": graph_to_graph6(cycle(5)),
+        "version": __version__,
+    }
+    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache(tmp_path)._path(key).name]
+    code, out, _ = run_cli(capsys, "verify", "--statement", "blemma", "--max-n", "5", "--k", "2", "--no-cache")
+    assert code == 0 and len(out.splitlines()) == 48
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "230b7d957320896354aee3a59bc02e321e59dab87ee41cafb8bb030e3776855b"
+    )
+
+
 # each command has the cap flags of the caps it reads, and no others
 COMMAND_CAP_FLAGS = {
     "betti": {"--lattice-cap", "--taylor-cap"},
@@ -781,6 +810,11 @@ G6_LINES = "DqK\nA?\nDUW\nBw\nDqK\n"
             "d9b7b5e0cc6f22042019572933350de84fd0d593c7fb9305f40626e13863ce07",
         ),
         (
+            ("verify", "--statement", "main1", "--max-n", "5"),
+            510,
+            "4c4bacd5ece51ab1055ada2a2fd9a869a56ca3305bb6d167d8a2cd40278d99c8",
+        ),
+        (
             ("verify", "--statement", "main2", "--max-n", "4", "--kmax", "3"),
             100,
             "7060dcbbe25d146f316c5861d96d104ed436fa4aa1fdfff2f6bc964dfd8cfca2",
@@ -880,7 +914,7 @@ G6_LINES = "DqK\nA?\nDUW\nBw\nDqK\n"
         ),
     ],
     ids=[
-        "main1", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear",
+        "main1", "main1-n5", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear",
         "np", "generalnp", "generalnp-reg-2", "newconj2-cg-1", "np-anticycle",
         "np-file", "np-file-cap", "generalnp-file", "generalnp-file-cap", "newconj2-file",
         "newconj2-file-cap", "banerjee", "hhz",

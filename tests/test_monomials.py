@@ -1,5 +1,6 @@
 """Monomial ideal arithmetic: frozen examples plus membership-based oracles."""
 
+import math
 import random
 from itertools import combinations, product
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgeideals.box import BOX_MAX
 from edgeideals.graphs import Graph, cycle, path
 from edgeideals.monomials import (
     Monomial,
@@ -270,6 +272,61 @@ def test_intersection_against_membership_oracle():
                 continue
             m = Monomial(exps)
             assert meet.contains(m) == (a.contains(m) and b.contains(m))
+
+
+def _pairwise_intersect(a, b):
+    """a ∩ b as the minimal lcms of all generator pairs, the path of boxes over BOX_MAX."""
+    if a.is_zero or b.is_zero:
+        return MonomialIdeal.zero(a.nvars)
+    return minimalize(a.nvars, {tuple(map(max, u.exps, v.exps)) for u in a.gens for v in b.gens})
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two ideals in one ambient of up to 5 variables, each of 0 to 6 drawn generators (0
+    gives the zero ideal, an all-zero one the unit ideal), with a per-variable exponent bound
+    of 1, 2, 5 or 12."""
+    nvars = draw(st.integers(0, 5))
+    bounds = draw(st.lists(st.sampled_from([1, 2, 5, 12]), min_size=nvars, max_size=nvars))
+    exps = st.tuples(*[st.integers(0, b) for b in bounds])
+    a, b = (minimalize(nvars, draw(st.lists(exps, max_size=6))) for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_pairs())
+@example((MonomialIdeal.zero(3), ideal(3, "x0", "x1^2")))
+@example((ideal(3, "x0*x2"), MonomialIdeal.zero(3)))
+@example((MonomialIdeal.unit(3), ideal(3, "x0^2*x1", "x2^5")))
+@example((MonomialIdeal.unit(2), MonomialIdeal.unit(2)))
+@example((MonomialIdeal.unit(0), MonomialIdeal.unit(0)))
+@example((ideal(3, "x0^3*x1"), ideal(3, "x1^2*x2")))
+@example((ideal(2, "x0^12"), ideal(2, "x0^5*x1^12")))
+@example((ideal(4, "x0*x1", "x2^12*x3"), ideal(4, "x1^2*x3^5", "x0^5")))
+@example((ideal(2, "x0^1000000000000*x1"), ideal(2, "x1^3", "x0^7")))  # far over BOX_MAX
+def test_box_intersection_matches_the_pairwise_lcms(pair):
+    a, b = pair
+    meet = intersect(a, b)
+    assert meet == _pairwise_intersect(a, b) == intersect(b, a)
+    assert meet.sorted_gens() == _pairwise_intersect(a, b).sorted_gens()
+
+
+def test_intersect_takes_the_box_path_up_to_the_box_size_limit(monkeypatch):
+    from edgeideals import monomials
+
+    # 21 squarefree variables make a box of exactly BOX_MAX points; the tops of the second
+    # pair make one of BOX_MAX + 1
+    at_limit = (edge_ideal(cycle(21)), edge_ideal(Graph(21, [(i, (i + 3) % 21) for i in range(21)])))
+    over = (ideal(4, "x0^2*x3", "x1^2"), ideal(4, "x2^42", "x1*x3^5418", "x0*x2"))
+    assert math.prod(t + 1 for t in map(max, *(g.exps for i in over for g in i.gens))) == BOX_MAX + 1
+    expected = [_pairwise_intersect(*pair) for pair in (at_limit, over)]
+    calls = []
+    real = monomials.minimalize
+    monkeypatch.setattr(monomials, "minimalize", lambda nvars, cands: calls.append(nvars) or real(nvars, cands))
+    assert intersect(*at_limit) == expected[0]
+    assert calls == []  # the box path builds the ideal with no minimalize pass
+    assert intersect(*over) == expected[1]
+    assert calls == [4]
 
 
 def test_colon_generators_recheck_membership():

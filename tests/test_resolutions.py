@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from edgeideals.box import BOX_MAX, _Box
 from edgeideals.complexes import CapExceeded
 from edgeideals.graphs import (
     Graph,
@@ -39,7 +40,6 @@ from edgeideals.resolutions import (
     DEFAULT_CAPS,
     EngineCaps,
     _COMPLEX_MEMO,
-    _Box,
     _cones,
     _membership_table,
     betti_table,
@@ -294,7 +294,7 @@ def test_membership_fallback_path_matches_table_path(exps, field):
 def _flagged_lattice(ideal) -> tuple:
     """The lattice of ideal and the set of its points that `_cones` flags."""
     lattice = lcm_lattice(ideal)
-    box = _Box.fitting(lattice[-1], DEFAULT_CAPS)
+    box = _Box.fitting(lattice[-1])
     gens = [g.exps for g in ideal.gens]
     cones = _cones(box, box.up(box.points(gens), range(ideal.nvars)))
     return lattice, {m for m in lattice if cones >> sum(map(mul, m, box.strides)) & 1}
@@ -369,8 +369,10 @@ def test_membership_table_cap_is_inclusive():
     top = lcm_lattice(ideal)[-1]
     size = 4 * 3 * 5
     assert top == (3, 2, 4)
-    assert _Box.fitting(top, EngineCaps(membership_table_max=size)) is not None
-    assert _Box.fitting(top, EngineCaps(membership_table_max=size - 1)) is None
+    assert _Box.fitting(top, size) is not None
+    assert _Box.fitting(top, size - 1) is None
+    # the caps take their default from the one box-size limit, which every header prints
+    assert DEFAULT_CAPS.membership_table_max == BOX_MAX == 1 << 21
     for field in (RATIONALS, GF2):
         at_cap, bitset = _fallback_and_bitset_tables(ideal, field, EngineCaps(membership_table_max=size))
         below_cap, _ = _fallback_and_bitset_tables(ideal, field, EngineCaps(membership_table_max=size - 1))

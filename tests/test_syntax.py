@@ -43,3 +43,39 @@ def test_every_exported_name_resolves():
     import edgeideals
 
     assert [name for name in edgeideals.__all__ if not hasattr(edgeideals, name)] == []
+
+
+def _package_imports(path) -> set:
+    """The package modules that the source at path imports, at any depth of its body."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("edgeideals."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("edgeideals"):
+                module = module.partition(".")[2]
+            elif node.level == 0:
+                continue
+            names.update([module] if module else (a.name for a in node.names))
+    return names
+
+
+def test_the_exponent_box_is_defined_once_and_imports_no_engine():
+    # monomials and resolutions share one box module; resolutions imports monomials, so
+    # monomials must not reach resolutions, through the box module or otherwise
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_Box", "_strides"):
+                defined.setdefault(node.name, []).append(path.name)
+    assert defined == {"_Box": ["box.py"], "_strides": ["box.py"]}
+    imports = {path.stem: _package_imports(path) for path in SOURCES}
+    assert "box" in imports["monomials"] and "box" in imports["resolutions"]
+    reached, todo = set(), ["monomials"]
+    while todo:
+        for module in imports.get(todo.pop(), ()):
+            if module not in reached:
+                reached.add(module)
+                todo.append(module)
+    assert "box" in reached and "resolutions" not in reached

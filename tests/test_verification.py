@@ -715,3 +715,59 @@ def test_regularity_checks_fail_on_a_shifted_regularity(monkeypatch, capsys, sta
         assert rep.witness["im"] + 1 <= true_reg <= rep.witness["matching"] + 1 < rep.witness["reg"]
     assert main(["verify", "--statement", statement, "--builder", builder, "--no-cache"]) == 1
     capsys.readouterr()
+
+
+def test_suspension_fails_on_a_shifted_regularity(monkeypatch, capsys):
+    from edgeideals import verification
+    from edgeideals.cli import main
+
+    # one too high on reg(I(G_S)) only, so reg(I(G)) and both induced matching numbers stay true
+    g, s = cycle(5), (0, 2)
+    suspended = edge_ideal(s_suspension(g, s))
+    regularity = verification.regularity
+
+    def shifted(i, field, caps):
+        return regularity(i, field, caps) + (i == suspended)
+
+    monkeypatch.setattr(verification, "regularity", shifted)
+    [rep] = check_s_suspension_invariance(g, [s])
+    assert rep.verdict == "fail" and rep.reason is None, rep
+    assert rep.witness == {"im": [1, 1], "reg": [3, 4]}
+    # the shift is the only fault: the Taylor oracle gives both graphs the same reg, 3
+    assert taylor_betti_oracle(edge_ideal(g)).regularity() == 3
+    assert taylor_betti_oracle(suspended).regularity() == 3
+    argv = ["verify", "--statement", "suspension", "--builder", "cycle:5", "--set", "0,2", "--no-cache"]
+    assert main(argv) == 1
+    capsys.readouterr()
+
+
+def test_keylemma_fails_on_a_colon_with_a_squared_variable(monkeypatch, capsys):
+    from edgeideals import verification
+    from edgeideals.cli import main
+
+    # the colon by the first generator L of I(C5) gets its last variable squared, which
+    # shifts its regularity from 1 to 2; every other colon stays true
+    g, cover, k = cycle(5), (0, 1, 3), 1
+    first = ideal_power(edge_ideal(g), k).sorted_gens()[0]
+    colon = verification.colon
+
+    def squared(ideal, m):
+        c = colon(ideal, m)
+        if m != first:
+            return c
+        v = c.sorted_gens()[-1]
+        return minimalize(c.nvars, (c.gens - {v}) | {v * v})
+
+    monkeypatch.setattr(verification, "colon", squared)
+    rep = check_keylemma(g, cover, k)
+    assert rep.verdict == "fail" and rep.reason is None, rep
+    assert rep.witness == {"L": "x0*x1", "colon": ["x4^2", "x0", "x1", "x2", "x3"]}
+    # the true colon (U * I : L) is generated by the variables of the witness, so its
+    # resolution is linear of degree 1, where the witness's has reg 2
+    true = colon(ideal_product(variable_ideal(g.n, cover), edge_ideal(g)), first)
+    assert true == variable_ideal(g.n, range(g.n))
+    assert taylor_betti_oracle(true).regularity() == 1
+    assert taylor_betti_oracle(parse_ideal(rep.witness["colon"], g.n)).regularity() == 2
+    argv = ["verify", "--statement", "keylemma", "--builder", "cycle:5", "--cover", "0,1,3", "--k", "1"]
+    assert main([*argv, "--no-cache"]) == 1
+    capsys.readouterr()
