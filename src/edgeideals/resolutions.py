@@ -11,11 +11,14 @@ multidegree is one point index, sum(e_i * strides[i]).  When the box has at
 most `EngineCaps.membership_table_max` points (by default `box.BOX_MAX`), a set
 of multidegrees is one Python int with a bit per point (`box._Box`, shared with
 `monomials.intersect`, which also runs in the box): membership in the ideal and
-the lcm lattice are upward closures and intersections of such bitsets, and each
-face bitmap is gathered from the membership table in one call.  A bigger box
-keeps the same point indices: the lattice is grown atom by atom over exponent
+the lcm lattice are upward closures and intersections of such bitsets.  A bigger
+box keeps the same point indices: the lattice is grown atom by atom over exponent
 tuples, and membership decodes an index and ANDs per-variable threshold bitsets
-of the generators.  Multidegrees leave the engine as exponent tuples:
+of the generators.  Either way each face bitmap is read in one call: the faces
+of m sit at low + (the strides of a support subset), with low = m minus every
+support stride, so one `itemgetter` per support shape (`_gather`, cached by the
+sum of the support's strides) reads them from a view of the table at low.
+Multidegrees leave the engine as exponent tuples:
 `BettiTable.multi` is keyed by them and the graded entries are summed from it,
 so a Monomial is built only to print a multidegree in `BettiTable.to_json`.
 
@@ -35,8 +38,13 @@ The membership complex at m is determined by which support subsets are
 faces, one bit each, so its homology is memoised by that face bitmap and the
 field.  Ideals of one family share many complexes (for an edge ideal the
 complex at x_S depends only on the labelled induced subgraph on S), and a
-hit skips the reduction.  The memo is emptied when it reaches
-COMPLEX_MEMO_SIZE complexes, so its memory stays bounded.
+hit skips the reduction.  A miss ranks the smaller Alexander-dual side: when
+more than half of the subsets of the support V are faces, the dual
+{V - f : f not a face} is reduced instead, and its cardinality c read as
+|V| - c - 1 (for an edge ideal, the dual at x_S is the independence complex
+of the induced subgraph on S).  The memo and the gathers are emptied
+together when the memo reaches COMPLEX_MEMO_SIZE complexes, so their memory
+stays bounded.
 
 An independent cross-check ships alongside and `betti --oracle` runs it: the
 Taylor oracle reads the strand of the Taylor complex at m off the complex of
@@ -44,7 +52,8 @@ generator subsets whose lcm is strictly below m (capped by generator count),
 with no lattice, membership table or memo.  The test
 suite also keeps an order-complex oracle over open lcm-lattice intervals
 (`tests/interval_oracle.py`) and enforces that all three engines agree.  All
-three rank their complexes with `complexes.mask_homology_ranks`.
+three rank their complexes with `complexes.mask_homology_ranks`; only the
+engine passes it dual sides, so the agreement also checks the duality.
 """
 
 from __future__ import annotations
@@ -136,18 +145,25 @@ class _ThresholdMembership:
     """m in I by box index, as ASCII b"0"/b"1" like `_Box.flags`, for a box too big to hold
     as a bitset.  Along each axis masks[k] holds the generators whose exponent is at most
     values[k - 1], so the AND over the axes of the masks that an index decodes to is the
-    set of generators dividing m, as in `monomials.minimalize`."""
+    set of generators dividing m, as in `monomials.minimalize`.  Sliced from a point on,
+    it is indexed from that point, as a memoryview of `_Box.flags` is."""
 
-    __slots__ = ("axes",)
+    __slots__ = ("axes", "low")
 
     def __init__(self, strides: list, gens: list):
+        self.low = 0
         self.axes = []
         for stride, column in zip(strides, zip(*gens)):
             values = sorted(set(column))
             masks = [0] + [sum(1 << j for j, e in enumerate(column) if e <= v) for v in values]
             self.axes.append((stride, values, masks))
 
-    def __getitem__(self, index: int) -> int:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = object.__new__(_ThresholdMembership)
+            view.axes, view.low = self.axes, self.low + index.start
+            return view
+        index += self.low
         common = -1
         for stride, values, masks in self.axes:
             e, index = divmod(index, stride)
@@ -193,7 +209,8 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
 
 def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tuple:
     """(membership, cones, strides): m in I and the cone points (`_cones`), each as
-    ASCII b"0"/b"1" per point of the box below top, and the strides that index both.
+    ASCII b"0"/b"1" per point of the box below top (membership as a memoryview, to be
+    sliced without a copy), and the strides that index both.
 
     cones is None for a squarefree box, whose lattice has no cone, and for a box too
     big, whose membership is a stand-in indexed the same way."""
@@ -204,7 +221,7 @@ def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tup
         return _ThresholdMembership(strides, gens), None, strides
     member = box.up(box.points(gens), range(len(top)))
     cones = box.flags(_cones(box, member)) if max(top) > 1 else None
-    return box.flags(member), cones, box.strides
+    return memoryview(box.flags(member)), cones, box.strides
 
 
 # -- Betti tables ------------------------------------------------------------------
@@ -286,11 +303,23 @@ COMPLEX_MEMO_SIZE = 1 << 14
 # tuple, so that the many complexes with equal homology share it
 _COMPLEX_MEMO: dict = {}
 _RANKS: dict = {}
+# box strides -> {sum of the support's strides: the support's face gather}; the
+# strides of a box are superincreasing on its axes, so that sum names the support.
+# Emptied with _COMPLEX_MEMO.
+_GATHERS: dict = {}
 
 
-def _complex_ranks(bitmap: int, field: Field) -> tuple:
+def _complex_ranks(bitmap: int, field: Field, width: int) -> tuple:
     """Nonzero reduced homology ranks, as (cardinality, rank) pairs, of the
-    complex whose faces are the set bits of bitmap.
+    complex whose faces are the set bits of bitmap, on a ground set V of
+    width = 2^|V| subsets.
+
+    When more than half of those subsets are faces, the Alexander dual
+    K^v = {V - f : f not in K} has fewer faces and is ranked instead:
+    H~_i(K) = H~_{|V|-i-3}(K^v), so its cardinality c stands for |V| - c - 1
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 5).  That
+    needs V nonempty: on V empty, {empty face} is the whole simplex and its
+    dual the void complex.
 
     Memoised by (bitmap, field): equal bitmaps are the same labelled complex,
     and ranks depend on the field.  Every caller shares the result, so it is a
@@ -299,15 +328,55 @@ def _complex_ranks(bitmap: int, field: Field) -> tuple:
     memo = _COMPLEX_MEMO.setdefault(field, {})
     ranks = memo.get(bitmap)
     if ranks is None:
-        faces = [f for f in range(bitmap.bit_length()) if bitmap >> f & 1]
-        ranks = tuple(mask_homology_ranks(faces, field).items())
+        if 2 * bitmap.bit_count() > width > 1:
+            full = width - 1
+            dual = [full ^ f for f in range(width) if not bitmap >> f & 1]
+            last = width.bit_length() - 2  # |V| - 1
+            dual_ranks = mask_homology_ranks(dual, field)
+            # in increasing cardinality, as on the primal side
+            ranks = tuple(sorted((last - c, r) for c, r in dual_ranks.items()))
+        else:
+            faces = [f for f in range(width) if bitmap >> f & 1]
+            ranks = tuple(mask_homology_ranks(faces, field).items())
         if sum(map(len, _COMPLEX_MEMO.values())) >= COMPLEX_MEMO_SIZE:
-            # emptied in place: a running betti_table holds its field's dict
-            for m in _COMPLEX_MEMO.values():
+            # emptied in place: a running betti_table holds its field's dict and its box's gathers
+            for m in (*_COMPLEX_MEMO.values(), *_GATHERS.values()):
                 m.clear()
             _RANKS.clear()
+            _GATHERS.clear()
         memo[bitmap] = ranks = _RANKS.setdefault(ranks, ranks)
     return ranks
+
+
+def _gather(support_strides) -> itemgetter:
+    """The face gather of a support, given its strides in variable order.  Applied to the
+    membership table from low = m minus every support stride on, it reads low plus the
+    strides of subset p for p = 0, 1, ..., 2^s - 1: m - e_f with f the complement of p.
+    Read as one binary number, first digit highest, digit p is bit f, set when m - e_f is
+    in I, that is when f is a face."""
+    offsets = [0]
+    for step in support_strides:
+        offsets += [o + step for o in offsets]
+    # the support is nonempty, so two or more offsets and itemgetter gives a tuple
+    return itemgetter(*offsets)
+
+
+def _face_bitmaps(ideal: MonomialIdeal, caps: EngineCaps):
+    """(exponents of m, face bitmap of its membership complex) for each lattice point m
+    that is no cone, in increasing order; bit f of the bitmap is set when the support
+    subset f (bit k for the k-th support variable) is a face."""
+    lattice = lcm_lattice(ideal, caps)
+    table, cones, strides = _membership_table(ideal, lattice[-1], caps)
+    gathers = _GATHERS.setdefault(tuple(strides), {})
+    for exps in lattice:
+        at = sum(map(mul, exps, strides))
+        if cones and cones[at] == _SET:  # a cone: acyclic, no Betti number at m
+            continue
+        shape = sum(compress(strides, exps))
+        gather = gathers.get(shape)
+        if gather is None:
+            gathers[shape] = gather = _gather(compress(strides, exps))
+        yield exps, int(bytes(gather(table[at - shape :])), 2)
 
 
 def betti_table(
@@ -317,25 +386,12 @@ def betti_table(
 ) -> BettiTable:
     """Complete multigraded Betti table via lattice-supported membership complexes."""
     _guard_proper(ideal, "the Betti table")
-    lattice = lcm_lattice(ideal, caps)
-    table, cones, strides = _membership_table(ideal, lattice[-1], caps)
-    down = [-s for s in strides]
     memo = _COMPLEX_MEMO.setdefault(field, {})
     multi: dict = {}
-    for exps in lattice:
-        # idx[f] lowers m by one in every support variable of the subset f
-        idx = [sum(map(mul, exps, strides))]
-        if cones and cones[idx[0]] == _SET:  # a cone: acyclic, no Betti number at m
-            continue
-        for step in compress(down, exps):
-            idx += [i + step for i in idx]
-        idx.reverse()
-        # bit f of the face bitmap is set when support subset f is a face; m has
-        # a nonempty support, so idx has two or more entries and itemgetter a tuple
-        bitmap = int(bytes(itemgetter(*idx)(table)), 2)
+    for exps, bitmap in _face_bitmaps(ideal, caps):
         ranks = memo.get(bitmap)
         if ranks is None:  # a miss; hits skip the call
-            ranks = _complex_ranks(bitmap, field)
+            ranks = _complex_ranks(bitmap, field, 1 << (len(exps) - exps.count(0)))
         for i, r in ranks:
             multi[(i, exps)] = r
     return BettiTable(field.token(), multi)

@@ -787,7 +787,7 @@ _REGISTRY = {
 }
 
 # the statements whose reports do not depend on the field
-FIELD_FREE = ("blemma",)
+FIELD_FREE = ("blemma", "keylemma")
 # the conjecture scans of `scan`
 CONJECTURES = ("np", "generalnp", "newconj2")
 # the statements of `verify`

@@ -333,6 +333,30 @@ def test_blemma_reads_no_field(tmp_path, capsys):
     )
 
 
+def test_keylemma_reads_no_field(tmp_path, capsys):
+    # keylemma compares colons with variable ideals and computes no Betti table
+    argv = ["verify", "--statement", "keylemma", "--builder", "cycle:5"]
+    for field in ("Q", "GF(2)"):
+        code, out, err = run_cli(capsys, *argv, "--field", field, "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: keylemma does not read --field\n")
+    assert not any(tmp_path.iterdir())
+    code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and json_lines(out)[0]["header"]["field"] == "Q"
+    assert len(out.splitlines()) == 16
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "1085e257d4b156dbf38709bc0ca154f6e4cf74114a7b2ea80055090be12ac5a4"
+    )
+    key = {
+        "op": "verify",
+        "statement": "keylemma",
+        "params": {"covers": None, "k": None},
+        "caps": DEFAULT_CAPS.to_json(),
+        "graph6": graph_to_graph6(cycle(5)),
+        "version": __version__,
+    }
+    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache(tmp_path)._path(key).name]
+
+
 # each command has the cap flags of the caps it reads, and no others
 COMMAND_CAP_FLAGS = {
     "betti": {"--lattice-cap", "--taylor-cap"},
@@ -793,6 +817,16 @@ def test_bounds_gf2_stdout_bytes_are_pinned(capsys, monkeypatch):
     assert len(out.splitlines()) == 1 + 202
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "f68ba0a8df748c275dba1d0d11146f9d962c5e04097027afb62098e3b5293499"
+
+
+def test_bounds_gf3_stdout_bytes_are_pinned(capsys, monkeypatch):
+    # rank over an odd prime, on both Alexander-dual sides of the membership complexes
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--statement", "bounds", "--max-n", "6", "--field", "GF(3)")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 202
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "b489da0178ea1e9a1125a37c704ea02e4da4073b292f459b724a821f1b581eb1"
 
 
 # stands for a file of G6_LINES: C5 as DqK (not canonical), an edgeless graph, C5 as its

@@ -41,6 +41,7 @@ from edgeideals.resolutions import (
     EngineCaps,
     _COMPLEX_MEMO,
     _cones,
+    _face_bitmaps,
     _membership_table,
     betti_table,
     has_linear_resolution,
@@ -51,7 +52,9 @@ from edgeideals.resolutions import (
     taylor_betti_oracle,
 )
 from dense_homology import dense_taylor_betti_oracle
+from gather_reference import doubling_face_bitmaps
 from interval_oracle import interval_betti_oracle
+from test_complexes import RP2_FACETS
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -291,6 +294,66 @@ def test_membership_fallback_path_matches_table_path(exps, field):
     assert fallback == bitset
 
 
+def _faces_by_definition(gens, m) -> int:
+    """The face bitmap at m by divisibility: bit f is set when m lowered by one in the
+    support variables of f (bit k for the k-th) is divisible by a generator."""
+    support = [i for i, e in enumerate(m) if e]
+    bitmap = 0
+    for f in range(1 << len(support)):
+        lower = list(m)
+        for k, i in enumerate(support):
+            lower[i] -= f >> k & 1
+        if any(all(a <= b for a, b in zip(g, lower)) for g in gens):
+            bitmap |= 1 << f
+    return bitmap
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=7)
+    ),
+    st.booleans(),
+)
+@example(_exps(edge_ideal(cycle(5))), True)
+@example(_exps(edge_ideal(cycle(5))), False)
+@example(_exps(ideal_power(edge_ideal(anticycle(5)), 2)), True)
+@example(_exps(ideal_power(edge_ideal(anticycle(5)), 2)), False)
+@example([(3, 0, 1), (1, 2, 0), (3, 1, 0)], False)
+# variables that no generator reads share their stride with the next axis
+@example([(1, 0, 1, 0), (0, 0, 1, 1)], True)
+@example([(2, 0, 0, 1), (0, 0, 3, 1)], False)
+def test_shape_gather_matches_the_doubling_gather(exps, squarefree):
+    # squarefree ideals and, with a one-point membership table cap, the threshold stand-in
+    gens = [Monomial(tuple(min(e, 1) for e in g) if squarefree else g) for g in exps if any(g)]
+    assume(gens)
+    ideal = minimalize(len(exps[0]), gens)
+    gens = [g.exps for g in ideal.gens]
+    for caps in (DEFAULT_CAPS, EngineCaps(membership_table_max=1)):
+        bitmaps = list(_face_bitmaps(ideal, caps))
+        assert bitmaps == doubling_face_bitmaps(ideal, caps)
+        assert all(b == _faces_by_definition(gens, m) for m, b in bitmaps)
+
+
+def test_stanley_reisner_ideal_of_rp2_has_a_field_dependent_table():
+    # the 6-vertex RP^2 has every edge, so its Stanley-Reisner ideal is generated by the
+    # 10 triangles that are not facets; H~_1 = Z/2 gives two more entries over GF(2)
+    facets = {frozenset(f) for f in RP2_FACETS}
+    triangles = [t for t in combinations(range(1, 7), 3) if frozenset(t) not in facets]
+    ideal = minimalize(6, [Monomial(tuple(int(v in t) for v in range(1, 7))) for t in triangles])
+    assert len(ideal.gens) == 10
+    linear = {(0, 3): 10, (1, 4): 15, (2, 5): 6}
+    for field, expected in (
+        (RATIONALS, linear),
+        (Field(3), linear),
+        (GF2, {**linear, (2, 6): 1, (3, 6): 1}),
+    ):
+        _COMPLEX_MEMO.clear()
+        table = betti_table(ideal, field)
+        assert dict(table.entries) == expected
+        assert table == taylor_betti_oracle(ideal, field)
+
+
 def _flagged_lattice(ideal) -> tuple:
     """The lattice of ideal and the set of its points that `_cones` flags."""
     lattice = lcm_lattice(ideal)
@@ -302,16 +365,10 @@ def _flagged_lattice(ideal) -> tuple:
 
 def _is_cone_by_definition(gens, m) -> bool:
     """Whether the membership complex at m has an apex: a support variable that joins every
-    face to a face.  The faces are the support subsets f with m - e_f in I, by divisibility."""
-    support = [i for i, e in enumerate(m) if e]
-    faces = set()
-    for f in range(1 << len(support)):
-        lower = list(m)
-        for k, i in enumerate(support):
-            lower[i] -= f >> k & 1
-        if any(all(a <= b for a, b in zip(g, lower)) for g in gens):
-            faces.add(f)
-    return any(all(f | 1 << v in faces for f in faces) for v in range(len(support)))
+    face to a face."""
+    bitmap = _faces_by_definition(gens, m)
+    faces = [f for f in range(bitmap.bit_length()) if bitmap >> f & 1]
+    return any(all(bitmap >> (f | 1 << v) & 1 for f in faces) for v in range(len(m) - m.count(0)))
 
 
 @settings(max_examples=200, deadline=None)
