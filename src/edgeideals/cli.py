@@ -41,16 +41,12 @@ from .resolutions import (
     taylor_betti_oracle,
 )
 from .verification import (
+    _REGISTRY,
     CONJECTURES,
     FAIL,
-    FIELD_FREE,
     PASS,
     SKIPPED,
     STATEMENTS,
-    check_abc_bound,
-    check_betti_splitting,
-    check_colon_reg_bound,
-    check_doublelinear,
     check_s_suspension_invariance,
     enumerate_im_reg_extensions,
     run_statement,
@@ -74,13 +70,6 @@ _PARAMS = {
     "set": "sets", "cover": "covers", "k": "k", "kmax": "k_max", "reg_filter": "reg_filter", "cg": "c_g"
 }
 _IDEAL_FLAGS = ("ideal", "part_j", "part_k", "monomial", "nvars")
-# the ideal statements of verify -> the ideal flags each reads
-_IDEAL_STATEMENTS = {
-    "splitting": ("ideal", "part_j", "part_k", "nvars"),
-    "doublelinear": ("ideal", "part_j", "part_k", "nvars"),
-    "colon": ("ideal", "monomial", "nvars"),
-    "abc": ("ideal", "part_j", "nvars"),
-}
 # the graph-source, cache and worker flags of verify and scan, which only graph statements read
 _FAMILY_FLAGS = ("builder", "graph6", "graph6_file", "max_n", "jobs", "cache_dir", "no_cache")
 
@@ -95,6 +84,10 @@ _CAP_FLAGS = {
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _flag(dest: str) -> str:
+    return _CAP_FLAGS.get(dest, "--" + dest.replace("_", "-"))
 
 
 def _build_graph(spec: str) -> Graph:
@@ -156,8 +149,8 @@ def _family(args, cache: ResultCache) -> list:
 
 
 def _caps(args) -> EngineCaps:
-    """DEFAULT_CAPS with the values of the cap flags the command has."""
-    given = {cap: getattr(args, cap) for cap in _CAP_FLAGS if hasattr(args, cap)}
+    """DEFAULT_CAPS with the values of the cap flags given."""
+    given = {cap: getattr(args, cap) for cap in _CAP_FLAGS if getattr(args, cap, None) is not None}
     return dataclasses.replace(DEFAULT_CAPS, **given)
 
 
@@ -186,12 +179,11 @@ def _add_graph_flags(p, family: bool = False):
 
 
 def _add_engine_flags(p, *caps):
-    """--field and the flags of the EngineCaps fields `caps`, with their defaults and types."""
-    # no default, so that _graph_inputs sees whether it was given
+    """--field and the flags of the EngineCaps fields `caps`, typed as their defaults."""
+    # no defaults, so that _statement sees whether these were given; _caps fills them in
     p.add_argument("--field", help="coefficient field: Q (default) or GF(p)")
     for cap in caps:
-        default = getattr(DEFAULT_CAPS, cap)
-        p.add_argument(_CAP_FLAGS[cap], dest=cap, type=type(default), default=default)
+        p.add_argument(_CAP_FLAGS[cap], dest=cap, type=type(getattr(DEFAULT_CAPS, cap)))
 
 
 def _add_cache_flags(p):
@@ -231,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p, "lattice_max")
 
     p = sub.add_parser("verify", help="run a named statement over a graph family or an ideal instance")
-    p.add_argument("--statement", required=True, help=", ".join(STATEMENTS + tuple(_IDEAL_STATEMENTS)))
+    p.add_argument("--statement", required=True, help=", ".join(STATEMENTS))
     _add_graph_flags(p, family=True)
     p.add_argument("--set", type=_one_set, help="independent set for suspension/main1/main2")
     p.add_argument("--cover", type=_one_set, help="vertex cover for keylemma")
@@ -261,13 +253,23 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _ideal_inputs(args, command: str, names) -> list:
+    """The ideal inputs of command named in names, parsed from their flags in that order: the
+    monomial of --monomial, each other one a JSON list of monomial strings in --nvars variables."""
+    missing = [_flag(name) for name in (*names, "nvars") if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{command} needs " + ", ".join(missing))
+    nv = args.nvars
+    return [
+        parse_monomial(args.monomial, nv) if name == "monomial"
+        else parse_ideal(json.loads(getattr(args, name)), nv)
+        for name in names
+    ]
+
+
 def _cmd_betti(args, field: Field, caps: EngineCaps) -> int:
     if args.ideal:
-        gens = json.loads(args.ideal)
-        nvars = args.nvars
-        if nvars is None:
-            raise ValueError("--ideal needs --nvars")
-        ideal = parse_ideal(gens, nvars)
+        [ideal] = _ideal_inputs(args, "betti", ("ideal",))
     else:
         ideal = edge_ideal(_single_graph(args))
     if args.power != 1:
@@ -332,59 +334,39 @@ def _cmd_extend(args, field: Field, caps: EngineCaps) -> int:
     return EXIT_OK
 
 
-def _ideal_report(args, field: Field, caps: EngineCaps):
-    """The report of an ideal statement on its parsed inputs; the check validates them."""
-    if args.nvars is None:
-        raise ValueError(f"--statement {args.statement} needs --nvars")
-    nv = args.nvars
-    if args.statement in ("splitting", "doublelinear"):
-        if not (args.ideal and args.part_j and args.part_k):
-            raise ValueError("splitting statements need --ideal, --part-j and --part-k")
-        parts = [parse_ideal(json.loads(t), nv) for t in (args.ideal, args.part_j, args.part_k)]
-        fn = check_betti_splitting if args.statement == "splitting" else check_doublelinear
-        return fn(*parts, field, caps)
-    if args.statement == "colon":
-        if not (args.ideal and args.monomial):
-            raise ValueError("colon needs --ideal and --monomial")
-        ideal = parse_ideal(json.loads(args.ideal), nv)
-        return check_colon_reg_bound(ideal, parse_monomial(args.monomial, nv), field, caps)
-    if not (args.ideal and args.part_j):
-        raise ValueError("abc needs --ideal (ambient I) and --part-j (sub-ideal J)")
-    ambient = parse_ideal(json.loads(args.ideal), nv)
-    sub = parse_ideal(json.loads(args.part_j), nv)
-    return check_abc_bound(sub, ambient, field, caps)
-
-
 def _check_ranges(args) -> None:
     """Reject a negative power index, a largest power, family size or job count below 1 and a
     cap that is not positive, before any output."""
     for name, low in (("k", 0), ("kmax", 1), ("max_n", 1), ("jobs", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+            raise ValueError(f"{_flag(name)} must be at least {low}, got {value}")
     for cap, flag in _CAP_FLAGS.items():
         value = getattr(args, cap, None)
         if value is not None and not value > 0:
             raise ValueError(f"{flag} must be positive, got {value}")
 
 
-def _reject_unread(args, statement: str, reads) -> None:
-    """Raise ValueError naming the first parameter, ideal or family flag given that statement
-    does not read."""
-    for dest in (*_PARAMS, *_IDEAL_FLAGS, *_FAMILY_FLAGS):
+def _statement(args, statement: str):
+    """The registry entry of statement; raises ValueError naming the first flag given that
+    the statement does not read.  A graph statement reads the family flags, an ideal one its
+    ideal inputs and --nvars, and one with `engine` set --field and the cap flags."""
+    entry = _REGISTRY[statement]
+    reads = {dest for dest, name in _PARAMS.items() if name in entry.params}
+    reads.update((*entry.ideals, "nvars") if entry.ideals else _FAMILY_FLAGS)
+    if entry.engine:
+        reads.update(("field", *_CAP_FLAGS))
+    for dest in (*_PARAMS, *_IDEAL_FLAGS, *_FAMILY_FLAGS, "field", *_CAP_FLAGS):
         if getattr(args, dest, None) is not None and dest not in reads:
-            raise ValueError(f"{statement} does not read --{dest.replace('_', '-')}")
+            raise ValueError(f"{statement} does not read {_flag(dest)}")
+    return entry
 
 
 def _graph_inputs(args, statement: str) -> tuple:
-    """(params, cache, family) of a graph statement, all checked before any output: its
-    parameters from the flags given, with defaults filled in, and the family's graph6 strings."""
-    defaults = statement_params(statement, {})
-    reads = [dest for dest, name in _PARAMS.items() if name in defaults]
-    _reject_unread(args, statement, (*reads, *_FAMILY_FLAGS))
-    if statement in FIELD_FREE and args.field is not None:
-        raise ValueError(f"{statement} does not read --field")
-    given = {_PARAMS[dest]: getattr(args, dest) for dest in reads if getattr(args, dest) is not None}
+    """(params, cache, family) of a graph statement whose flags `_statement` has checked, all
+    checked before any output: its parameters from the flags given, with defaults filled in,
+    and the family's graph6 strings."""
+    given = {_PARAMS[dest]: getattr(args, dest) for dest in _PARAMS if getattr(args, dest, None) is not None}
     params = statement_params(statement, given)
     cache = _cache(args)
     return params, cache, _family(args, cache)
@@ -416,10 +398,11 @@ def _run_family(args, cache: ResultCache, family: list, statement: str, params: 
     """Report dicts of `statement` over the family, sorted; --jobs workers use the cache themselves.
 
     The cache key of a graph's reports holds the command, the statement, its parameters with
-    defaults filled in, the field unless the statement is `FIELD_FREE`, caps, graph and version."""
+    defaults filled in, the field and caps if the statement reads them, graph and version."""
     run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
     base_key = dict(op=args.command, statement=statement, params=params)
-    base_key.update({} if statement in FIELD_FREE else {"field": field.token()}, caps=caps.to_json())
+    if _REGISTRY[statement].engine:
+        base_key.update(field=field.token(), caps=caps.to_json())
     item = functools.partial(_family_item, base_key, run, cache)
     if (args.jobs or 1) <= 1 or len(family) <= 1:
         chunks = [item(g6) for g6 in family]
@@ -442,20 +425,23 @@ def _emit_reports(reports) -> int:
 
 def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
     statement = args.statement
-    if statement in _IDEAL_STATEMENTS:
-        _reject_unread(args, statement, _IDEAL_STATEMENTS[statement])
-        reports = [_ideal_report(args, field, caps).to_json()]
-    elif statement in STATEMENTS:
+    if statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}")
+    entry = _statement(args, statement)
+    if entry.ideals:
+        # run directly, so that a cap overrun exits 3 and is not a skipped report
+        inputs = _ideal_inputs(args, statement, entry.ideals)
+        reports = [entry.run(*inputs, field, caps).to_json()]
+    else:
         params, cache, family = _graph_inputs(args, statement)
         reports = _run_family(args, cache, family, statement, params, field, caps)
-    else:
-        raise ValueError(f"unknown statement {statement!r}")
     # the header follows the checks, so that an error a check raises leaves stdout empty
     _emit(_header("verify", args, field, caps, statement=statement))
     return _emit_reports(reports)
 
 
 def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
+    _statement(args, args.conjecture)
     params, cache, family = _graph_inputs(args, args.conjecture)
     reports = _run_family(args, cache, family, args.conjecture, params, field, caps)
     # the header follows the checks, as in verify

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 from .complexes import CapExceeded
 from .graph6 import graph_to_graph6
@@ -281,12 +282,7 @@ def check_abc_bound(
 # -- ordered colon structure of powers ---------------------------------------------------
 
 
-def check_blemma_colon_structure(
-    g: Graph,
-    n: int = 1,
-    field: Field = RATIONALS,
-    caps: EngineCaps = DEFAULT_CAPS,
-) -> VerificationReport:
+def check_blemma_colon_structure(g: Graph, n: int = 1) -> VerificationReport:
     """Pairwise colon structure of the ordered generators of the n-th power.
 
     For generators L_1 > ... > L_m of I^n: whenever (L_j : L_{k+1}) is not
@@ -325,13 +321,7 @@ def check_blemma_colon_structure(
 # -- cover colon statement ---------------------------------------------------------------
 
 
-def check_keylemma(
-    g: Graph,
-    cover,
-    k: int,
-    field: Field = RATIONALS,
-    caps: EngineCaps = DEFAULT_CAPS,
-) -> VerificationReport:
+def check_keylemma(g: Graph, cover, k: int) -> VerificationReport:
     """(U * I^k : L) is variable-generated for every minimal generator L of I^k."""
     inst = _ginst(g, U=cover, k=k)
     if not is_vertex_cover(g, cover):
@@ -629,8 +619,16 @@ def is_im_reg_invariant_extension(
     return regularity(edge_ideal(ext), field, caps) == regularity(edge_ideal(g), field, caps)
 
 
-def _invariant_extensions(g: Graph, field: Field, caps: EngineCaps, reg_g=None, exts=None) -> list:
-    """enumerate_im_reg_extensions, for a caller that may already know reg_g = reg(I(g))."""
+def enumerate_im_reg_extensions(
+    g: Graph,
+    field: Field = RATIONALS,
+    caps: EngineCaps = DEFAULT_CAPS,
+    exts=None,
+    reg_g=None,
+) -> list:
+    """All one-vertex extensions of g preserving im and regularity, in the order of
+    `one_vertex_extensions`; a caller that has built that list passes it as exts, and one
+    that knows reg(I(g)) passes it as reg_g."""
     if exts is None:
         exts = one_vertex_extensions(g)
     if not exts:
@@ -646,17 +644,6 @@ def _invariant_extensions(g: Graph, field: Field, caps: EngineCaps, reg_g=None, 
         if induced_matching_number(ext) == im_g
         and regularity(edge_ideal(ext), field, caps) == reg_g
     ]
-
-
-def enumerate_im_reg_extensions(
-    g: Graph,
-    field: Field = RATIONALS,
-    caps: EngineCaps = DEFAULT_CAPS,
-    exts=None,
-) -> list:
-    """All one-vertex extensions of g preserving im and regularity, in the order of
-    `one_vertex_extensions`; a caller that has built that list passes it as exts."""
-    return _invariant_extensions(g, field, caps, exts=exts)
 
 
 def probe_vertex_deletions(
@@ -726,7 +713,7 @@ def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     reg_g = 2 if ks.start == 1 else None
     ext_ks = range(max(2, ks.start), ks.stop)
     out = []
-    for ext in _invariant_extensions(g, field, caps, reg_g):
+    for ext in enumerate_im_reg_extensions(g, field, caps, reg_g=reg_g):
         inst = _ginst(g, z_neighborhood=sorted(ext.neighbors(g.n)), c_G=ks.start)
         _, bad = _linear_powers(edge_ideal(ext), ext_ks, field, caps)
         data = {"k_checked": list(ks)}
@@ -754,40 +741,54 @@ def _sets(g: Graph, p: dict):
     return [s for s in independent_sets(g) if len(s) < g.n] if p["sets"] is None else p["sets"]
 
 
-def _keylemma(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
+def _keylemma(g: Graph, p: dict, *_) -> list:
     covers = minimal_vertex_covers(g) if p["covers"] is None else p["covers"]
     ks = [0, 1, 2] if p["k"] is None else [p["k"]]
-    return [check_keylemma(g, c, k, field, caps) for c in covers for k in ks]
+    return [check_keylemma(g, c, k) for c in covers for k in ks]
 
 
-# statement -> (handler(g, params, field, caps) giving one report per sub-instance, the
-# parameters the handler reads with their defaults); a handler that lets CapExceeded out
-# gets one skipped report on g for the whole graph
+class Statement(NamedTuple):
+    """What one statement of `verify` or `scan` runs and reads.
+
+    A graph statement (ideals empty) runs as run(g, params, field, caps), one report per
+    sub-instance; if it lets CapExceeded out, g gets one skipped report.  An ideal statement
+    runs as run(*inputs, field, caps), one report, with inputs named by ideals in that order.
+    params holds the parameters run reads, with their defaults; engine is False when the
+    reports depend on neither the field nor the engine caps."""
+
+    run: Callable
+    params: dict
+    ideals: tuple = ()
+    engine: bool = True
+
+
 _REGISTRY = {
-    "froberg": (lambda g, p, f, c: [check_froberg(g, f, c)], {}),
-    "bounds": (lambda g, p, f, c: [check_reg_bounds(g, f, c)], {}),
-    "bht": (lambda g, p, f, c: [check_bht_lower_bound(g, p["k_max"], f, c)], {"k_max": 3}),
-    "hhz": (lambda g, p, f, c: [check_hhz(g, p["k_max"], f, c)], {"k_max": 3}),
-    "banerjee": (lambda g, p, f, c: [check_banerjee(g, p["k_max"], f, c)], {"k_max": 3}),
-    "suspension": (
-        lambda g, p, f, c: check_s_suspension_invariance(g, _sets(g, p), f, c),
-        {"sets": None},
+    "froberg": Statement(lambda g, p, f, c: [check_froberg(g, f, c)], {}),
+    "bounds": Statement(lambda g, p, f, c: [check_reg_bounds(g, f, c)], {}),
+    "bht": Statement(lambda g, p, f, c: [check_bht_lower_bound(g, p["k_max"], f, c)], {"k_max": 3}),
+    "hhz": Statement(lambda g, p, f, c: [check_hhz(g, p["k_max"], f, c)], {"k_max": 3}),
+    "banerjee": Statement(lambda g, p, f, c: [check_banerjee(g, p["k_max"], f, c)], {"k_max": 3}),
+    "suspension": Statement(
+        lambda g, p, f, c: check_s_suspension_invariance(g, _sets(g, p), f, c), {"sets": None}
     ),
-    "keylemma": (_keylemma, {"covers": None, "k": None}),
-    "blemma": (lambda g, p, f, c: [check_blemma_colon_structure(g, p["k"], f, c)], {"k": 1}),
-    "main1": (lambda g, p, f, c: check_main1(g, _sets(g, p), p["k"], f, c), {"sets": None, "k": 2}),
-    "main2": (
-        lambda g, p, f, c: check_main2(g, _sets(g, p), p["k_max"], f, c),
-        {"sets": None, "k_max": 3},
+    "keylemma": Statement(_keylemma, {"covers": None, "k": None}, engine=False),
+    "blemma": Statement(
+        lambda g, p, *_: [check_blemma_colon_structure(g, p["k"])], {"k": 1}, engine=False
     ),
-    "deletion-probe": (lambda g, p, f, c: [probe_vertex_deletions(g, f, c)], {}),
-    "np": (partial(_scan_power_linearity, "np"), {"k_max": 2, "reg_filter": None}),
-    "generalnp": (partial(_scan_power_linearity, "generalnp"), {"k_max": 2, "reg_filter": None}),
-    "newconj2": (_scan_extensions, {"k_max": 2, "c_g": 2}),
+    "main1": Statement(lambda g, p, f, c: check_main1(g, _sets(g, p), p["k"], f, c), {"sets": None, "k": 2}),
+    "main2": Statement(
+        lambda g, p, f, c: check_main2(g, _sets(g, p), p["k_max"], f, c), {"sets": None, "k_max": 3}
+    ),
+    "deletion-probe": Statement(lambda g, p, f, c: [probe_vertex_deletions(g, f, c)], {}),
+    "splitting": Statement(check_betti_splitting, {}, ("ideal", "part_j", "part_k")),
+    "doublelinear": Statement(check_doublelinear, {}, ("ideal", "part_j", "part_k")),
+    "colon": Statement(check_colon_reg_bound, {}, ("ideal", "monomial")),
+    "abc": Statement(check_abc_bound, {}, ("part_j", "ideal")),
+    "np": Statement(partial(_scan_power_linearity, "np"), {"k_max": 2, "reg_filter": None}),
+    "generalnp": Statement(partial(_scan_power_linearity, "generalnp"), {"k_max": 2, "reg_filter": None}),
+    "newconj2": Statement(_scan_extensions, {"k_max": 2, "c_g": 2}),
 }
 
-# the statements whose reports do not depend on the field
-FIELD_FREE = ("blemma", "keylemma")
 # the conjecture scans of `scan`
 CONJECTURES = ("np", "generalnp", "newconj2")
 # the statements of `verify`
@@ -802,7 +803,7 @@ def statement_params(statement: str, given: dict) -> dict:
     range it cannot check."""
     if statement not in _REGISTRY:
         raise ValueError(f"unknown statement {statement!r}")
-    defaults = _REGISTRY[statement][1]
+    defaults = _REGISTRY[statement].params
     for name in given:
         if name not in defaults:
             raise ValueError(f"{statement} does not read the parameter {name!r}")
@@ -825,10 +826,13 @@ def run_statement(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> list:
-    """Run one named statement or conjecture scan on one graph; returns one report per
-    sub-instance."""
+    """Run one named graph statement or conjecture scan on one graph; returns one report per
+    sub-instance.  Raises ValueError for an ideal statement."""
     p = statement_params(statement, params or {})
+    entry = _REGISTRY[statement]
+    if entry.ideals:
+        raise ValueError(f"{statement} reads ideals, not a graph")
     try:
-        return _REGISTRY[statement][0](g, p, field, caps)
+        return entry.run(g, p, field, caps)
     except CapExceeded as e:
         return [_skipped(statement, _ginst(g), f"engine cap hit: {e}")]

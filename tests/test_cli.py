@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, cycle, path
 from edgeideals.resolutions import DEFAULT_CAPS
-from edgeideals.verification import CONJECTURES, STATEMENTS, statement_params
+from edgeideals.verification import _REGISTRY, CONJECTURES, STATEMENTS, run_statement
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +88,9 @@ def test_exit_codes(capsys):
     assert code == 3 and "cap" in err
     code, _, _ = run_cli(capsys, "betti")
     assert code == 2
+    # an ideal statement that hits a cap exits 3 with empty stdout, not with a skipped report
+    code, out, err = run_cli(capsys, "verify", "--statement", "splitting", *SPLIT_ARGV, "--lattice-cap", "1")
+    assert (code, out) == (3, "") and "cap" in err
     code, _, _ = run_cli(capsys, "verify", "--statement", "nonsense", "--builder", "cycle:4")
     assert code == 2
     # the interval oracle's face cap is a test-suite knob, not a CLI flag
@@ -207,6 +211,8 @@ IDEAL_FLAGS = {
     "--monomial": "x0",
     "--nvars": "3",
 }
+# --field and the cap flags of verify, each with a value that every statement's argv accepts
+ENGINE_FLAGS = {"--field": "GF(2)", "--lattice-cap": "5000", "--lq-cap": "7", "--time-budget": "30"}
 # the ideal statements of verify -> a valid argv, which gives exactly the ideal flags the statement reads
 SPLIT_ARGV = ["--ideal", '["x0*x1","x1*x2"]', "--part-j", '["x0*x1"]', "--part-k", '["x1*x2"]', "--nvars", "3"]
 IDEAL_ARGV = {
@@ -218,40 +224,57 @@ IDEAL_ARGV = {
 
 
 def _statement_runs():
-    """(argv, statement, parameter flags of its command, ideal flags it reads) for every
-    statement of verify and every conjecture of scan; only graph statements read --no-cache."""
-    verify_flags = ("--set", "--cover", "--k", "--kmax")
+    """(argv, statement, the flags its command has besides the graph source and cache flags)
+    for every statement of verify and every conjecture of scan; only graph statements read
+    --no-cache."""
     graph = ["--builder", "cycle:4", "--no-cache"]
+    verify_flags = ("--set", "--cover", "--k", "--kmax", *IDEAL_FLAGS, *ENGINE_FLAGS)
     for st in STATEMENTS:
-        yield ["verify", "--statement", st, *graph], st, verify_flags, set()
-    for st, argv in IDEAL_ARGV.items():
-        yield ["verify", "--statement", st, *argv], st, verify_flags, set(argv[::2])
+        yield ["verify", "--statement", st, *IDEAL_ARGV.get(st, graph)], st, verify_flags
     for c in CONJECTURES:
-        yield ["scan", "--conjecture", c, *graph], c, ("--kmax", "--reg-filter", "--cg"), set()
+        yield ["scan", "--conjecture", c, *graph], c, ("--kmax", "--reg-filter", "--cg", "--field", "--lattice-cap")
+
+
+def _declared_flags(entry) -> set:
+    """The flags of a registry entry: its parameters, its ideal inputs and --nvars, and --field
+    and the cap flags when it reads the field and caps."""
+    flags = {flag for flag, (name, _) in PARAM_FLAGS.items() if name in entry.params}
+    if entry.ideals:
+        flags.update(["--" + name.replace("_", "-") for name in entry.ideals] + ["--nvars"])
+    if entry.engine:
+        flags.update(ENGINE_FLAGS)
+    return flags
 
 
 def test_each_statement_takes_only_the_flags_it_reads(capsys):
-    read = []
-    for argv, statement, flags, ideal_reads in _statement_runs():
-        params = {} if statement in IDEAL_ARGV else statement_params(statement, {})
+    values = {**{flag: value for flag, (_, value) in PARAM_FLAGS.items()}, **IDEAL_FLAGS, **ENGINE_FLAGS}
+    read, rejected = [], set()
+    for argv, statement, flags in _statement_runs():
+        declared = _declared_flags(_REGISTRY[statement])
+        # an ideal statement's argv gives exactly the ideal flags it declares
+        assert declared & set(IDEAL_FLAGS) == set(argv) & set(IDEAL_FLAGS), statement
         for flag in flags:
-            name, value = PARAM_FLAGS[flag]
-            code, out, err = run_cli(capsys, *argv, flag, value)
-            if name in params:
-                read.append((statement, flag))
-                assert code == 0, (statement, flag, err)
+            if flag in argv:
+                continue
+            code, out, err = run_cli(capsys, *argv, flag, values[flag])
+            if flag in declared:
+                assert code in (0, 1) and out and err == "", (statement, flag, err)
+                if flag in PARAM_FLAGS:
+                    read.append((statement, flag))
             else:
                 # an unread flag is an input error before any output, so it never reaches a cache key
                 assert (code, out, err) == (2, "", f"error: {statement} does not read {flag}\n")
-        if argv[0] == "scan":
-            continue
-        for flag, value in IDEAL_FLAGS.items():
-            if flag not in ideal_reads:
-                code, out, err = run_cli(capsys, *argv, flag, value)
-                assert (code, out, err) == (2, "", f"error: {statement} does not read {flag}\n")
+                rejected.add((statement, flag))
     assert len(read) == 17
+    # the statements that compute no Betti table read neither the field nor a cap
+    for statement in ("blemma", "keylemma"):
+        assert {(statement, flag) for flag in ENGINE_FLAGS} <= rejected
     code, out, _ = run_cli(capsys, "verify", "--statement", "froberg", "--builder", "cycle:4", "--k", "3", "--set", "0")
     assert (code, out) == (2, "")
+    # run_statement runs graph statements only
+    for statement in IDEAL_ARGV:
+        with pytest.raises(ValueError, match=f"{statement} reads ideals"):
+            run_statement(statement, cycle(4))
 
 
 # the graph-source, cache and worker flags, each with a value that would be valid for a graph statement
@@ -305,13 +328,14 @@ def test_a_statement_without_parameters_keeps_its_cache_key(tmp_path, capsys):
 
 
 def test_blemma_reads_no_field(tmp_path, capsys):
-    # blemma's reports do not depend on the field, so an explicit --field is an unread flag
+    # blemma's reports depend on neither the field nor the caps, so an explicit --field or cap
+    # flag is an unread flag
     argv = ["verify", "--statement", "blemma", "--builder", "cycle:5", "--k", "2"]
-    for field in ("Q", "GF(2)"):
-        code, out, err = run_cli(capsys, *argv, "--field", field, "--cache-dir", str(tmp_path))
-        assert (code, out, err) == (2, "", "error: blemma does not read --field\n")
+    for flag, value in (("--field", "Q"), ("--field", "GF(2)"), ("--lattice-cap", "3")):
+        code, out, err = run_cli(capsys, *argv, flag, value, "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: blemma does not read {flag}\n")
     assert not any(tmp_path.iterdir())
-    # the default run keeps its bytes, header field included, and a key without the field
+    # the default run keeps its bytes, header field and caps included, and a key without either
     code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 0 and json_lines(out)[0]["header"]["field"] == "Q"
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
@@ -321,7 +345,6 @@ def test_blemma_reads_no_field(tmp_path, capsys):
         "op": "verify",
         "statement": "blemma",
         "params": {"k": 2},
-        "caps": DEFAULT_CAPS.to_json(),
         "graph6": graph_to_graph6(cycle(5)),
         "version": __version__,
     }
@@ -334,7 +357,8 @@ def test_blemma_reads_no_field(tmp_path, capsys):
 
 
 def test_keylemma_reads_no_field(tmp_path, capsys):
-    # keylemma compares colons with variable ideals and computes no Betti table
+    # keylemma compares colons with variable ideals and computes no Betti table, so its cache
+    # key holds neither the field nor the caps
     argv = ["verify", "--statement", "keylemma", "--builder", "cycle:5"]
     for field in ("Q", "GF(2)"):
         code, out, err = run_cli(capsys, *argv, "--field", field, "--cache-dir", str(tmp_path))
@@ -350,7 +374,6 @@ def test_keylemma_reads_no_field(tmp_path, capsys):
         "op": "verify",
         "statement": "keylemma",
         "params": {"covers": None, "k": None},
-        "caps": DEFAULT_CAPS.to_json(),
         "graph6": graph_to_graph6(cycle(5)),
         "version": __version__,
     }
@@ -965,6 +988,32 @@ def test_per_graph_check_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, 
     assert code == 0
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+def _readme_examples() -> list:
+    """The argv of each `edgeideals verify` or `edgeideals scan` line of the README's shell
+    examples, with its continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = readme.replace("\\\n", " ").splitlines()
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in commands
+        if line.startswith(("edgeideals verify ", "edgeideals scan "))
+    ]
+
+
+def test_the_readme_verify_and_scan_examples_run(tmp_path, capsys, monkeypatch):
+    # the examples document the flags each statement reads, so each must run as written;
+    # the one that reads family.g6 needs a file the README does not give
+    examples = [argv for argv in _readme_examples() if "family.g6" not in argv]
+    assert len(examples) >= 7 and any("--summary" in argv for argv in examples)
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    # relative paths, such as the --summary file, land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1) and out and err == "", (argv, err)
+    assert (tmp_path / "summary.csv").exists()
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

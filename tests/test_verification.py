@@ -19,11 +19,13 @@ from edgeideals.linalg import GF2, RATIONALS
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
+    colon,
     edge_ideal,
     embed,
     generated_in_single_degree,
     ideal_power,
     ideal_product,
+    ideal_sum,
     intersect,
     minimalize,
     parse_ideal,
@@ -33,6 +35,7 @@ from edgeideals.monomials import (
 )
 from edgeideals.resolutions import taylor_betti_oracle
 from edgeideals.verification import (
+    _REGISTRY,
     CONJECTURES,
     STATEMENTS,
     VerificationReport,
@@ -512,7 +515,8 @@ def lattice_ideals(monkeypatch):
 
 def _table_sharing_calls(g):
     """(label, call) for every check and scan on g that must not compute a table twice."""
-    calls = [(st, functools.partial(run_statement, st, g)) for st in STATEMENTS]
+    graph_statements = [st for st in STATEMENTS if not _REGISTRY[st].ideals]
+    calls = [(st, functools.partial(run_statement, st, g)) for st in graph_statements]
     for conjecture, params in (
         ("np", {"k_max": 3}),
         ("generalnp", {"k_max": 3}),
@@ -685,24 +689,32 @@ def test_main2_fails_on_a_nonlinear_suspended_square(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def shift_regularity(monkeypatch, target, by=1):
+    """Make verification.regularity wrong by `by` on the ideal target and true on every other.
+
+    The checks read reg from resolutions.regularity, which calls its own betti_table, so a
+    fault in their regularity goes here and not into betti_table."""
+    from edgeideals import verification
+
+    regularity = verification.regularity
+
+    def shifted(i, field, caps):
+        return regularity(i, field, caps) + by * (i == target)
+
+    monkeypatch.setattr(verification, "regularity", shifted)
+
+
 @pytest.mark.parametrize(
     "statement, g, builder",
     # cycle(4) has reg 2 and a chordal complement; path(3) has reg 2 = m(G) + 1
     [("froberg", cycle(4), "cycle:4"), ("bounds", path(3), "path:3")],
 )
 def test_regularity_checks_fail_on_a_shifted_regularity(monkeypatch, capsys, statement, g, builder):
-    from edgeideals import verification
     from edgeideals.cli import main
 
-    # froberg and bounds read reg(I(G)) from resolutions.regularity, which calls its own
-    # betti_table, so the fault goes into verification.regularity: one too high on I(g) only
-    regularity = verification.regularity
+    # one too high on reg(I(G)) only
     ideal = edge_ideal(g)
-
-    def shifted(i, field, caps):
-        return regularity(i, field, caps) + (i == ideal)
-
-    monkeypatch.setattr(verification, "regularity", shifted)
+    shift_regularity(monkeypatch, ideal)
     (rep,) = run_statement(statement, g)
     assert rep.verdict == "fail" and rep.reason is None, rep
     assert rep.witness["reg"] == 3
@@ -718,18 +730,12 @@ def test_regularity_checks_fail_on_a_shifted_regularity(monkeypatch, capsys, sta
 
 
 def test_suspension_fails_on_a_shifted_regularity(monkeypatch, capsys):
-    from edgeideals import verification
     from edgeideals.cli import main
 
     # one too high on reg(I(G_S)) only, so reg(I(G)) and both induced matching numbers stay true
     g, s = cycle(5), (0, 2)
     suspended = edge_ideal(s_suspension(g, s))
-    regularity = verification.regularity
-
-    def shifted(i, field, caps):
-        return regularity(i, field, caps) + (i == suspended)
-
-    monkeypatch.setattr(verification, "regularity", shifted)
+    shift_regularity(monkeypatch, suspended)
     [rep] = check_s_suspension_invariance(g, [s])
     assert rep.verdict == "fail" and rep.reason is None, rep
     assert rep.witness == {"im": [1, 1], "reg": [3, 4]}
@@ -771,3 +777,74 @@ def test_keylemma_fails_on_a_colon_with_a_squared_variable(monkeypatch, capsys):
     argv = ["verify", "--statement", "keylemma", "--builder", "cycle:5", "--cover", "0,1,3", "--k", "1"]
     assert main([*argv, "--no-cache"]) == 1
     capsys.readouterr()
+
+
+def verify_one(capsys, statement, *argv) -> tuple:
+    """(exit code, report dict) of `verify --statement statement` on an ideal instance."""
+    from edgeideals.cli import main
+
+    code = main(["verify", "--statement", statement, *argv])
+    _, report = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    return code, report
+
+
+def oracle_reg(ideal) -> int:
+    return taylor_betti_oracle(ideal).regularity()
+
+
+C5_EDGES = '["x0*x1","x1*x2","x2*x3","x3*x4","x0*x4"]'
+
+
+@pytest.mark.parametrize(
+    "by, witness",
+    # the terms are reg(I : x0) + 1 = 3 and reg(I + (x0)) = 2, and x0 divides a generator of I,
+    # so reg(I) must equal one of them: 4 is over the bound, 1 under it equals neither
+    [(1, {"reg": 4, "bound": 3}), (-2, {"reg": 1, "terms": [3, 2], "expected": "equality with one term"})],
+    ids=["bound", "equality"],
+)
+def test_colon_fails_on_a_shifted_regularity(monkeypatch, capsys, by, witness):
+    # reg(I(C5)) shifted only, so both terms stay true
+    ideal, m = edge_ideal(cycle(5)), parse_monomial("x0", 5)
+    shift_regularity(monkeypatch, ideal, by)
+    code, rep = verify_one(capsys, "colon", "--ideal", C5_EDGES, "--monomial", "x0", "--nvars", "5")
+    assert code == 1
+    assert rep["verdict"] == "fail" and rep["witness"] == witness, rep
+    # the shift is the only fault: the Taylor oracle gives the same terms, and a true reg(I)
+    # that equals one of them
+    terms = [oracle_reg(colon(ideal, m)) + m.degree, oracle_reg(ideal_sum(ideal, principal_ideal(m)))]
+    assert witness.get("terms", terms) == terms and witness.get("bound", max(terms)) == max(terms)
+    assert oracle_reg(ideal) == 3 == max(terms)
+
+
+def test_abc_fails_on_a_shifted_regularity(monkeypatch, capsys):
+    # J = I(C5) inside the maximal ideal I, so n1 = 1 < n2 = 2; one too high on reg(J) only
+    sub, ambient = edge_ideal(cycle(5)), variable_ideal(5, range(5))
+    shift_regularity(monkeypatch, sub)
+    argv = ["--ideal", '["x0","x1","x2","x3","x4"]', "--part-j", C5_EDGES, "--nvars", "5"]
+    code, rep = verify_one(capsys, "abc", *argv)
+    assert code == 1
+    assert rep["verdict"] == "fail" and rep["witness"] == {"reg": 4, "bound": 3}, rep
+    # the shift is the only fault: the Taylor oracle gives every term of the bound, A = reg(J : L1)
+    # + 1, B_l = reg((J, L1, ..., L_{l-1}) : L_l) + 1 and C = reg(I), and a true reg(J) within it
+    order = ambient.sorted_gens()
+    a = oracle_reg(colon(sub, order[0])) + 1
+    b = [oracle_reg(colon(ideal_sum(sub, minimalize(5, order[:l])), order[l])) + 1 for l in range(1, 5)]
+    c = oracle_reg(ambient)
+    assert rep["data"] == {"A": a, "B": b, "C": c, "reg": 4}
+    assert max(a, *b, c) == rep["witness"]["bound"]
+    assert oracle_reg(sub) == 3 <= rep["witness"]["bound"]
+
+
+def test_doublelinear_fails_on_an_off_diagonal_entry(monkeypatch, capsys):
+    # one extra beta_{1,7} in the table of the whole only, so both parts stay linear
+    gens = ["x0*x1", "x0*x2", "x3*x4"]
+    whole, left, right = (parse_ideal(g, 5) for g in (gens, gens[:2], gens[2:]))
+    inject_beta_1_7(monkeypatch, lambda ideal: ideal == whole)
+    argv = ["--ideal", json.dumps(gens), "--part-j", json.dumps(gens[:2]), "--part-k", json.dumps(gens[2:])]
+    code, rep = verify_one(capsys, "doublelinear", *argv, "--nvars", "5")
+    assert code == 1
+    assert rep["verdict"] == "fail" and rep["witness"] == {"i": 1, "j": 7, "lhs": 1, "rhs": 0}, rep
+    # the injected entry is the only fault: the Taylor oracle gives beta_{1,7} = 0 on both sides
+    assert taylor_betti_oracle(whole).beta(1, 7) == 0
+    rhs = [taylor_betti_oracle(i).beta(j, 7) for i, j in ((left, 1), (right, 1), (intersect(left, right), 0))]
+    assert rhs == [0, 0, 0]
