@@ -46,6 +46,7 @@ from .verification import (
     PASS,
     SKIPPED,
     STATEMENTS,
+    InvariantStore,
     check_s_suspension_invariance,
     enumerate_im_reg_extensions,
     run_statement,
@@ -383,34 +384,49 @@ def _is_report_list(value) -> bool:
     )
 
 
-def _family_item(base_key: dict, run, cache: ResultCache, g6: str) -> list:
+def _family_item(base_key: dict, run, cache: ResultCache, g6: str, store: InvariantStore) -> list:
     """Report dicts of `run` on one graph, cached; an entry of the wrong shape is a miss."""
     key = dict(base_key, graph6=g6, version=__version__)
     hit = cache.get(key)
     if _is_report_list(hit):
         return hit
-    reports = [r.to_json() for r in run(graph_from_graph6(g6))]
+    reports = [r.to_json() for r in run(graph_from_graph6(g6), store=store)]
     cache.put(key, reports)
     return reports
+
+
+# the InvariantStore of a --jobs worker process, built by the pool initializer
+_worker_store = None
+
+
+def _start_worker() -> None:
+    global _worker_store
+    _worker_store = InvariantStore()
+
+
+def _worker_item(item, g6: str) -> list:
+    return item(g6, _worker_store)
 
 
 def _run_family(args, cache: ResultCache, family: list, statement: str, params: dict, field, caps) -> list:
     """Report dicts of `statement` over the family, sorted; --jobs workers use the cache themselves.
 
     The cache key of a graph's reports holds the command, the statement, its parameters with
-    defaults filled in, the field and caps if the statement reads them, graph and version."""
+    defaults filled in, the field and caps if the statement reads them, graph and version.
+    The run's `InvariantStore` is not: one serial run has one, and each worker its own."""
     run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
     base_key = dict(op=args.command, statement=statement, params=params)
     if _REGISTRY[statement].engine:
         base_key.update(field=field.token(), caps=caps.to_json())
     item = functools.partial(_family_item, base_key, run, cache)
     if (args.jobs or 1) <= 1 or len(family) <= 1:
-        chunks = [item(g6) for g6 in family]
+        store = InvariantStore()
+        chunks = [item(g6, store) for g6 in family]
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
-            chunks = pool.map(item, family)
+        with multiprocessing.Pool(args.jobs, _start_worker) as pool:
+            chunks = pool.map(functools.partial(_worker_item, item), family)
     reports = [rep for chunk in chunks for rep in chunk]
     reports.sort(key=lambda r: (r["statement"], r["instance"]))
     return reports

@@ -17,6 +17,7 @@ from .graph6 import graph_to_graph6
 from .graphs import (
     Graph,
     canonical_graph,
+    canonical_key,
     complement,
     has_induced_cricket,
     independent_sets,
@@ -341,6 +342,51 @@ def check_keylemma(g: Graph, cover, k: int) -> VerificationReport:
     return _passed("keylemma", inst, data={"generators_checked": len(power.gens)})
 
 
+# -- isomorphism-invariant values of one run ---------------------------------------------
+
+
+class InvariantStore:
+    """Exact isomorphism-invariant values of graphs for one run, one record per class.
+
+    classes maps the `canonical_key` of each class seen to its record, a dict that holds
+    "reg": reg(I(H)), "im": im(H) and, for each power k checked, k: whether I(H)^k is linear.
+    Field and caps are fixed for a run, so they are not part of the key.  A CapExceeded is never stored: lattice size is an isomorphism
+    invariant, so a repeat raises the same way."""
+
+    def __init__(self):
+        self.classes = {}
+
+    def of(self, h: Graph) -> "_Record":
+        return _Record(h, self.classes.setdefault(canonical_key(h), {}))
+
+
+class _Record(NamedTuple):
+    """One graph and the record of its class, whose missing values are computed on the graph."""
+
+    graph: Graph
+    values: dict
+
+    def im(self) -> int:
+        if "im" not in self.values:
+            self.values["im"] = induced_matching_number(self.graph)
+        return self.values["im"]
+
+    def reg(self, field: Field, caps: EngineCaps) -> int:
+        if "reg" not in self.values:
+            self.values["reg"] = regularity(edge_ideal(self.graph), field, caps)
+        return self.values["reg"]
+
+    def nonlinear_power(self, ks: range, field: Field, caps: EngineCaps) -> "dict | None":
+        """The `_linear_powers` witness of I(graph) over ks, or None.  A class known linear at
+        every k in ks is not walked; any other is walked on graph, so a witness is its own."""
+        if all(self.values.get(k) for k in ks):
+            return None
+        powers, bad = _linear_powers(edge_ideal(self.graph), ks, field, caps)
+        for k in powers:
+            self.values[k] = bad is None or k < bad["k"]
+        return bad
+
+
 # -- suspension statements ------------------------------------------------------------
 
 
@@ -350,21 +396,27 @@ def check_s_suspension_invariance(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
     suspensions=None,
+    store: "InvariantStore | None" = None,
 ) -> list:
     """The one-vertex suspension preserves the induced matching number and regularity;
     one report per S in sets, in order.  A caller that has built s_suspension(g, S) for
-    each S passes them, in the same order, as suspensions."""
+    each S passes them, in the same order, as suspensions.  im and reg are read by class
+    from store, a new one for this call when None."""
     if not g.edges:
         raise ValueError("the invariance check needs a graph with at least one edge")
-    im_g = induced_matching_number(g)
-    reg_g = regularity(edge_ideal(g), field, caps)
+    if store is None:
+        store = InvariantStore()
+    base = store.of(g)
+    im_g = base.im()
+    reg_g = base.reg(field, caps)
     if suspensions is None:
         suspensions = [s_suspension(g, s) for s in sets]
     reports = []
     for s, gs in zip(sets, suspensions):
         inst = _ginst(g, S=s)
-        im_gs = induced_matching_number(gs)
-        reg_gs = regularity(edge_ideal(gs), field, caps)
+        suspended = store.of(gs)
+        im_gs = suspended.im()
+        reg_gs = suspended.reg(field, caps)
         data = {"im": [im_g, im_gs], "reg": [reg_g, reg_gs]}
         if im_g != im_gs or reg_g != reg_gs:
             reports.append(_failed("suspension", inst, data, data=data))
@@ -420,15 +472,13 @@ def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> t
     return None, base, powers
 
 
-def _suspension_parts(g: Graph, s, ks: range):
-    """(k, I(G_S)^k, star * I(G_S)^(k-1)) for k in the consecutive range ks, where star is
-    the ideal of the suspension's new edges z*x_v, v outside S, with z = x_n.  Then
+def _suspension_parts(gs: Graph, ks: range):
+    """(k, I(G_S)^k, star * I(G_S)^(k-1)) for k in the consecutive range ks, where G_S = gs
+    is a suspension with new vertex z = x_n and star is the ideal of its edges z*x_v.  Then
     I(G_S)^k = I(G)^k + star * I(G_S)^(k-1), and each yielded ideal is one product."""
-    igs = edge_ideal(s_suspension(g, s))
-    z = Monomial.variable(g.n + 1, g.n)
-    star = minimalize(
-        g.n + 1, (z * Monomial.variable(g.n + 1, v) for v in range(g.n) if v not in s)
-    )
+    igs = edge_ideal(gs)
+    n, z = gs.n, gs.n - 1
+    star = minimalize(n, (Monomial.variable(n, z) * Monomial.variable(n, v) for v in gs.neighbors(z)))
     below = ideal_power(igs, ks.start - 1)
     for k in ks:
         whole = ideal_product(below, igs)
@@ -455,7 +505,7 @@ def check_main1(
     meets = {}
     reports = []
     for s in sets:
-        [(_, whole, right)] = _suspension_parts(g, s, range(k, k + 1))
+        [(_, whole, right)] = _suspension_parts(s_suspension(g, s), range(k, k + 1))
         if set(left.gens) & set(right.gens) or set(left.gens) | set(right.gens) != set(whole.gens):
             raise RuntimeError("internal error: construction is not a generator partition")
         tw = betti_table(whole, field, caps)
@@ -473,26 +523,39 @@ def check_main2(
     k_max: int = 3,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
+    store: "InvariantStore | None" = None,
 ) -> list:
     """Powers >= 2 of a suspended edge ideal stay linear, with the intersection identity;
-    one report per S in sets, in order.  The S-independent powers of I(G) are computed once."""
+    one report per S in sets, in order.  The S-independent powers of I(G) are computed once,
+    and the linearity of each I(G_S)^k is read by the class of G_S from store, a new one for
+    this call when None."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
     unmet, _, powers = _power_hypothesis(g, k_max, field, caps)
     if unmet is not None:
         return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
+    if store is None:
+        store = InvariantStore()
     z = principal_ideal(Monomial.variable(g.n + 1, g.n))
     z_parts = {k: ideal_product(z, power) for k, (power, _) in powers.items()}
-    return [_check_main2_set(g, s, k_max, powers, z_parts, field, caps) for s in sets]
+    return [_check_main2_set(g, s, k_max, powers, z_parts, field, caps, store) for s in sets]
 
 
-def _check_main2_set(g, s, k_max, powers, z_parts, field, caps):
-    """The main2 report of one set S; powers maps k to (I(G)^k, its table), z_parts to z * I(G)^k."""
+def _check_main2_set(g, s, k_max, powers, z_parts, field, caps, store):
+    """The main2 report of one set S; powers maps k to (I(G)^k, its table), z_parts to z * I(G)^k.
+
+    The linearity of I(G_S)^k is read by the class of G_S; the intersection identity is one
+    of the labelled pair (G, S), so it is checked for every S."""
     inst = _ginst(g, S=s, k_max=k_max)
-    for k, whole, right in _suspension_parts(g, s, range(2, k_max + 1)):
-        bad = _nonlinear(k, betti_table(whole, field, caps))
-        if bad is not None:
-            return _failed("main2", inst, bad)
+    gs = s_suspension(g, s)
+    # I(G_S)^k is resolved unless its class is known linear at k, so a fail has its own table
+    linear = store.of(gs).values
+    for k, whole, right in _suspension_parts(gs, range(2, k_max + 1)):
+        if not linear.get(k):
+            bad = _nonlinear(k, betti_table(whole, field, caps))
+            linear[k] = bad is None
+            if bad is not None:
+                return _failed("main2", inst, bad)
         meet = intersect(powers[k][0], right)
         if meet != z_parts[k]:
             rhs = z_parts[k].gen_strings()
@@ -625,47 +688,49 @@ def enumerate_im_reg_extensions(
     caps: EngineCaps = DEFAULT_CAPS,
     exts=None,
     reg_g=None,
+    store: "InvariantStore | None" = None,
 ) -> list:
     """All one-vertex extensions of g preserving im and regularity, in the order of
     `one_vertex_extensions`; a caller that has built that list passes it as exts, and one
-    that knows reg(I(g)) passes it as reg_g."""
+    that knows reg(I(g)) passes it as reg_g.  im and reg are read by class from store, a new
+    one for this call when None."""
     if exts is None:
         exts = one_vertex_extensions(g)
     if not exts:
         return []
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
+    if store is None:
+        store = InvariantStore()
     im_g = induced_matching_number(g)
     if reg_g is None:
-        reg_g = regularity(edge_ideal(g), field, caps)
-    return [
-        ext
-        for ext in exts
-        if induced_matching_number(ext) == im_g
-        and regularity(edge_ideal(ext), field, caps) == reg_g
-    ]
+        reg_g = store.of(g).reg(field, caps)
+    records = (store.of(ext) for ext in exts)
+    return [r.graph for r in records if r.im() == im_g and r.reg(field, caps) == reg_g]
 
 
 def probe_vertex_deletions(
-    g: Graph, field: Field = RATIONALS, caps: EngineCaps = DEFAULT_CAPS
+    g: Graph,
+    field: Field = RATIONALS,
+    caps: EngineCaps = DEFAULT_CAPS,
+    store: "InvariantStore | None" = None,
 ) -> VerificationReport:
-    """Exploratory probe: regularity of every one-vertex-deleted induced subgraph."""
+    """Exploratory probe: regularity of every one-vertex-deleted induced subgraph, read by
+    class from store, a new one for this call when None."""
     inst = _ginst(g)
-    # deleting vertices of one orbit leaves the same relabelled subgraph
-    reg_of = {}
+    if store is None:
+        store = InvariantStore()
     regs = {}
     for v in range(g.n):
         h = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        if h.edges and h not in reg_of:
-            reg_of[h] = regularity(edge_ideal(h), field, caps)
-        regs[str(v)] = reg_of[h] if h.edges else None
+        regs[str(v)] = store.of(h).reg(field, caps) if h.edges else None
     return _passed("deletion-probe", inst, data={"deleted_vertex_reg": regs})
 
 
 # -- conjecture scans -------------------------------------------------------------------
 
 
-def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
+def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps: EngineCaps, *_) -> list:
     """np or generalnp on one graph, reported on its canonical form; no report for a
     graph outside the scan's hypotheses."""
     if not g.edges or not is_gap_free(g):
@@ -695,8 +760,9 @@ def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps:
         return [_skipped(statement, inst, f"engine cap hit: {e}")]
 
 
-def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
-    """newconj2 on one graph: one report per im/reg-invariant one-vertex extension."""
+def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps, store: InvariantStore) -> list:
+    """newconj2 on one graph: one report per im/reg-invariant one-vertex extension.  The
+    linearity of each power is read by class from store."""
     statement = "newconj2"
     if not g.edges:
         return []
@@ -704,7 +770,7 @@ def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     ks = range(p["c_g"], p["k_max"] + 1)
     if not is_gap_free(g):
         return [_skipped(statement, base_inst, "hypothesis unmet: base graph is not gap-free")]
-    _, bad = _linear_powers(edge_ideal(g), ks, field, caps)
+    bad = store.of(g).nonlinear_power(ks, field, caps)
     if bad is not None:
         reason = f"hypothesis unmet: base reg(I^{bad['k']}) = {bad['reg']} != {bad['expected']}"
         return [_skipped(statement, base_inst, reason)]
@@ -713,9 +779,9 @@ def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps) -> list:
     reg_g = 2 if ks.start == 1 else None
     ext_ks = range(max(2, ks.start), ks.stop)
     out = []
-    for ext in enumerate_im_reg_extensions(g, field, caps, reg_g=reg_g):
+    for ext in enumerate_im_reg_extensions(g, field, caps, reg_g=reg_g, store=store):
         inst = _ginst(g, z_neighborhood=sorted(ext.neighbors(g.n)), c_G=ks.start)
-        _, bad = _linear_powers(edge_ideal(ext), ext_ks, field, caps)
+        bad = store.of(ext).nonlinear_power(ext_ks, field, caps)
         data = {"k_checked": list(ks)}
         out.append(_passed(statement, inst, data=data) if bad is None else _failed(statement, inst, bad))
     return out
@@ -750,11 +816,12 @@ def _keylemma(g: Graph, p: dict, *_) -> list:
 class Statement(NamedTuple):
     """What one statement of `verify` or `scan` runs and reads.
 
-    A graph statement (ideals empty) runs as run(g, params, field, caps), one report per
-    sub-instance; if it lets CapExceeded out, g gets one skipped report.  An ideal statement
-    runs as run(*inputs, field, caps), one report, with inputs named by ideals in that order.
-    params holds the parameters run reads, with their defaults; engine is False when the
-    reports depend on neither the field nor the engine caps."""
+    A graph statement (ideals empty) runs as run(g, params, field, caps, store), one report
+    per sub-instance, with store the run's `InvariantStore`; if it lets CapExceeded out, g
+    gets one skipped report.  An ideal statement runs as run(*inputs, field, caps), one
+    report, with inputs named by ideals in that order.  params holds the parameters run
+    reads, with their defaults; engine is False when the reports depend on neither the
+    field nor the engine caps."""
 
     run: Callable
     params: dict
@@ -763,23 +830,23 @@ class Statement(NamedTuple):
 
 
 _REGISTRY = {
-    "froberg": Statement(lambda g, p, f, c: [check_froberg(g, f, c)], {}),
-    "bounds": Statement(lambda g, p, f, c: [check_reg_bounds(g, f, c)], {}),
-    "bht": Statement(lambda g, p, f, c: [check_bht_lower_bound(g, p["k_max"], f, c)], {"k_max": 3}),
-    "hhz": Statement(lambda g, p, f, c: [check_hhz(g, p["k_max"], f, c)], {"k_max": 3}),
-    "banerjee": Statement(lambda g, p, f, c: [check_banerjee(g, p["k_max"], f, c)], {"k_max": 3}),
+    "froberg": Statement(lambda g, p, f, c, _: [check_froberg(g, f, c)], {}),
+    "bounds": Statement(lambda g, p, f, c, _: [check_reg_bounds(g, f, c)], {}),
+    "bht": Statement(lambda g, p, f, c, _: [check_bht_lower_bound(g, p["k_max"], f, c)], {"k_max": 3}),
+    "hhz": Statement(lambda g, p, f, c, _: [check_hhz(g, p["k_max"], f, c)], {"k_max": 3}),
+    "banerjee": Statement(lambda g, p, f, c, _: [check_banerjee(g, p["k_max"], f, c)], {"k_max": 3}),
     "suspension": Statement(
-        lambda g, p, f, c: check_s_suspension_invariance(g, _sets(g, p), f, c), {"sets": None}
+        lambda g, p, f, c, st: check_s_suspension_invariance(g, _sets(g, p), f, c, store=st), {"sets": None}
     ),
     "keylemma": Statement(_keylemma, {"covers": None, "k": None}, engine=False),
     "blemma": Statement(
         lambda g, p, *_: [check_blemma_colon_structure(g, p["k"])], {"k": 1}, engine=False
     ),
-    "main1": Statement(lambda g, p, f, c: check_main1(g, _sets(g, p), p["k"], f, c), {"sets": None, "k": 2}),
+    "main1": Statement(lambda g, p, f, c, _: check_main1(g, _sets(g, p), p["k"], f, c), {"sets": None, "k": 2}),
     "main2": Statement(
-        lambda g, p, f, c: check_main2(g, _sets(g, p), p["k_max"], f, c), {"sets": None, "k_max": 3}
+        lambda g, p, f, c, st: check_main2(g, _sets(g, p), p["k_max"], f, c, st), {"sets": None, "k_max": 3}
     ),
-    "deletion-probe": Statement(lambda g, p, f, c: [probe_vertex_deletions(g, f, c)], {}),
+    "deletion-probe": Statement(lambda g, p, f, c, st: [probe_vertex_deletions(g, f, c, st)], {}),
     "splitting": Statement(check_betti_splitting, {}, ("ideal", "part_j", "part_k")),
     "doublelinear": Statement(check_doublelinear, {}, ("ideal", "part_j", "part_k")),
     "colon": Statement(check_colon_reg_bound, {}, ("ideal", "monomial")),
@@ -825,14 +892,16 @@ def run_statement(
     params: "dict | None" = None,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
+    store: "InvariantStore | None" = None,
 ) -> list:
     """Run one named graph statement or conjecture scan on one graph; returns one report per
-    sub-instance.  Raises ValueError for an ideal statement."""
+    sub-instance.  store is the run's `InvariantStore`, a new one for this call when None.
+    Raises ValueError for an ideal statement."""
     p = statement_params(statement, params or {})
     entry = _REGISTRY[statement]
     if entry.ideals:
         raise ValueError(f"{statement} reads ideals, not a graph")
     try:
-        return entry.run(g, p, field, caps)
+        return entry.run(g, p, field, caps, InvariantStore() if store is None else store)
     except CapExceeded as e:
         return [_skipped(statement, _ginst(g), f"engine cap hit: {e}")]

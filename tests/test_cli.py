@@ -15,7 +15,7 @@ from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, cycle, path
 from edgeideals.resolutions import DEFAULT_CAPS
-from edgeideals.verification import _REGISTRY, CONJECTURES, STATEMENTS, run_statement
+from edgeideals.verification import _REGISTRY, CONJECTURES, STATEMENTS, InvariantStore, run_statement
 
 
 def run_cli(capsys, *argv):
@@ -660,12 +660,15 @@ def use_start_method(monkeypatch, method):
     [
         ["verify", "--statement", "froberg", "--max-n", "4", "--no-cache"],
         ["scan", "--conjecture", "np", "--max-n", "5", "--no-cache"],
+        # these read the InvariantStore, which each worker builds for itself
+        ["verify", "--statement", "main2", "--max-n", "4", "--kmax", "3", "--no-cache"],
+        ["scan", "--conjecture", "newconj2", "--max-n", "5", "--no-cache"],
     ],
 )
 def test_parallel_jobs_under_spawn_match_serial(capsys, monkeypatch, argv, method):
     # spawned and forkserver workers start from a fresh interpreter: they get
-    # their context only through the pickled task, never from the parent's
-    # module state
+    # their context only through the pickled task and the pool initializer,
+    # never from the parent's module state
     _, serial, _ = run_cli(capsys, *argv)
     opened = use_start_method(monkeypatch, method)
     code, parallel, err = run_cli(capsys, *argv, "--jobs", "2")
@@ -689,6 +692,74 @@ def test_parallel_jobs_share_the_cache(tmp_path, capsys, monkeypatch, method):
     _, warm, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir), "--jobs", "1")
     assert warm == uncached
     assert opened == [method]
+
+
+def test_a_worker_reads_one_store_for_all_its_items(monkeypatch):
+    import edgeideals.cli as cli
+
+    monkeypatch.setattr(cli, "_worker_store", None)
+    cli._start_worker()
+    stores = []
+    for g6 in ("Bw", "BW"):
+        cli._worker_item(lambda g6, store: stores.append(store), g6)
+    assert isinstance(stores[0], InvariantStore) and stores[1] is stores[0]
+
+
+@pytest.mark.parametrize(
+    "argv, lines, expected",
+    [
+        (
+            ("verify", "--statement", "main2", "--builder", "anticycle:5", "--kmax", "3"),
+            12,
+            "4a3d903601a8117a3458565215e1cacf2d880f0a5df16b47afbee5bc8953cdeb",
+        ),
+        (
+            ("scan", "--conjecture", "newconj2", "--max-n", "5"),
+            776,
+            "72d47ea70753707890d807539ebf984c404f30feefea973d2efd50780d7e51a3",
+        ),
+        (
+            ("verify", "--statement", "suspension", "--max-n", "5"),
+            510,
+            "ecfa5fbac23f281879c5061f1b55da874ec4e4ae587549f6084472707a557db6",
+        ),
+        (
+            ("verify", "--statement", "deletion-probe", "--max-n", "5"),
+            48,
+            "144357ff6a06ad8eda9007d5c6adca24970f4ac17dc56dcd3be82f4725b2c8bb",
+        ),
+    ],
+    ids=["main2", "newconj2", "suspension", "deletion-probe"],
+)
+def test_the_invariant_store_changes_no_stdout_byte(capsys, monkeypatch, argv, lines, expected):
+    from edgeideals import resolutions, verification
+
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    tables = count_calls(monkeypatch, resolutions, "lcm_lattice")
+    code, shared, err = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0, err
+    shared_tables = len(tables)
+    # each graph object its own key, which holds the graph so that its id is not reused:
+    # no two graphs share a record, so every value is computed on its labelled graph
+    monkeypatch.setattr(verification, "canonical_key", lambda g: (id(g), g))
+    code, defeated, err = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0, err
+    assert shared == defeated
+    assert len(shared.splitlines()) == lines
+    assert hashlib.sha256(shared.encode("utf-8")).hexdigest() == expected
+    # and the store did share values between isomorphic graphs
+    assert shared_tables < len(tables) - shared_tables
+
+
+def test_froberg_and_bounds_never_key_a_graph(capsys, monkeypatch):
+    # the statements that read no InvariantStore pay nothing for it
+    from edgeideals import verification
+
+    keys = count_calls(monkeypatch, verification, "canonical_key")
+    for statement in ("froberg", "bounds"):
+        code, _, err = run_cli(capsys, "verify", "--statement", statement, "--max-n", "4", "--no-cache")
+        assert code == 0, err
+    assert keys == []
 
 
 CORRUPT = {"dict": b'{"a": 1}', "int-list": b"[1]", "not-utf8": b"\xff\xfe"}

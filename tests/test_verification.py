@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from edgeideals.complexes import CapExceeded
 from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graphs import (
     Graph,
     anticycle,
+    canonical_key,
     cricket,
     cycle,
     one_vertex_extensions,
@@ -33,11 +35,12 @@ from edgeideals.monomials import (
     principal_ideal,
     variable_ideal,
 )
-from edgeideals.resolutions import taylor_betti_oracle
+from edgeideals.resolutions import EngineCaps, taylor_betti_oracle
 from edgeideals.verification import (
     _REGISTRY,
     CONJECTURES,
     STATEMENTS,
+    InvariantStore,
     VerificationReport,
     check_abc_bound,
     check_banerjee,
@@ -546,13 +549,36 @@ def test_each_check_computes_each_table_once(lattice_ideals):
             assert not repeated, (label, g, repeated)
     lattice_ideals.clear()
     run_statement("main2", anticycle(5), {"k_max": 3})
-    # I^2 and I^3 for the hypotheses, then I(G_S)^2 and I(G_S)^3 for each of 11 sets S
-    assert len(lattice_ideals) == 24
+    # I^2 and I^3 for the hypotheses, then I(G_S)^2 and I(G_S)^3 for the first set S of each
+    # of the 3 classes that the 11 suspensions G_S fall into; linearity is a class invariant
+    assert len(lattice_ideals) == 8
+    lattice_ideals.clear()
+    run_statement("newconj2", anticycle(5), {"k_max": 3})
+    # reg(I(G)), reg(I(H)) for each of the 4 classes among the 31 extensions H with im(H) =
+    # im(G), I^2 and I^3 of the base, then I(H)^2 and I(H)^3 for each of the 4 classes that
+    # the 16 invariant extensions fall into: 1 + 4 + 2 + 8, where one table per labelled
+    # extension would be 1 + 16 + 2 + 32
+    assert len(lattice_ideals) == 15
     lattice_ideals.clear()
     run_statement("main1", anticycle(5), {"k": 2})
     # I^2 for the hypothesis and the left part, I(G_S)^2 and the right part for each of
     # 11 sets S, and the intersection z * I^2 shared by all of them
     assert len(lattice_ideals) == 24
+
+
+def test_the_store_keeps_one_record_per_class_and_no_cap_overrun():
+    c5, relabelled = cycle(5), Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+    store = InvariantStore()
+    assert store.of(c5).values is store.of(relabelled).values
+    # the lattice of I(C5) has more than 3 elements, in either labelling
+    caps = EngineCaps(lattice_max=3)
+    for g in (c5, relabelled):
+        with pytest.raises(CapExceeded):
+            store.of(g).reg(RATIONALS, caps)
+        with pytest.raises(CapExceeded):
+            store.of(g).nonlinear_power(range(1, 3), RATIONALS, caps)
+    assert store.classes == {canonical_key(c5): {}}
+    assert store.of(relabelled).im() == 1 and store.classes == {canonical_key(c5): {"im": 1}}
 
 
 def test_scans_build_each_power_with_one_product(monkeypatch):
@@ -568,11 +594,12 @@ def test_scans_build_each_power_with_one_product(monkeypatch):
     # ideal_power reaches ideal_product through monomials, the scans through verification
     for module in (monomials, verification):
         monkeypatch.setattr(module, "ideal_product", counting)
-    # I^2, I^3 and I^4 for np, each one product with the power before it; I^(k-1) of each
-    # suspension once for main1, and I^(n+1) as I^n * I for blemma
+    # I^2, I^3 and I^4 for np, each one product with the power before it; for newconj2, I^2
+    # and I^3 of the base and of one extension in each of the 4 classes of the 16 invariant
+    # extensions; I^(k-1) of each suspension once for main1, and I^(n+1) as I^n * I for blemma
     for statement, g, params, products in (
         ("np", anticycle(5), {"k_max": 4}, 3),
-        ("newconj2", anticycle(5), {"k_max": 3}, 34),
+        ("newconj2", anticycle(5), {"k_max": 3}, 10),
         ("banerjee", anticycle(5), {"k_max": 3}, 2),
         ("hhz", cycle(4), {"k_max": 3}, 2),
         ("bht", anticycle(5), {"k_max": 3}, 2),
@@ -655,6 +682,42 @@ def test_newconj2_fails_on_a_nonlinear_extension_square(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_newconj2_fails_on_every_copy_of_one_nonlinear_extension_class(monkeypatch, capsys):
+    from edgeideals.cli import main
+
+    # the 15 invariant extensions H of C4 fall into 5 classes; the squares of the 4 labelled
+    # copies of the class where z has one neighbour, and no other ideal, are hit
+    g = cycle(4)
+    exts = enumerate_im_reg_extensions(g)
+    [target] = {canonical_key(ext) for ext in exts if len(ext.neighbors(g.n)) == 1}
+    copies = [ext for ext in exts if canonical_key(ext) == target]
+    squares = {ideal_power(edge_ideal(ext), 2) for ext in copies}
+    resolved = set()
+
+    def select(ideal):
+        if ideal in squares:
+            resolved.add(ideal)
+        return ideal in squares
+
+    inject_beta_1_7(monkeypatch, select)
+    reports = run_statement("newconj2", g)
+    assert len(reports) == len(exts) == 15 and len(copies) == 4
+    for rep, ext in zip(reports, exts):
+        neighbourhood = ",".join(str(v) for v in sorted(ext.neighbors(g.n)))
+        assert rep.instance.endswith(f" z_neighborhood=[{neighbourhood}]"), rep
+        if ext not in copies:
+            assert rep.verdict == "pass", rep
+            continue
+        _nonlinear_square_witness(rep)
+        # the injected entry is the only fault: the oracle gives this copy's square reg 4
+        assert taylor_betti_oracle(ideal_power(edge_ideal(ext), 2)).regularity() == 4
+    # a class the store marks nonlinear is resolved again on each labelled copy
+    assert resolved == squares
+    assert main(["scan", "--conjecture", "newconj2", "--builder", "cycle:4", "--no-cache"]) == 1
+    out = capsys.readouterr().out
+    assert sum(json.loads(line).get("verdict") == "fail" for line in out.splitlines()) == 4
+
+
 def test_main1_fails_on_a_broken_splitting(monkeypatch, capsys):
     from edgeideals.cli import main
 
@@ -684,6 +747,11 @@ def test_main2_fails_on_a_nonlinear_suspended_square(monkeypatch, capsys):
     [rep] = check_main2(g, [s], 2)
     _nonlinear_square_witness(rep)
     assert taylor_betti_oracle(ideal_power(edge_ideal(s_suspension(g, s)), 2)).regularity() == 4
+    # the suspensions over (0,) and (2,) are isomorphic: each fails on its own square
+    for s, rep in zip([(0,), (2,)], check_main2(g, [(0,), (2,)], 2)):
+        _nonlinear_square_witness(rep)
+        assert rep.instance.endswith(f"S=[{s[0]}] k_max=2"), rep
+        assert taylor_betti_oracle(ideal_power(edge_ideal(s_suspension(g, s)), 2)).regularity() == 4
     argv = ["verify", "--statement", "main2", "--builder", "path:3", "--set", "0,2", "--kmax", "2"]
     assert main([*argv, "--no-cache"]) == 1
     capsys.readouterr()
@@ -744,6 +812,24 @@ def test_suspension_fails_on_a_shifted_regularity(monkeypatch, capsys):
     assert taylor_betti_oracle(suspended).regularity() == 3
     argv = ["verify", "--statement", "suspension", "--builder", "cycle:5", "--set", "0,2", "--no-cache"]
     assert main(argv) == 1
+    capsys.readouterr()
+
+
+def test_bht_fails_on_a_shifted_induced_matching_number(monkeypatch, capsys):
+    from edgeideals import verification
+    from edgeideals.cli import main
+
+    # im(P3) one too high, on P3 only; the bound 2k + im - 1 = 2k is tight on P3, so k = 1 fails
+    g = path(3)
+    im = verification.induced_matching_number
+    monkeypatch.setattr(verification, "induced_matching_number", lambda h: im(h) + (h == g))
+    rep = check_bht_lower_bound(g)
+    assert rep.verdict == "fail" and rep.reason is None, rep
+    assert rep.witness == {"k": 1, "reg": 2, "lower_bound": 3}
+    # the shift is the only fault: the Taylor oracle gives the witness's reg, which the true
+    # im allows with equality
+    assert taylor_betti_oracle(edge_ideal(g)).regularity() == rep.witness["reg"] == 2 + im(g) - 1
+    assert main(["verify", "--statement", "bht", "--builder", "path:3", "--no-cache"]) == 1
     capsys.readouterr()
 
 
