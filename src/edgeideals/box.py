@@ -1,13 +1,22 @@
 """The exponent box below a top, with its point sets as bitsets: shared by `monomials`
-(intersections) and `resolutions` (lattice, membership table, cones), and importing neither."""
+(products and intersections) and `resolutions` (lattice, membership table, cones), and
+importing neither."""
 
 import math
+import re
 from functools import reduce
-from itertools import compress, product
-from operator import mul, or_
+from itertools import compress, product, repeat
+from operator import floordiv, mod, mul, or_
 
 # the one box-size limit: a caller with a box of more points takes a path without bitsets
 BOX_MAX = 1 << 21
+# A product or intersection of two ideals costs about its box size in bit operations on the
+# box path and about its count of generator pairs in tuple operations on the pairwise path;
+# the box is taken up to this many points per pair (the crossover measured in CHANGES.md)
+BOX_PER_PAIR = 800
+# decoding one set point costs about this many box points of a one-pass read-off, per axis
+SPARSE_POINTS = 6
+_SET = re.compile(b"1")
 
 
 def _strides(top: tuple) -> list:
@@ -45,14 +54,41 @@ class _Box:
         size = math.prod(t + 1 for t in top)
         return cls(top, size) if size <= limit else None
 
+    @classmethod
+    def for_pairs(cls, top: tuple, pairs: int) -> "_Box | None":
+        """The box below top for a product or intersection of two ideals with pairs pairs of
+        generators, or None when their pairwise path is the faster one (more than
+        BOX_PER_PAIR points a pair) or the box has more than BOX_MAX points."""
+        return cls.fitting(top, min(BOX_MAX, BOX_PER_PAIR * pairs))
+
     def points(self, exps) -> int:
-        """The bitset of the given exponent tuples."""
-        return sum(1 << sum(map(mul, e, self.strides)) for e in exps)
+        """The bitset of the given exponent tuples, set bit by bit in one buffer: a sum of
+        single-bit ints would cost the box size per tuple."""
+        buf, strides = bytearray((self.size + 7) >> 3), self.strides
+        for e in exps:
+            i = sum(map(mul, e, strides))
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
+
+    def sums(self, exps, shifts) -> int:
+        """The bitset of the sums u + v, u in exps and v in shifts, all of which lie in the box:
+        point indices add, so it is the OR of the points of exps shifted by each v's index."""
+        bits, strides = self.points(exps), self.strides
+        return reduce(or_, (bits << sum(map(mul, v, strides)) for v in shifts), 0)
 
     def exponents(self, bits: int) -> list:
-        """The exponent tuples of bits, in increasing point index (lexicographic) order."""
+        """The exponent tuples of bits, in increasing point index (lexicographic) order.
+
+        A sparse set (more than SPARSE_POINTS box points per set point and axis) is decoded
+        point by point, a dense one or a box without axes read off in one pass over all the
+        box's points."""
+        flags = self.flags(bits)
+        if self.top and bits.bit_count() * len(self.top) * SPARSE_POINTS < self.size:
+            found = [m.start() for m in _SET.finditer(flags)]
+            axes = zip(self.strides, self.top)
+            return list(zip(*(map(mod, map(floordiv, found, repeat(s)), repeat(t + 1)) for s, t in axes)))
         points = product(*(range(t + 1) for t in self.top))
-        return list(compress(points, self.flags(bits).replace(b"0", b"\0")))
+        return list(compress(points, flags.replace(b"0", b"\0")))
 
     def up(self, bits: int, axes) -> int:
         """The upward closure of bits along the given axes."""

@@ -2,9 +2,13 @@
 
 Ideals are stored by their minimal monomial generating set.  The zero ideal
 has no generators; the unit ideal is the singleton {1}.  All values are
-immutable and all operations are pure.  `intersect` takes the minimal points of
-up(a) & up(b) in the exponent box below both tops; it takes the pairwise lcms
-only when that box has more than `box.BOX_MAX` points.
+immutable and all operations are pure.  `ideal_product` (and so `ideal_power`)
+takes the minimal points of up(the sums of generators) in the exponent box below
+top(a) + top(b), where each sum is the bitset of a's generators shifted by the
+point index of one of b's; `intersect` those of up(a) & up(b) in the box below
+both tops.  Both take the pairwise sums or lcms instead when `box._Box.for_pairs`
+turns the box away: more than `box.BOX_PER_PAIR` points per generator pair, or
+more than `box.BOX_MAX` points.
 """
 
 from __future__ import annotations
@@ -244,8 +248,14 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _same_ambient(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.nvars)
-    prods = {tuple(map(operator.add, u.exps, v.exps)) for u in a.gens for v in b.gens}
-    return minimalize(a.nvars, prods)
+    ea, eb = [g.exps for g in a.gens], [g.exps for g in b.gens]
+    if len(ea) < len(eb):  # the box path shifts a bitset once per generator of eb
+        ea, eb = eb, ea
+    top = tuple(map(operator.add, map(max, zip(*ea)), map(max, zip(*eb))))
+    box = _Box.for_pairs(top, len(ea) * len(eb))
+    if box is None:
+        return minimalize(a.nvars, {tuple(map(operator.add, u, v)) for u in ea for v in eb})
+    return _box_ideal(a.nvars, box, box.up(box.sums(ea, eb), range(a.nvars)))
 
 
 def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -272,12 +282,23 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.nvars)
     ea, eb = [g.exps for g in a.gens], [g.exps for g in b.gens]
-    box = _Box.fitting(tuple(map(max, *ea, *eb)))
+    box = _Box.for_pairs(tuple(map(max, *ea, *eb)), len(ea) * len(eb))
     if box is None:
         return minimalize(a.nvars, {tuple(map(max, u, v)) for u in ea for v in eb})
     axes = range(a.nvars)
-    meet = box.up(box.points(ea), axes) & box.up(box.points(eb), axes)
-    return MonomialIdeal(a.nvars, frozenset(map(Monomial, box.exponents(box.minimal(meet)))))
+    return _box_ideal(a.nvars, box, box.up(box.points(ea), axes) & box.up(box.points(eb), axes))
+
+
+def _box_ideal(nvars: int, box: _Box, upset: int) -> MonomialIdeal:
+    """The ideal of the upward-closed point set upset of box, minimally generated by its
+    minimal points.  Their exponent tuples are nonnegative ints by construction, so the
+    Monomials skip the constructor's checks."""
+    gens = []
+    for e in box.exponents(box.minimal(upset)):
+        m = object.__new__(Monomial)
+        object.__setattr__(m, "exps", e)
+        gens.append(m)
+    return MonomialIdeal(nvars, frozenset(gens))
 
 
 def is_generated_by_variables(a: MonomialIdeal) -> bool:

@@ -376,15 +376,21 @@ class _Record(NamedTuple):
             self.values["reg"] = regularity(edge_ideal(self.graph), field, caps)
         return self.values["reg"]
 
+    def known_linear(self, ks: range) -> bool:
+        return all(self.values.get(k) for k in ks)
+
+    def linear_powers(self, ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps) -> tuple:
+        """`_linear_powers` of ideal, I(graph) or a copy of it in more variables (which has the
+        same tables), recording the linearity of each power walked."""
+        powers, bad = _linear_powers(ideal, ks, field, caps)
+        for k in powers:
+            self.values[k] = bad is None or k < bad["k"]
+        return powers, bad
+
     def nonlinear_power(self, ks: range, field: Field, caps: EngineCaps) -> "dict | None":
         """The `_linear_powers` witness of I(graph) over ks, or None.  A class known linear at
         every k in ks is not walked; any other is walked on graph, so a witness is its own."""
-        if all(self.values.get(k) for k in ks):
-            return None
-        powers, bad = _linear_powers(edge_ideal(self.graph), ks, field, caps)
-        for k in powers:
-            self.values[k] = bad is None or k < bad["k"]
-        return bad
+        return None if self.known_linear(ks) else self.linear_powers(edge_ideal(self.graph), ks, field, caps)[1]
 
 
 # -- suspension statements ------------------------------------------------------------
@@ -425,12 +431,18 @@ def check_s_suspension_invariance(
     return reports
 
 
-def _powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps):
-    """(k, I^k, Betti table of I^k) for k in the consecutive range ks; each power after the
-    first is one product with the power before it."""
+def _power_ideals(ideal: MonomialIdeal, ks: range):
+    """(k, I^k) for k in the consecutive range ks; each power after the first is one product
+    with the power before it."""
     power = None
     for k in ks:
         power = ideal_power(ideal, k) if power is None else ideal_product(power, ideal)
+        yield k, power
+
+
+def _powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps):
+    """(k, I^k, Betti table of I^k) for k in the consecutive range ks."""
+    for k, power in _power_ideals(ideal, ks):
         yield k, power, betti_table(power, field, caps)
 
 
@@ -456,17 +468,25 @@ def _linear_powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCa
     return powers, None
 
 
-def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps) -> tuple:
+def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps, record=None) -> tuple:
     """(unmet, base, powers): why g fails the hypotheses of main1 and main2 (gap-free,
     I^j linear for 2 <= j <= k_max), or None when it meets them.
 
     base is I(G) in n + 1 variables and powers maps each j >= 2 checked to (I(G)^j, its
     Betti table), also in n + 1 variables.  The extra variable divides no generator, so it
-    changes no Betti number."""
+    changes no Betti number.  With the store record of g, the linearity of each I(G)^j is
+    read and recorded by the class of g; a class known linear at every j is not resolved,
+    and its powers come without tables (None)."""
     base = embed(edge_ideal(g), g.n + 1)
     if not is_gap_free(g):
         return "hypothesis unmet: graph is not gap-free", base, {}
-    powers, bad = _linear_powers(base, range(2, k_max + 1), field, caps)
+    ks = range(2, k_max + 1)
+    if record is None:
+        powers, bad = _linear_powers(base, ks, field, caps)
+    elif record.known_linear(ks):
+        return None, base, {j: (power, None) for j, power in _power_ideals(base, ks)}
+    else:
+        powers, bad = record.linear_powers(base, ks, field, caps)
     if bad is not None:
         return f"hypothesis unmet: I^{bad['k']} has no linear resolution", base, powers
     return None, base, powers
@@ -527,22 +547,23 @@ def check_main2(
 ) -> list:
     """Powers >= 2 of a suspended edge ideal stay linear, with the intersection identity;
     one report per S in sets, in order.  The S-independent powers of I(G) are computed once,
-    and the linearity of each I(G_S)^k is read by the class of G_S from store, a new one for
-    this call when None."""
+    and the linearity of each I(G)^k and I(G_S)^k is read by the class of G and G_S from
+    store, a new one for this call when None."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    unmet, _, powers = _power_hypothesis(g, k_max, field, caps)
-    if unmet is not None:
-        return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
     if store is None:
         store = InvariantStore()
+    unmet, _, powers = _power_hypothesis(g, k_max, field, caps, store.of(g))
+    if unmet is not None:
+        return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
     z = principal_ideal(Monomial.variable(g.n + 1, g.n))
     z_parts = {k: ideal_product(z, power) for k, (power, _) in powers.items()}
     return [_check_main2_set(g, s, k_max, powers, z_parts, field, caps, store) for s in sets]
 
 
 def _check_main2_set(g, s, k_max, powers, z_parts, field, caps, store):
-    """The main2 report of one set S; powers maps k to (I(G)^k, its table), z_parts to z * I(G)^k.
+    """The main2 report of one set S; powers maps k to (I(G)^k, its table or None), z_parts to
+    z * I(G)^k.
 
     The linearity of I(G_S)^k is read by the class of G_S; the intersection identity is one
     of the labelled pair (G, S), so it is checked for every S."""

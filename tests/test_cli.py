@@ -751,6 +751,33 @@ def test_the_invariant_store_changes_no_stdout_byte(capsys, monkeypatch, argv, l
     assert shared_tables < len(tables) - shared_tables
 
 
+def test_main2_reads_its_power_hypothesis_from_the_store(capsys, monkeypatch):
+    # 35 of the 40 gap-free graphs with n <= 5 belong to classes met earlier as suspensions
+    # G_S and known linear at k = 2, 3; their powers are built without Betti tables
+    from edgeideals import resolutions, verification
+
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    argv = ("verify", "--statement", "main2", "--max-n", "5", "--no-cache")
+    tables = count_calls(monkeypatch, resolutions, "lcm_lattice")
+    code, shared, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(tables) == 270
+    assert hashlib.sha256(shared.encode("utf-8")).hexdigest() == (
+        "a5df9868a753de7cb3f9a7b946180339317b2aaa6dbf05f554f3ffc16a7b65ff"
+    )
+    # the hypothesis alone without the store resolves those 35 graphs' squares and cubes
+    real = verification._power_hypothesis
+    monkeypatch.setattr(verification, "_power_hypothesis", lambda g, k_max, field, caps, record: real(g, k_max, field, caps))
+    tables.clear()
+    code, unread, err = run_cli(capsys, *argv)
+    assert (code, unread, len(tables)) == (0, shared, 340), err
+    # and every graph object its own class: the same bytes
+    monkeypatch.setattr(verification, "_power_hypothesis", real)
+    monkeypatch.setattr(verification, "canonical_key", lambda g: (id(g), g))
+    code, defeated, err = run_cli(capsys, *argv)
+    assert (code, defeated) == (0, shared), err
+
+
 def test_froberg_and_bounds_never_key_a_graph(capsys, monkeypatch):
     # the statements that read no InvariantStore pay nothing for it
     from edgeideals import verification

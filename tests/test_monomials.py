@@ -3,13 +3,14 @@
 import math
 import random
 from itertools import combinations, product
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeideals.box import BOX_MAX
-from edgeideals.graphs import Graph, cycle, path
+from edgeideals.box import BOX_MAX, BOX_PER_PAIR
+from edgeideals.graphs import Graph, complete, cycle, path, s_suspension
 from edgeideals.monomials import (
     Monomial,
     MonomialIdeal,
@@ -311,22 +312,102 @@ def test_box_intersection_matches_the_pairwise_lcms(pair):
     assert meet.sorted_gens() == _pairwise_intersect(a, b).sorted_gens()
 
 
-def test_intersect_takes_the_box_path_up_to_the_box_size_limit(monkeypatch):
+def _pairwise_product(a, b):
+    """a * b as the minimal sums of all generator pairs, the path of boxes that `box.BOX_PER_PAIR`
+    or `box.BOX_MAX` turns away."""
+    if a.is_zero or b.is_zero:
+        return MonomialIdeal.zero(a.nvars)
+    return minimalize(a.nvars, {tuple(map(add, u.exps, v.exps)) for u in a.gens for v in b.gens})
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_pairs())
+@example((MonomialIdeal.zero(3), ideal(3, "x0", "x1^2")))
+@example((ideal(3, "x0*x2"), MonomialIdeal.zero(3)))
+@example((MonomialIdeal.unit(3), ideal(3, "x0^2*x1", "x2^5")))
+@example((MonomialIdeal.unit(2), MonomialIdeal.unit(2)))
+@example((MonomialIdeal.unit(0), MonomialIdeal.unit(0)))
+@example((MonomialIdeal.zero(0), MonomialIdeal.unit(0)))
+@example((ideal(2, "x0", "x1"), ideal(2, "x0", "x1^3")))
+@example((ideal(3, "x0^3*x1", "x2^2"), ideal(3, "x1^2*x2", "x0^12")))
+@example((ideal(2, "x0^1000000000000*x1"), ideal(2, "x1^3", "x0^7")))  # far over BOX_MAX
+def test_box_product_matches_the_pairwise_sums(pair):
+    a, b = pair
+    result = ideal_product(a, b)
+    assert result == _pairwise_product(a, b) == ideal_product(b, a)
+    assert result.sorted_gens() == _pairwise_product(a, b).sorted_gens()
+    assert all(type(g.exps) is tuple and all(type(e) is int for e in g.exps) for g in result.gens)
+
+
+@pytest.mark.parametrize("name", ["C5", "C5 suspended over {0, 2}", "K4"])
+def test_powers_are_repeated_pairwise_products(name):
+    g = {"C5": cycle(5), "C5 suspended over {0, 2}": s_suspension(cycle(5), (0, 2)), "K4": complete(4)}[name]
+    i = edge_ideal(g)
+    want = MonomialIdeal.unit(g.n)
+    for k in range(5):
+        assert ideal_power(i, k) == want
+        want = _pairwise_product(want, i)
+
+
+def _minimalize_calls(monkeypatch) -> list:
+    """The ambients of every `minimalize` call that `monomials` makes from now on: the
+    pairwise path makes one, the box path none."""
     from edgeideals import monomials
 
+    calls, real = [], monomials.minimalize
+    monkeypatch.setattr(monomials, "minimalize", lambda nvars, cands: calls.append(nvars) or real(nvars, cands))
+    return calls
+
+
+def test_intersect_takes_the_box_path_up_to_the_box_size_limit(monkeypatch):
+    from edgeideals import box
+
     # 21 squarefree variables make a box of exactly BOX_MAX points; the tops of the second
-    # pair make one of BOX_MAX + 1
+    # pair make one of BOX_MAX + 1.  With no bound on points per pair, only BOX_MAX decides
     at_limit = (edge_ideal(cycle(21)), edge_ideal(Graph(21, [(i, (i + 3) % 21) for i in range(21)])))
     over = (ideal(4, "x0^2*x3", "x1^2"), ideal(4, "x2^42", "x1*x3^5418", "x0*x2"))
     assert math.prod(t + 1 for t in map(max, *(g.exps for i in over for g in i.gens))) == BOX_MAX + 1
     expected = [_pairwise_intersect(*pair) for pair in (at_limit, over)]
-    calls = []
-    real = monomials.minimalize
-    monkeypatch.setattr(monomials, "minimalize", lambda nvars, cands: calls.append(nvars) or real(nvars, cands))
+    monkeypatch.setattr(box, "BOX_PER_PAIR", BOX_MAX)
+    calls = _minimalize_calls(monkeypatch)
     assert intersect(*at_limit) == expected[0]
     assert calls == []  # the box path builds the ideal with no minimalize pass
     assert intersect(*over) == expected[1]
     assert calls == [4]
+
+
+def _points_per_pair(op, a, b) -> int:
+    """Points of the box that op(a, b) would take, per pair of generators, rounded down."""
+    ea, eb = [g.exps for g in a.gens], [g.exps for g in b.gens]
+    if op is ideal_product:
+        top = tuple(map(add, map(max, zip(*ea)), map(max, zip(*eb))))
+    else:
+        top = tuple(map(max, *ea, *eb))
+    return math.prod(t + 1 for t in top) // (len(ea) * len(eb))
+
+
+def test_box_or_pairwise_goes_by_points_per_generator_pair(monkeypatch):
+    c10 = edge_ideal(cycle(10))
+    suspended = edge_ideal(s_suspension(cycle(7), (0,)))
+    # (op, a, b, points per pair, takes the box)
+    cases = [
+        # the two intersections once reported slower in the box, and I(C10)^2 * I(C10)
+        (intersect, edge_ideal(cycle(21)), edge_ideal(Graph(21, [(i, (i + 3) % 21) for i in range(21)])), 4755, False),
+        (intersect, ideal(3, "x0^60*x1^60*x2^60"), ideal(3, "x0*x1^70", "x2^90"), 197060, False),
+        (ideal_product, ideal_power(c10, 2), c10, 1906, False),
+        # I(C10) * I(C10), and the fourth and fifth powers of a suspended C7
+        (ideal_product, c10, c10, 590, True),
+        (ideal_product, ideal_power(suspended, 3), suspended, 77, True),
+        (ideal_product, ideal_power(suspended, 4), suspended, 96, True),
+    ]
+    expected = [_pairwise_product(a, b) if op is ideal_product else _pairwise_intersect(a, b) for op, a, b, *_ in cases]
+    calls = _minimalize_calls(monkeypatch)
+    for (op, a, b, per_pair, boxed), want in zip(cases, expected):
+        assert _points_per_pair(op, a, b) == per_pair
+        assert (per_pair <= BOX_PER_PAIR) == boxed
+        calls.clear()
+        assert op(a, b) == want
+        assert calls == ([] if boxed else [a.nvars])
 
 
 def test_colon_generators_recheck_membership():
