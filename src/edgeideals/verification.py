@@ -390,7 +390,9 @@ class _Record(NamedTuple):
     def nonlinear_power(self, ks: range, field: Field, caps: EngineCaps) -> "dict | None":
         """The `_linear_powers` witness of I(graph) over ks, or None.  A class known linear at
         every k in ks is not walked; any other is walked on graph, so a witness is its own."""
-        return None if self.known_linear(ks) else self.linear_powers(edge_ideal(self.graph), ks, field, caps)[1]
+        if self.known_linear(ks):
+            return None
+        return self.linear_powers(edge_ideal(self.graph), ks, field, caps)[1]
 
 
 # -- suspension statements ------------------------------------------------------------
