@@ -162,7 +162,7 @@ def _cache(args) -> ResultCache:
     return ResultCache(root)
 
 
-def _header(command: str, args, field: Field, caps: EngineCaps, **extra) -> dict:
+def _header(command: str, field: Field, caps: EngineCaps, **extra) -> dict:
     head = {"command": command, "field": field.token(), "caps": caps.to_json()}
     head.update(extra)
     return {"header": head}
@@ -452,7 +452,7 @@ def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
         params, cache, family = _graph_inputs(args, statement)
         reports = _run_family(args, cache, family, statement, params, field, caps)
     # the header follows the checks, so that an error a check raises leaves stdout empty
-    _emit(_header("verify", args, field, caps, statement=statement))
+    _emit(_header("verify", field, caps, statement=statement))
     return _emit_reports(reports)
 
 
@@ -461,7 +461,7 @@ def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
     params, cache, family = _graph_inputs(args, args.conjecture)
     reports = _run_family(args, cache, family, args.conjecture, params, field, caps)
     # the header follows the checks, as in verify
-    _emit(_header("scan", args, field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
+    _emit(_header("scan", field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
     code = _emit_reports(reports)
     if args.summary:
         # imported here: only --summary writes CSV, and loading csv and its C extension

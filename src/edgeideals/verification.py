@@ -125,7 +125,14 @@ def _ideal_inst(*ideals) -> str:
 
 def _splitting_report(statement, inst, tw, tl, tr, tm):
     """Check the splitting identity of the tables of whole, left, right and their
-    intersection at every (i, j) and multidegree, then its reg/pd consequences."""
+    intersection at every (i, j) and multidegree.
+
+    The reg/pd consequences need no check of their own.  `validate_partition` keeps both
+    parts nonzero, so all four tables are nonempty, and once the graded identity holds at
+    every (i, j) the nonzero entries of the whole are those of the parts and of the
+    intersection shifted by one homological degree.  So reg = max(reg J, reg K,
+    reg(J∩K) - 1) and pd = max(pd J, pd K, pd(J∩K) + 1) (Francisco-Hà-Van Tuyl,
+    Splittings of monomial ideals, Proc. AMS 2009); a pass reports them from the whole."""
     keys = set(tw.entries)
     keys.update(tl.entries)
     keys.update(tr.entries)
@@ -145,15 +152,7 @@ def _splitting_report(statement, inst, tw, tl, tr, tm):
         if lhs != rhs:
             mismatch = {"i": i, "multidegree": str(Monomial(e)), "lhs": lhs, "rhs": rhs}
             return _failed(statement, inst, mismatch)
-    reg_lhs = tw.regularity()
-    reg_rhs = max(tl.regularity(), tr.regularity(), tm.regularity() - 1)
-    pd_lhs = tw.projective_dimension()
-    pd_rhs = max(tl.projective_dimension(), tr.projective_dimension(), tm.projective_dimension() + 1)
-    if reg_lhs != reg_rhs:
-        return _failed(statement, inst, {"consequence": "reg", "lhs": reg_lhs, "rhs": reg_rhs})
-    if pd_lhs != pd_rhs:
-        return _failed(statement, inst, {"consequence": "pd", "lhs": pd_lhs, "rhs": pd_rhs})
-    return _passed(statement, inst, data={"reg": reg_lhs, "pd": pd_lhs})
+    return _passed(statement, inst, data={"reg": tw.regularity(), "pd": tw.projective_dimension()})
 
 
 def validate_partition(whole, left, right):
@@ -174,7 +173,7 @@ def check_betti_splitting(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
-    """Verify the additivity identity of a generator partition, plus its reg/pd consequences."""
+    """Verify the additivity identity of a generator partition; its reg and pd follow from it."""
     validate_partition(whole, left, right)
     tables = [betti_table(i, field, caps) for i in (whole, left, right, intersect(left, right))]
     return _splitting_report("splitting", _ideal_inst(whole, left, right), *tables)
@@ -349,9 +348,10 @@ class InvariantStore:
     """Exact isomorphism-invariant values of graphs for one run, one record per class.
 
     classes maps the `canonical_key` of each class seen to its record, a dict that holds
-    "reg": reg(I(H)), "im": im(H) and, for each power k checked, k: whether I(H)^k is linear.
-    Field and caps are fixed for a run, so they are not part of the key.  A CapExceeded is never stored: lattice size is an isomorphism
-    invariant, so a repeat raises the same way."""
+    "reg": reg(I(H)), "im": im(H) and, for each power k resolved, k: whether I(H)^k is
+    linear.  Field and caps are fixed for a run, so they are not part of the key.  A
+    CapExceeded is never stored: lattice size is an isomorphism invariant, so a repeat
+    raises the same way."""
 
     def __init__(self):
         self.classes = {}
@@ -361,7 +361,10 @@ class InvariantStore:
 
 
 class _Record(NamedTuple):
-    """One graph and the record of its class, whose missing values are computed on the graph."""
+    """One graph and the record of its class, whose missing values are computed on the graph.
+
+    A statement that reads no run-wide class walks the classless record _Record(g, {}), which
+    computes no canonical key."""
 
     graph: Graph
     values: dict
@@ -376,23 +379,38 @@ class _Record(NamedTuple):
             self.values["reg"] = regularity(edge_ideal(self.graph), field, caps)
         return self.values["reg"]
 
-    def known_linear(self, ks: range) -> bool:
-        return all(self.values.get(k) for k in ks)
+    def power_table(self, k: int, power: MonomialIdeal, field: Field, caps: EngineCaps):
+        """The Betti table of power, I(graph)^k or a copy of it in more variables (which has
+        the same tables), or None when the class is known linear at k.  A resolved power
+        records its linearity under k, and at k = 1 the regularity of I(graph)."""
+        if self.values.get(k):
+            return None
+        table = betti_table(power, field, caps)
+        self.values[k] = _nonlinear(k, table) is None
+        if k == 1:
+            self.values["reg"] = table.regularity()
+        return table
 
     def linear_powers(self, ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps) -> tuple:
-        """`_linear_powers` of ideal, I(graph) or a copy of it in more variables (which has the
-        same tables), recording the linearity of each power walked."""
-        powers, bad = _linear_powers(ideal, ks, field, caps)
-        for k in powers:
-            self.values[k] = bad is None or k < bad["k"]
-        return powers, bad
+        """(powers, witness) for ideal, I(graph) or a copy of it in more variables: powers maps
+        each k of the consecutive range ks, up to the first nonlinear power, to (I^k, its
+        `power_table`); witness is that power's `_nonlinear` witness, or None when every power
+        in ks is linear."""
+        powers = {}
+        for k, power in _power_ideals(ideal, ks):
+            table = self.power_table(k, power, field, caps)
+            powers[k] = power, table
+            witness = _nonlinear(k, table)
+            if witness is not None:
+                return powers, witness
+        return powers, None
 
     def nonlinear_power(self, ks: range, field: Field, caps: EngineCaps) -> "dict | None":
-        """The `_linear_powers` witness of I(graph) over ks, or None.  A class known linear at
-        every k in ks is not walked; any other is walked on graph, so a witness is its own."""
-        if self.known_linear(ks):
-            return None
-        return self.linear_powers(edge_ideal(self.graph), ks, field, caps)[1]
+        """The `linear_powers` witness of I(graph) over ks, or None.  The walk starts at the
+        first k of ks where the class is not known linear, and runs on graph, so a witness is
+        its own."""
+        start = next((k for k in ks if not self.values.get(k)), ks.stop)
+        return self.linear_powers(edge_ideal(self.graph), range(start, ks.stop), field, caps)[1]
 
 
 # -- suspension statements ------------------------------------------------------------
@@ -442,53 +460,29 @@ def _power_ideals(ideal: MonomialIdeal, ks: range):
         yield k, power
 
 
-def _powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps):
-    """(k, I^k, Betti table of I^k) for k in the consecutive range ks."""
-    for k, power in _power_ideals(ideal, ks):
-        yield k, power, betti_table(power, field, caps)
-
-
 def _nonlinear(k: int, table) -> "dict | None":
     """The witness that I^k, whose Betti table is table, has no linear resolution, i.e.
-    reg(I^k) != 2k for an edge ideal I; None when it has one."""
+    reg(I^k) != 2k for an edge ideal I; None when it has one or table is None."""
+    if table is None:
+        return None
     r = table.regularity()
     if r == 2 * k:
         return None
     return {"k": k, "reg": r, "expected": 2 * k, "table": table.to_json()}
 
 
-def _linear_powers(ideal: MonomialIdeal, ks: range, field: Field, caps: EngineCaps) -> tuple:
-    """(powers, witness): powers maps each k of the consecutive range ks, up to the first
-    nonlinear power, to (I^k, its Betti table); witness is that power's `_nonlinear` witness,
-    or None when every power in ks is linear."""
-    powers = {}
-    for k, power, table in _powers(ideal, ks, field, caps):
-        powers[k] = power, table
-        witness = _nonlinear(k, table)
-        if witness is not None:
-            return powers, witness
-    return powers, None
-
-
-def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps, record=None) -> tuple:
+def _power_hypothesis(g: Graph, k_max: int, field: Field, caps: EngineCaps, record: "_Record") -> tuple:
     """(unmet, base, powers): why g fails the hypotheses of main1 and main2 (gap-free,
     I^j linear for 2 <= j <= k_max), or None when it meets them.
 
     base is I(G) in n + 1 variables and powers maps each j >= 2 checked to (I(G)^j, its
     Betti table), also in n + 1 variables.  The extra variable divides no generator, so it
-    changes no Betti number.  With the store record of g, the linearity of each I(G)^j is
-    read and recorded by the class of g; a class known linear at every j is not resolved,
-    and its powers come without tables (None)."""
+    changes no Betti number.  The powers are walked by record, a record of g: a power
+    whose class is known linear comes without its table (None)."""
     base = embed(edge_ideal(g), g.n + 1)
     if not is_gap_free(g):
         return "hypothesis unmet: graph is not gap-free", base, {}
-    ks = range(2, k_max + 1)
-    if record is None:
-        powers, bad = _linear_powers(base, ks, field, caps)
-    elif record.known_linear(ks):
-        return None, base, {j: (power, None) for j, power in _power_ideals(base, ks)}
-    else:
-        powers, bad = record.linear_powers(base, ks, field, caps)
+    powers, bad = record.linear_powers(base, range(2, k_max + 1), field, caps)
     if bad is not None:
         return f"hypothesis unmet: I^{bad['k']} has no linear resolution", base, powers
     return None, base, powers
@@ -519,7 +513,7 @@ def check_main1(
     per S in sets, in order.  The S-independent I(G)^k and its table are computed once."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
-    unmet, base, powers = _power_hypothesis(g, k, field, caps)
+    unmet, base, powers = _power_hypothesis(g, k, field, caps, _Record(g, {}))
     if unmet is not None:
         return [_skipped("main1", _ginst(g, S=s, k=k), unmet) for s in sets]
     left, tl = powers[k] if k in powers else (base, betti_table(base, field, caps))
@@ -572,13 +566,11 @@ def _check_main2_set(g, s, k_max, powers, z_parts, field, caps, store):
     inst = _ginst(g, S=s, k_max=k_max)
     gs = s_suspension(g, s)
     # I(G_S)^k is resolved unless its class is known linear at k, so a fail has its own table
-    linear = store.of(gs).values
+    suspended = store.of(gs)
     for k, whole, right in _suspension_parts(gs, range(2, k_max + 1)):
-        if not linear.get(k):
-            bad = _nonlinear(k, betti_table(whole, field, caps))
-            linear[k] = bad is None
-            if bad is not None:
-                return _failed("main2", inst, bad)
+        bad = _nonlinear(k, suspended.power_table(k, whole, field, caps))
+        if bad is not None:
+            return _failed("main2", inst, bad)
         meet = intersect(powers[k][0], right)
         if meet != z_parts[k]:
             rhs = z_parts[k].gen_strings()
@@ -605,7 +597,7 @@ def check_banerjee(
     r = regularity(ideal, field, caps)
     if r > 3:
         return _failed("banerjee", inst, {"reg": r, "bound": 3})
-    powers, bad = _linear_powers(ideal, range(2, k_max + 1), field, caps)
+    powers, bad = _Record(g, {}).linear_powers(ideal, range(2, k_max + 1), field, caps)
     if bad is not None:
         return _failed("banerjee", inst, bad)
     return _passed("banerjee", inst, data={"reg": r, "power_regs": {k: 2 * k for k in powers}})
@@ -652,8 +644,8 @@ def check_bht_lower_bound(
     inst = _ginst(g, k=list(ks))
     im = induced_matching_number(g)
     regs = {}
-    for k, _, table in _powers(edge_ideal(g), ks, field, caps):
-        rk = regs[k] = table.regularity()
+    for k, power in _power_ideals(edge_ideal(g), ks):
+        rk = regs[k] = betti_table(power, field, caps).regularity()
         if rk < 2 * k + im - 1:
             return _failed(
                 "bht", inst, {"k": k, "reg": rk, "lower_bound": 2 * k + im - 1}
@@ -672,7 +664,7 @@ def check_hhz(
     if not is_chordal(complement(g)):
         return _skipped("hhz", inst, "hypothesis unmet: complement is not chordal")
     ideal = edge_ideal(g)
-    powers, bad = _linear_powers(ideal, range(1, k_max + 1), field, caps)
+    powers, bad = _Record(g, {}).linear_powers(ideal, range(1, k_max + 1), field, caps)
     if bad is not None:
         return _failed("hhz", inst, bad)
     lq = linear_quotients_order(ideal, caps)
@@ -710,13 +702,11 @@ def enumerate_im_reg_extensions(
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
     exts=None,
-    reg_g=None,
     store: "InvariantStore | None" = None,
 ) -> list:
     """All one-vertex extensions of g preserving im and regularity, in the order of
-    `one_vertex_extensions`; a caller that has built that list passes it as exts, and one
-    that knows reg(I(g)) passes it as reg_g.  im and reg are read by class from store, a new
-    one for this call when None."""
+    `one_vertex_extensions`; a caller that has built that list passes it as exts.  im and reg
+    are read by class from store, a new one for this call when None."""
     if exts is None:
         exts = one_vertex_extensions(g)
     if not exts:
@@ -726,8 +716,7 @@ def enumerate_im_reg_extensions(
     if store is None:
         store = InvariantStore()
     im_g = induced_matching_number(g)
-    if reg_g is None:
-        reg_g = store.of(g).reg(field, caps)
+    reg_g = store.of(g).reg(field, caps)
     records = (store.of(ext) for ext in exts)
     return [r.graph for r in records if r.im() == im_g and r.reg(field, caps) == reg_g]
 
@@ -762,8 +751,8 @@ def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps:
     inst = _ginst(cg)
     reg_filter = p["reg_filter"]
     try:
-        ideal = edge_ideal(cg)
-        r = regularity(ideal, field, caps)
+        record = _Record(cg, {})
+        r = record.reg(field, caps)
         if statement == "np":
             if r != (3 if reg_filter is None else reg_filter):
                 return []
@@ -775,7 +764,7 @@ def _scan_power_linearity(statement: str, g: Graph, p: dict, field: Field, caps:
             if not ks:
                 return [_skipped(statement, inst, f"empty k range for reg={r}")]
         # ks holds k = 1 only when reg(I) = 2, which already passes
-        _, bad = _linear_powers(ideal, range(max(2, ks.start), ks.stop), field, caps)
+        bad = record.nonlinear_power(range(max(2, ks.start), ks.stop), field, caps)
         if bad is not None:
             return [_failed(statement, inst, bad)]
         return [_passed(statement, inst, data={"reg": r, "k_checked": list(ks)})]
@@ -797,12 +786,11 @@ def _scan_extensions(g: Graph, p: dict, field: Field, caps: EngineCaps, store: I
     if bad is not None:
         reason = f"hypothesis unmet: base reg(I^{bad['k']}) = {bad['reg']} != {bad['expected']}"
         return [_skipped(statement, base_inst, reason)]
-    # with k = 1 in ks the base check has shown reg(I) = 2, which each
+    # with k = 1 in ks the base check has shown reg(I) = 2, and recorded it, which each
     # invariant extension keeps, so k = 1 passes for every extension
-    reg_g = 2 if ks.start == 1 else None
     ext_ks = range(max(2, ks.start), ks.stop)
     out = []
-    for ext in enumerate_im_reg_extensions(g, field, caps, reg_g=reg_g, store=store):
+    for ext in enumerate_im_reg_extensions(g, field, caps, store=store):
         inst = _ginst(g, z_neighborhood=sorted(ext.neighbors(g.n)), c_G=ks.start)
         bad = store.of(ext).nonlinear_power(ext_ks, field, caps)
         data = {"k_checked": list(ks)}

@@ -765,9 +765,13 @@ def test_main2_reads_its_power_hypothesis_from_the_store(capsys, monkeypatch):
     assert hashlib.sha256(shared.encode("utf-8")).hexdigest() == (
         "a5df9868a753de7cb3f9a7b946180339317b2aaa6dbf05f554f3ffc16a7b65ff"
     )
-    # the hypothesis alone without the store resolves those 35 graphs' squares and cubes
+    # the hypothesis on a classless record resolves those 35 graphs' squares and cubes
     real = verification._power_hypothesis
-    monkeypatch.setattr(verification, "_power_hypothesis", lambda g, k_max, field, caps, record: real(g, k_max, field, caps))
+    monkeypatch.setattr(
+        verification,
+        "_power_hypothesis",
+        lambda g, k_max, field, caps, record: real(g, k_max, field, caps, verification._Record(g, {})),
+    )
     tables.clear()
     code, unread, err = run_cli(capsys, *argv)
     assert (code, unread, len(tables)) == (0, shared, 340), err
@@ -778,15 +782,35 @@ def test_main2_reads_its_power_hypothesis_from_the_store(capsys, monkeypatch):
     assert (code, defeated) == (0, shared), err
 
 
-def test_froberg_and_bounds_never_key_a_graph(capsys, monkeypatch):
-    # the statements that read no InvariantStore pay nothing for it
+def test_statements_without_a_store_never_key_a_graph(capsys, monkeypatch):
+    # the statements that read no InvariantStore pay nothing for it: the power checks walk a
+    # classless record, which computes no key
     from edgeideals import verification
 
     keys = count_calls(monkeypatch, verification, "canonical_key")
-    for statement in ("froberg", "bounds"):
-        code, _, err = run_cli(capsys, "verify", "--statement", statement, "--max-n", "4", "--no-cache")
+    runs = [("verify", "--statement", st) for st in ("froberg", "bounds", "main1", "banerjee", "hhz")]
+    runs += [("scan", "--conjecture", st, "--kmax", "3") for st in ("np", "generalnp")]
+    for argv in runs:
+        code, _, err = run_cli(capsys, *argv, "--max-n", "4", "--no-cache")
         assert code == 0, err
     assert keys == []
+
+
+def test_newconj2_reads_the_base_reg_from_its_first_power(capsys, monkeypatch):
+    # with c_G = 1 the table of I(G) that the base walk resolves at k = 1 fills reg(I(G)),
+    # which the extensions are compared with, so reg(I(G)) is not resolved a second time
+    from edgeideals import resolutions
+
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    tables = count_calls(monkeypatch, resolutions, "lcm_lattice")
+    argv = ("scan", "--conjecture", "newconj2", "--max-n", "5", "--cg", "1", "--kmax", "3", "--no-cache")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(tables) == 436
+    assert len(out.splitlines()) == 761
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5f2f9c6612ce5b03f6cc56836d8e5590b9b44fbcd65f97c3fd04b8979882a85b"
+    )
 
 
 CORRUPT = {"dict": b'{"a": 1}', "int-list": b"[1]", "not-utf8": b"\xff\xfe"}
@@ -976,6 +1000,12 @@ G6_LINES = "DqK\nA?\nDUW\nBw\nDqK\n"
             "4c4bacd5ece51ab1055ada2a2fd9a869a56ca3305bb6d167d8a2cd40278d99c8",
         ),
         (
+            # the hypothesis walks I^2 and I^3, and the left part reuses the table of I^3
+            ("verify", "--statement", "main1", "--max-n", "4", "--k", "3"),
+            100,
+            "7f01ae5d64e8e1b12de7fe28153370c5ce0fa91812b60312011de9c184cbdbbc",
+        ),
+        (
             ("verify", "--statement", "main2", "--max-n", "4", "--kmax", "3"),
             100,
             "7060dcbbe25d146f316c5861d96d104ed436fa4aa1fdfff2f6bc964dfd8cfca2",
@@ -1075,7 +1105,7 @@ G6_LINES = "DqK\nA?\nDUW\nBw\nDqK\n"
         ),
     ],
     ids=[
-        "main1", "main1-n5", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear",
+        "main1", "main1-n5", "main1-k3", "main2", "suspension", "newconj2", "extend", "suspend", "doublelinear",
         "np", "generalnp", "generalnp-reg-2", "newconj2-cg-1", "np-anticycle",
         "np-file", "np-file-cap", "generalnp-file", "generalnp-file-cap", "newconj2-file",
         "newconj2-file-cap", "banerjee", "hhz",

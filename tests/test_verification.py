@@ -865,6 +865,38 @@ def test_keylemma_fails_on_a_colon_with_a_squared_variable(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_blemma_fails_on_a_dropped_generator_of_the_next_power(monkeypatch, capsys):
+    from edgeideals import verification
+    from edgeideals.cli import main
+
+    # I(C5)^2 loses x0*x2*x3*x4 = (L_2 : L_4) * L_4 with L_2 = x0*x4 and L_4 = x2*x3, and
+    # no variable quotient (L_i : L_4), i <= 3, divides (L_2 : L_4) = x0*x4
+    product = verification.ideal_product
+
+    def faulty(a, b):
+        p = product(a, b)
+        return minimalize(p.nvars, p.gens - {parse_monomial("x0*x2*x3*x4", p.nvars)})
+
+    monkeypatch.setattr(verification, "ideal_product", faulty)
+    witness = {"j": 2, "k": 3, "quotient": "x0*x4"}
+    g = cycle(5)
+    rep = check_blemma_colon_structure(g, 1)
+    assert rep.verdict == "fail" and rep.reason is None, rep
+    assert rep.witness == witness and rep.data == {"violations": 1}
+    # the drop is the only fault: the true I^2 holds the quotient times L_4
+    l4 = edge_ideal(g).sorted_gens()[3]
+    assert ideal_power(edge_ideal(g), 2).contains(parse_monomial(witness["quotient"], 5) * l4)
+    assert main(["verify", "--statement", "blemma", "--builder", "cycle:5", "--k", "1", "--no-cache"]) == 1
+    capsys.readouterr()
+    # C5 and a disjoint edge is not gap-free: the same violation is recorded, not failed
+    h = Graph(7, [*g.edges, (5, 6)])
+    monkeypatch.setattr(verification, "ideal_product", product)
+    assert check_blemma_colon_structure(h, 1).verdict == "pass"
+    monkeypatch.setattr(verification, "ideal_product", faulty)
+    rep = check_blemma_colon_structure(h, 1)
+    assert rep.verdict == "skipped" and rep.witness == witness, rep
+
+
 def verify_one(capsys, statement, *argv) -> tuple:
     """(exit code, report dict) of `verify --statement statement` on an ideal instance."""
     from edgeideals.cli import main
