@@ -1,14 +1,17 @@
 """Monomials and monomial ideals over a fixed ambient variable set x0..x_{d-1}.
 
-Ideals are stored by their minimal monomial generating set.  The zero ideal
-has no generators; the unit ideal is the singleton {1}.  All values are
-immutable and all operations are pure.  `ideal_product` (and so `ideal_power`)
-takes the minimal points of up(the sums of generators) in the exponent box below
-top(a) + top(b), where each sum is the bitset of a's generators shifted by the
-point index of one of b's; `intersect` those of up(a) & up(b) in the box below
-both tops.  Both take the pairwise sums or lcms instead when `box._Box.for_pairs`
-turns the box away: more than `box.BOX_PER_PAIR` points per generator pair, or
-more than `box.BOX_MAX` points.
+Ideals are stored by their minimal monomial generating set, as a frozenset of
+exponent tuples: the format that products, intersections, lattices and
+membership tables compute on.  `Monomial` is the type of one monomial, as parsed,
+named or printed; `MonomialIdeal.sorted_gens` lists the generators as Monomials.
+The zero ideal has no generators; the unit ideal is the singleton {(0, ..., 0)}.
+All values are immutable and all operations are pure.  `ideal_product` (and so
+`ideal_power`) takes the minimal points of up(the sums of generators) in the
+exponent box below top(a) + top(b), where each sum is the bitset of a's
+generators shifted by the point index of one of b's; `intersect` those of
+up(a) & up(b) in the box below both tops.  Both take the pairwise sums or lcms
+instead when `box._Box.for_pairs` turns the box away: more than
+`box.BOX_PER_PAIR` points per generator pair, or more than `box.BOX_MAX` points.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 from .box import _Box
 from .graphs import Graph
@@ -117,9 +121,10 @@ def parse_monomial(text: str, nvars: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def grlex_key(m: Monomial):
-    """Sort key for the graded lexicographic order (descending when reversed)."""
-    return (m.degree, m.exps)
+def grlex_key(e: tuple):
+    """Sort key of an exponent tuple for the graded lexicographic order (descending when
+    reversed)."""
+    return (sum(e), e)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +133,11 @@ class MonomialIdeal:
     gens: frozenset
 
     def __post_init__(self):
-        for g in self.gens:
-            if g.nvars != self.nvars:
-                raise ValueError("generator ambient does not match ideal ambient")
+        # C-level passes: the box path builds ideals of many thousand generators
+        if not {*map(len, self.gens)} <= {self.nvars}:
+            raise ValueError("generator ambient does not match ideal ambient")
+        if min(chain.from_iterable(self.gens), default=0) < 0:
+            raise ValueError("exponents must be nonnegative")
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
@@ -138,7 +145,7 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
-        return cls(nvars, frozenset([Monomial.unit(nvars)]))
+        return cls(nvars, frozenset([(0,) * nvars]))
 
     @property
     def is_zero(self) -> bool:
@@ -146,18 +153,20 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return any(g.is_unit for g in self.gens)
+        return (0,) * self.nvars in self.gens
 
     def sorted_gens(self) -> list:
-        """Minimal generators in descending graded lexicographic order."""
-        return sorted(self.gens, key=grlex_key, reverse=True)
+        """Minimal generators as Monomials, in descending graded lexicographic order."""
+        return [Monomial(e) for e in sorted(self.gens, key=grlex_key, reverse=True)]
 
     def contains(self, m: Monomial) -> bool:
         """Monomial membership: some minimal generator divides m."""
-        return any(g.divides(m) for g in self.gens)
+        if m.nvars != self.nvars:
+            raise ValueError("ambient mismatch between ideal and monomial")
+        return any(all(map(operator.le, g, m.exps)) for g in self.gens)
 
     def degrees(self) -> set:
-        return {g.degree for g in self.gens}
+        return set(map(sum, self.gens))
 
     def gen_strings(self) -> list:
         return [str(g) for g in self.sorted_gens()]
@@ -174,8 +183,7 @@ def minimalize(nvars: int, monomials) -> MonomialIdeal:
     Kept generator j is bit j of the per-variable threshold bitsets: for each exponent v of
     x_i among the candidates, le[i][v] holds the kept generators whose x_i exponent is at most
     v, so the AND over i of le[i][e_i] is the set of kept generators dividing e.  Candidates
-    run in (degree, exponents) order, so a candidate is redundant iff that AND is nonzero, and
-    only kept generators become Monomials.
+    run in (degree, exponents) order, so a candidate is redundant iff that AND is nonzero.
     """
     pool = set()
     for m in monomials:
@@ -203,7 +211,7 @@ def minimalize(nvars: int, monomials) -> MonomialIdeal:
                 if w >= v:
                     row[w] |= bit
         kept.append(e)
-    return MonomialIdeal(nvars, frozenset(map(Monomial, kept)))
+    return MonomialIdeal(nvars, frozenset(kept))
 
 
 def parse_ideal(strings, nvars: int) -> MonomialIdeal:
@@ -220,9 +228,8 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
     gens = []
     for u, v in g.edges:
         exps = [0] * g.n
-        exps[u] = 1
-        exps[v] = 1
-        gens.append(Monomial(tuple(exps)))
+        exps[u] = exps[v] = 1
+        gens.append(tuple(exps))
     return MonomialIdeal(g.n, frozenset(gens))
 
 
@@ -241,14 +248,14 @@ def _same_ambient(a: MonomialIdeal, b: MonomialIdeal) -> None:
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _same_ambient(a, b)
-    return minimalize(a.nvars, set(a.gens) | set(b.gens))
+    return minimalize(a.nvars, a.gens | b.gens)
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _same_ambient(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.nvars)
-    ea, eb = [g.exps for g in a.gens], [g.exps for g in b.gens]
+    ea, eb = list(a.gens), list(b.gens)
     if len(ea) < len(eb):  # the box path shifts a bitset once per generator of eb
         ea, eb = eb, ea
     top = tuple(map(operator.add, map(max, zip(*ea)), map(max, zip(*eb))))
@@ -273,7 +280,7 @@ def colon(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """Colon ideal (a : m); equals the unit ideal exactly when m lies in a."""
     if m.nvars != a.nvars:
         raise ValueError("ambient mismatch between ideal and monomial")
-    quots = (tuple(x - y if x > y else 0 for x, y in zip(g.exps, m.exps)) for g in a.gens)
+    quots = (tuple(x - y if x > y else 0 for x, y in zip(g, m.exps)) for g in a.gens)
     return minimalize(a.nvars, quots)
 
 
@@ -281,7 +288,7 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _same_ambient(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.nvars)
-    ea, eb = [g.exps for g in a.gens], [g.exps for g in b.gens]
+    ea, eb = list(a.gens), list(b.gens)
     box = _Box.for_pairs(tuple(map(max, *ea, *eb)), len(ea) * len(eb))
     if box is None:
         return minimalize(a.nvars, {tuple(map(max, u, v)) for u in ea for v in eb})
@@ -291,21 +298,15 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def _box_ideal(nvars: int, box: _Box, upset: int) -> MonomialIdeal:
     """The ideal of the upward-closed point set upset of box, minimally generated by its
-    minimal points.  Their exponent tuples are nonnegative ints by construction, so the
-    Monomials skip the constructor's checks."""
-    gens = []
-    for e in box.exponents(box.minimal(upset)):
-        m = object.__new__(Monomial)
-        object.__setattr__(m, "exps", e)
-        gens.append(m)
-    return MonomialIdeal(nvars, frozenset(gens))
+    minimal points."""
+    return MonomialIdeal(nvars, frozenset(box.exponents(box.minimal(upset))))
 
 
 def is_generated_by_variables(a: MonomialIdeal) -> bool:
     """True when every minimal generator has total degree 1 (zero/unit: False)."""
     if a.is_zero or a.is_unit:
         return False
-    return all(g.degree == 1 for g in a.gens)
+    return a.degrees() == {1}
 
 
 def generated_in_single_degree(a: MonomialIdeal):
@@ -321,6 +322,4 @@ def embed(a: MonomialIdeal, nvars: int) -> MonomialIdeal:
     if nvars < a.nvars:
         raise ValueError("cannot embed into a smaller ambient ring")
     pad = (0,) * (nvars - a.nvars)
-    return MonomialIdeal(
-        nvars, frozenset(Monomial(g.exps + pad) for g in a.gens)
-    )
+    return MonomialIdeal(nvars, frozenset(g + pad for g in a.gens))

@@ -68,7 +68,7 @@ from types import MappingProxyType
 from .box import BOX_MAX, _Box, _strides, _up_all_but_one
 from .complexes import CapExceeded, mask_homology_ranks
 from .linalg import RATIONALS, Field
-from .monomials import Monomial, MonomialIdeal, generated_in_single_degree
+from .monomials import Monomial, MonomialIdeal, generated_in_single_degree, grlex_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +199,7 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
     most caps.membership_table_max points, else grown atom by atom.  Raises CapExceeded
     past caps.lattice_max elements."""
     _guard_proper(ideal, "the lcm lattice")
-    gens = [g.exps for g in ideal.gens]
+    gens = list(ideal.gens)
     top = tuple(map(max, zip(*gens)))
     box = _Box.fitting(top, caps.membership_table_max)
     if box is not None:
@@ -214,7 +214,7 @@ def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tup
 
     cones is None for a squarefree box, whose lattice has no cone, and for a box too
     big, whose membership is a stand-in indexed the same way."""
-    gens = [g.exps for g in ideal.gens]
+    gens = list(ideal.gens)
     box = _Box.fitting(top, caps.membership_table_max)
     if box is None:
         strides = _strides(top)
@@ -419,11 +419,10 @@ def taylor_betti_oracle(
     table or memo.  It enumerates every generator subset, hence the cap.
     """
     _guard_proper(ideal, "the Betti table")
-    gens = ideal.sorted_gens()
-    g = len(gens)
+    atoms = sorted(ideal.gens, key=grlex_key, reverse=True)
+    g = len(atoms)
     if g > caps.taylor_max_generators:
         raise CapExceeded("taylor_max_generators", caps.taylor_max_generators, g)
-    atoms = [m.exps for m in gens]
     nmask = 1 << g
     lcms = [None] * nmask
     lcms[0] = (0,) * ideal.nvars
@@ -514,15 +513,12 @@ def linear_quotients_order(
     different outcome from a proven "none".
     """
     _guard_proper(ideal, "the linear-quotients search")
-    gens = ideal.sorted_gens()
-    g = len(gens)
+    exps = sorted(ideal.gens, key=grlex_key, reverse=True)
+    g = len(exps)
     if g > caps.quotients_max_generators:
         return QuotientsSearch(
             "unknown", reason=f"generator cap {caps.quotients_max_generators} exceeded ({g})"
         )
-    if g == 1:
-        return QuotientsSearch("found", order=tuple(gens))
-    exps = [m.exps for m in gens]
     deadline = time.monotonic() + caps.quotients_time_budget
     dead: set = set()
 
@@ -559,7 +555,7 @@ def linear_quotients_order(
 
     try:
         if dfs(frozenset()):
-            return QuotientsSearch("found", order=tuple(gens[i] for i in path))
+            return QuotientsSearch("found", order=tuple(Monomial(exps[i]) for i in path))
         return QuotientsSearch("none")
     except _BudgetExceeded:
         return QuotientsSearch(

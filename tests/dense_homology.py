@@ -8,7 +8,7 @@ Taylor oracle, kept as the reference for `resolutions.taylor_betti_oracle`.
 
 from edgeideals.complexes import CapExceeded
 from edgeideals.linalg import RATIONALS, Field
-from edgeideals.monomials import MonomialIdeal
+from edgeideals.monomials import MonomialIdeal, grlex_key
 from edgeideals.resolutions import DEFAULT_CAPS, BettiTable, EngineCaps, _guard_proper
 
 
@@ -62,11 +62,10 @@ def dense_taylor_betti_oracle(
     `taylor_betti_oracle` ranks.  Only usable on small ideals.
     """
     _guard_proper(ideal, "the Betti table")
-    gens = ideal.sorted_gens()
-    g = len(gens)
+    atoms = sorted(ideal.gens, key=grlex_key, reverse=True)
+    g = len(atoms)
     if g > caps.taylor_max_generators:
         raise CapExceeded("taylor_max_generators", caps.taylor_max_generators, g)
-    atoms = [m.exps for m in gens]
     nmask = 1 << g
     lcms = [None] * nmask
     lcms[0] = (0,) * ideal.nvars

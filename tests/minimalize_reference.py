@@ -19,12 +19,12 @@ def reference_minimalize(nvars: int, monomials) -> MonomialIdeal:
             raise ValueError("generator ambient does not match requested ambient")
         if m.is_unit:
             return MonomialIdeal.unit(nvars)
-        pool.add(m)
+        pool.add(m.exps)
     # every ambient is checked above, so divisibility compares exponent tuples directly
     kept = []
-    for m in sorted(pool, key=grlex_key):
-        d, e = m.degree, m.exps
-        if any(kd < d and all(map(int.__le__, ke, e)) for kd, ke, _ in kept):
+    for e in sorted(pool, key=grlex_key):
+        d = sum(e)
+        if any(kd < d and all(map(int.__le__, ke, e)) for kd, ke in kept):
             continue
-        kept.append((d, e, m))
-    return MonomialIdeal(nvars, frozenset(m for _, _, m in kept))
+        kept.append((d, e))
+    return MonomialIdeal(nvars, frozenset(e for _, e in kept))

@@ -813,6 +813,22 @@ def test_newconj2_reads_the_base_reg_from_its_first_power(capsys, monkeypatch):
     )
 
 
+def test_newconj2_keys_each_graph_once(capsys, monkeypatch):
+    # the base graph's record walks its powers and is compared with its extensions, and each
+    # invariant extension's record walks its own: no graph is keyed twice
+    from edgeideals import verification
+
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    keys = count_calls(monkeypatch, verification, "canonical_key")
+    code, out, err = run_cli(capsys, "scan", "--conjecture", "newconj2", "--max-n", "5", "--no-cache")
+    assert code == 0, err
+    # the calls hold their graphs, so no id is reused while they are counted
+    assert len(keys) == len({id(g) for (g,) in keys}) == 1036
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "72d47ea70753707890d807539ebf984c404f30feefea973d2efd50780d7e51a3"
+    )
+
+
 CORRUPT = {"dict": b'{"a": 1}', "int-list": b"[1]", "not-utf8": b"\xff\xfe"}
 CORRUPT_FAMILY = {
     **CORRUPT,

@@ -57,12 +57,13 @@ from edgeideals.verification import (
     check_reg_bounds,
     check_s_suspension_invariance,
     enumerate_im_reg_extensions,
-    is_im_reg_invariant_extension,
     probe_vertex_deletions,
     run_statement,
     statement_params,
     summarize_reports,
 )
+
+from extension_reference import is_im_reg_invariant_extension
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -297,7 +298,7 @@ def test_main2_fails_on_a_broken_intersection_identity(monkeypatch):
     def lossy(a, b):
         # the true intersection less its last generator
         meet = intersect(a, b)
-        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1]})
+        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1].exps})
 
     monkeypatch.setattr(verification, "intersect", lossy)
     g = anticycle(5)
@@ -372,6 +373,17 @@ def test_is_im_reg_invariant_extension():
     assert is_im_reg_invariant_extension(path(3), ext)  # P3 -> P4 keeps im=1, reg=2
     with pytest.raises(ValueError):
         is_im_reg_invariant_extension(p3, p3)
+    with pytest.raises(ValueError):
+        is_im_reg_invariant_extension(p3, Graph(4, [(0, 2), (1, 2), (2, 3)]))
+    with pytest.raises(ValueError):
+        is_im_reg_invariant_extension(Graph(3), Graph(4, [(0, 3)]))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=["Q", "GF2"])
+def test_enumerate_im_reg_extensions_matches_the_reference(field):
+    for g in enumerate_graphs(4, require_edge=True) + [cycle(5), anticycle(5)]:
+        want = [ext for ext in one_vertex_extensions(g) if is_im_reg_invariant_extension(g, ext, field)]
+        assert enumerate_im_reg_extensions(g, field) == want, g
 
 
 def test_enumerate_im_reg_extensions_contains_suspensions():
@@ -529,8 +541,8 @@ def _table_sharing_calls(g):
         calls.append((conjecture, functools.partial(run_statement, conjecture, g, params)))
     # split the edges at vertex 0
     whole = edge_ideal(g)
-    at0 = [m for m in whole.gens if m.exps[0]]
-    rest = [m for m in whole.gens if not m.exps[0]]
+    at0 = [e for e in whole.gens if e[0]]
+    rest = [e for e in whole.gens if not e[0]]
     if at0 and rest:
         parts = (whole, minimalize(g.n, at0), minimalize(g.n, rest))
         for check in (check_betti_splitting, check_doublelinear):
@@ -723,7 +735,7 @@ def test_main1_fails_on_a_broken_splitting(monkeypatch, capsys):
 
     # the whole I(G_S)^2 is the only part with generators both with and without z, so the
     # hypothesis and the tables of the right part and of the intersection stay true
-    inject_beta_1_7(monkeypatch, lambda ideal: {bool(m.exps[-1]) for m in ideal.gens} == {True, False})
+    inject_beta_1_7(monkeypatch, lambda ideal: {bool(e[-1]) for e in ideal.gens} == {True, False})
     g, s = path(3), (0, 2)
     [rep] = check_main1(g, [s], 2)
     assert rep.verdict == "fail", rep
@@ -741,7 +753,7 @@ def test_main2_fails_on_a_nonlinear_suspended_square(monkeypatch, capsys):
     # only ideals with a generator divisible by z = x_n are hit, so the hypothesis on I(G)^j holds
     inject_beta_1_7(
         monkeypatch,
-        lambda ideal: generated_in_single_degree(ideal) == 4 and any(m.exps[-1] for m in ideal.gens),
+        lambda ideal: generated_in_single_degree(ideal) == 4 and any(e[-1] for e in ideal.gens),
     )
     g, s = path(3), (0, 2)
     [rep] = check_main2(g, [s], 2)
@@ -848,7 +860,7 @@ def test_keylemma_fails_on_a_colon_with_a_squared_variable(monkeypatch, capsys):
         if m != first:
             return c
         v = c.sorted_gens()[-1]
-        return minimalize(c.nvars, (c.gens - {v}) | {v * v})
+        return minimalize(c.nvars, (c.gens - {v.exps}) | {(v * v).exps})
 
     monkeypatch.setattr(verification, "colon", squared)
     rep = check_keylemma(g, cover, k)
@@ -875,7 +887,7 @@ def test_blemma_fails_on_a_dropped_generator_of_the_next_power(monkeypatch, caps
 
     def faulty(a, b):
         p = product(a, b)
-        return minimalize(p.nvars, p.gens - {parse_monomial("x0*x2*x3*x4", p.nvars)})
+        return minimalize(p.nvars, p.gens - {parse_monomial("x0*x2*x3*x4", p.nvars).exps})
 
     monkeypatch.setattr(verification, "ideal_product", faulty)
     witness = {"j": 2, "k": 3, "quotient": "x0*x4"}
