@@ -258,9 +258,12 @@ def is_chordal(g: Graph) -> bool:
 # -- small induced patterns ------------------------------------------------------
 
 
-def _wl_colors(nbrs: list):
-    # iterated neighborhood-multiset refinement; invariant under isomorphism
+def _wl_colors(nbrs: list, root=None):
+    # iterated neighborhood-multiset refinement; invariant under isomorphism.  A root starts
+    # in colour -1, the unique smallest, and so stays alone in the smallest colour
     color = [len(nb) for nb in nbrs]
+    if root is not None:
+        color[root] = -1
     while True:
         at = color.__getitem__
         sig = [(c, tuple(sorted(map(at, nb)))) for c, nb in zip(color, nbrs)]
@@ -271,15 +274,16 @@ def _wl_colors(nbrs: list):
         color = new
 
 
-def _canonical_rows(n: int, masks):
+def _canonical_rows(n: int, masks, root=None):
     """Lexicographically smallest adjacency-row encoding over color-respecting orders.
 
-    The graph has vertices 0..n-1, and masks[v] is the neighbour mask of v.
+    The graph has vertices 0..n-1, and masks[v] is the neighbour mask of v.  A root, when
+    given, has a colour of its own that sorts first, so every order places it at position 0.
     """
     if n == 0:
         return ()
     nbrs = [[u for u in range(n) if (m >> u) & 1] for m in masks]
-    colors = _wl_colors(nbrs)
+    colors = _wl_colors(nbrs, root)
     # twin[v]: the least u with the same neighbours as v apart from u and v;
     # twinship is an equivalence relation, so twin[] names its classes
     twin = list(range(n))
@@ -353,9 +357,15 @@ def _canonical_rows(n: int, masks):
     return tuple(best)
 
 
-def canonical_key(g: Graph):
-    """Hashable isomorphism invariant: equal keys iff isomorphic graphs."""
-    return (g.n, _canonical_rows(g.n, g._masks))
+def canonical_key(g: Graph, root=None):
+    """Hashable isomorphism invariant: equal keys iff isomorphic graphs.
+
+    With a root vertex r, the key is one of the rooted graph (g, r): equal keys iff some
+    isomorphism maps one root onto the other.  Its representative `graph_from_key` has the
+    root at vertex 0."""
+    if root is not None:
+        g._check_vertex(root)
+    return (g.n, _canonical_rows(g.n, g._masks, root))
 
 
 def canonical_graph(g: Graph) -> Graph:

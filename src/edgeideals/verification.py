@@ -500,6 +500,31 @@ def _suspension_parts(gs: Graph, ks: range):
         below = whole
 
 
+def _per_rooted_class(statement: str, g: Graph, sets, params: dict, check) -> list:
+    """One report per S in sets, in order: check(instance, G_S), or a copy of an earlier pass.
+
+    An isomorphism of the rooted suspensions (G_S, z) and (G_S', z), z = n, restricts to an
+    automorphism of G that maps S onto S'.  It maps each ideal of a main1 or main2 check onto
+    its image, so the check holds for S iff it holds for S', with the same pass data.  So the
+    first S of each rooted class that passes is checked and the later ones get its data under
+    their own instance.  A fail is never shared: each S that fails was checked itself and has
+    its own witness, and a later S of its class is checked again."""
+    passes = {}
+    reports = []
+    for s in sets:
+        inst = _ginst(g, S=s, **params)
+        gs = s_suspension(g, s)
+        key = canonical_key(gs, g.n)
+        if key in passes:
+            reports.append(_passed(statement, inst, data=passes[key]))
+            continue
+        rep = check(inst, gs)
+        if rep.verdict == PASS:
+            passes[key] = rep.data
+        reports.append(rep)
+    return reports
+
+
 def check_main1(
     g: Graph,
     sets,
@@ -508,7 +533,12 @@ def check_main1(
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> list:
     """The k-th power of a suspended edge ideal splits along the new vertex; one report
-    per S in sets, in order.  The S-independent I(G)^k and its table are computed once."""
+    per S in sets, in order.
+
+    The S-independent I(G)^k and its table are computed once, and the tables of the whole
+    I(G_S)^k, of its right part and of their intersection once per class of the rooted
+    suspension (G_S, z) that passes (see `_per_rooted_class`): a later S of the class gets
+    the pass {reg, pd} of the first."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
     unmet, base, powers = _power_hypothesis(g, k, field, caps, _Record(g, {}))
@@ -517,9 +547,9 @@ def check_main1(
     left, tl = powers[k] if k in powers else (base, betti_table(base, field, caps))
     # for k >= 2 the intersection is z * I(G)^k for every S, so its table is shared
     meets = {}
-    reports = []
-    for s in sets:
-        [(_, whole, right)] = _suspension_parts(s_suspension(g, s), range(k, k + 1))
+
+    def check(inst, gs):
+        [(_, whole, right)] = _suspension_parts(gs, range(k, k + 1))
         if set(left.gens) & set(right.gens) or set(left.gens) | set(right.gens) != set(whole.gens):
             raise RuntimeError("internal error: construction is not a generator partition")
         tw = betti_table(whole, field, caps)
@@ -527,8 +557,9 @@ def check_main1(
         meet = intersect(left, right)
         if meet not in meets:
             meets[meet] = betti_table(meet, field, caps)
-        reports.append(_splitting_report("main1", _ginst(g, S=s, k=k), tw, tl, tr, meets[meet]))
-    return reports
+        return _splitting_report("main1", inst, tw, tl, tr, meets[meet])
+
+    return _per_rooted_class("main1", g, sets, {"k": k}, check)
 
 
 def check_main2(
@@ -540,9 +571,13 @@ def check_main2(
     store: "InvariantStore | None" = None,
 ) -> list:
     """Powers >= 2 of a suspended edge ideal stay linear, with the intersection identity;
-    one report per S in sets, in order.  The S-independent powers of I(G) are computed once,
-    and the linearity of each I(G)^k and I(G_S)^k is read by the class of G and G_S from
-    store, a new one for this call when None."""
+    one report per S in sets, in order.
+
+    The S-independent powers of I(G) are computed once, and the linearity of each I(G)^k
+    is read by the class of G from store, a new one for this call when None.  The powers of
+    I(G_S) and the intersections are computed once per class of the rooted suspension
+    (G_S, z) that passes (see `_per_rooted_class`): a later S of the class gets the pass
+    power_reg of the first."""
     if not g.edges:
         raise ValueError("needs a graph with at least one edge")
     if store is None:
@@ -552,18 +587,22 @@ def check_main2(
         return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
     z = principal_ideal(Monomial.variable(g.n + 1, g.n))
     z_parts = {k: ideal_product(z, power) for k, (power, _) in powers.items()}
-    return [_check_main2_set(g, s, k_max, powers, z_parts, field, caps, store) for s in sets]
+    check = partial(
+        _check_main2_set, k_max=k_max, powers=powers, z_parts=z_parts, field=field, caps=caps, store=store
+    )
+    return _per_rooted_class("main2", g, sets, {"k_max": k_max}, check)
 
 
-def _check_main2_set(g, s, k_max, powers, z_parts, field, caps, store):
-    """The main2 report of one set S; powers maps k to (I(G)^k, its table or None), z_parts to
-    z * I(G)^k.
+def _check_main2_set(inst, gs, k_max, powers, z_parts, field, caps, store):
+    """The main2 report, under instance inst, of one suspension G_S = gs; powers maps k to
+    (I(G)^k, its table or None), z_parts to z * I(G)^k.
 
-    The linearity of I(G_S)^k is read by the class of G_S; the intersection identity is one
-    of the labelled pair (G, S), so it is checked for every S."""
-    inst = _ginst(g, S=s, k_max=k_max)
-    gs = s_suspension(g, s)
-    # I(G_S)^k is resolved unless its class is known linear at k, so a fail has its own table
+    For each k in 2..k_max, I(G_S)^k is linear and I(G)^k ∩ star * I(G_S)^(k-1) is
+    z * I(G)^k (see `_suspension_parts`).  The linearity of I(G_S)^k is read by the
+    unrooted class of G_S from store: a power whose class is known linear is not resolved
+    again, and one that is not is resolved on gs, so a fail has its own table.  The
+    intersection identity is one of the pair (G, S), so it is checked for each S that
+    reaches this call: the first of its rooted class, or one whose class has not passed."""
     suspended = store.of(gs)
     for k, whole, right in _suspension_parts(gs, range(2, k_max + 1)):
         bad = _nonlinear(k, suspended.power_table(k, whole, field, caps))

@@ -1,11 +1,16 @@
-"""Reference canonical form: the engine's former WL refinement and row search.
+"""Reference canonical forms: the engine's former WL refinement and row search,
+and a brute-force form of rooted graphs.
 
 `graphs._wl_colors` and `graphs._canonical_rows` now keep neighbour lists and
 candidate rows incrementally; these are the versions they replaced, which
 recompute every degree and row from the adjacency masks.  Both must give
 bit-identical keys, because enumeration order, cache keys and graph6 output
-follow from them.
+follow from them.  `reference_rooted_form` tries every vertex order that puts
+the root first, so two rooted graphs have the same form iff some isomorphism
+maps one root onto the other.
 """
+
+from itertools import permutations
 
 from edgeideals.graphs import Graph
 
@@ -102,3 +107,15 @@ def _canonical_rows(g: Graph):
 
 def reference_canonical_key(g: Graph):
     return (g.n, _canonical_rows(g))
+
+
+def reference_rooted_form(g: Graph, root: int):
+    """The least sorted edge list of g over the vertex orders that place root first."""
+    rest = [v for v in range(g.n) if v != root]
+    best = None
+    for order in permutations(rest):
+        pos = dict(zip((root, *order), range(g.n)))
+        form = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges)
+        if best is None or form < best:
+            best = form
+    return (g.n, tuple(best))

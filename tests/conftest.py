@@ -1,0 +1,19 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from benchmark_runs import run_workload
+
+
+@pytest.fixture(scope="session")
+def benchmark_run(tmp_path_factory):
+    """benchmark_run(name): the `run_workload` result of benchmark workload name, run once per
+    session however many tests read it."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = run_workload(name, tmp_path_factory.mktemp(name))
+        return runs[name]
+
+    return run

@@ -17,6 +17,8 @@ from edgeideals.graphs import Graph, cycle, path
 from edgeideals.resolutions import DEFAULT_CAPS
 from edgeideals.verification import _REGISTRY, CONJECTURES, STATEMENTS, InvariantStore, run_statement
 
+from benchmark_runs import RUN as BENCHMARK_RUN
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -739,9 +741,10 @@ def test_the_invariant_store_changes_no_stdout_byte(capsys, monkeypatch, argv, l
     code, shared, err = run_cli(capsys, *argv, "--no-cache")
     assert code == 0, err
     shared_tables = len(tables)
-    # each graph object its own key, which holds the graph so that its id is not reused:
-    # no two graphs share a record, so every value is computed on its labelled graph
-    monkeypatch.setattr(verification, "canonical_key", lambda g: (id(g), g))
+    # each graph object its own key, rooted or not, which holds the graph so that its id is
+    # not reused: no two graphs share a record and no two sets S of main2 a rooted class, so
+    # every value is computed on its labelled graph
+    monkeypatch.setattr(verification, "canonical_key", lambda g, root=None: (id(g), g))
     code, defeated, err = run_cli(capsys, *argv, "--no-cache")
     assert code == 0, err
     assert shared == defeated
@@ -777,7 +780,7 @@ def test_main2_reads_its_power_hypothesis_from_the_store(capsys, monkeypatch):
     assert (code, unread, len(tables)) == (0, shared, 340), err
     # and every graph object its own class: the same bytes
     monkeypatch.setattr(verification, "_power_hypothesis", real)
-    monkeypatch.setattr(verification, "canonical_key", lambda g: (id(g), g))
+    monkeypatch.setattr(verification, "canonical_key", lambda g, root=None: (id(g), g))
     code, defeated, err = run_cli(capsys, *argv)
     assert (code, defeated) == (0, shared), err
 
@@ -788,12 +791,19 @@ def test_statements_without_a_store_never_key_a_graph(capsys, monkeypatch):
     from edgeideals import verification
 
     keys = count_calls(monkeypatch, verification, "canonical_key")
-    runs = [("verify", "--statement", st) for st in ("froberg", "bounds", "main1", "banerjee", "hhz")]
+    runs = [("verify", "--statement", st) for st in ("froberg", "bounds", "banerjee", "hhz")]
     runs += [("scan", "--conjecture", st, "--kmax", "3") for st in ("np", "generalnp")]
     for argv in runs:
         code, _, err = run_cli(capsys, *argv, "--max-n", "4", "--no-cache")
         assert code == 0, err
     assert keys == []
+    # main1 keys no graph either, only the rooted suspension (G_S, z) of each set S it checks,
+    # for its own per-call classes; a graph that fails the hypothesis checks no S
+    code, out, err = run_cli(capsys, "verify", "--statement", "main1", "--max-n", "4", "--no-cache")
+    assert code == 0, err
+    checked = [r for r in json_lines(out)[1:] if r["verdict"] != "skipped"]
+    assert len(keys) == len(checked) > 0
+    assert all(root == gs.n - 1 for gs, root in keys)
 
 
 def test_newconj2_reads_the_base_reg_from_its_first_power(capsys, monkeypatch):
@@ -966,12 +976,14 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     ],
     ids=["powers-main2", "squarefree-n7", "bounds-gf2"],
 )
-def test_stdout_bytes_match_the_benchmark_reference(capsys, monkeypatch, workload, argv):
-    # pins the CLI bytes that perfbench checks, so a refactor that changes them fails here
+def test_stdout_bytes_match_the_benchmark_reference(benchmark_run, workload, argv):
+    # pins the CLI bytes that perfbench checks, so a refactor that changes them fails here;
+    # the argv runs once per session without a cache, and test_benchmark_calls reads that run too
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     expected = json.loads(reference.read_text(encoding="utf-8"))[workload]["stdout_sha256"]
-    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
-    code, out, _ = run_cli(capsys, *argv, "--no-cache")
+    assert BENCHMARK_RUN.WORKLOADS[workload].argv == argv
+    run = benchmark_run(workload)
+    [code], [out] = run.codes, run.outs
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
@@ -1137,6 +1149,23 @@ def test_per_graph_check_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "statement, expected",
+    [
+        ("main1", "4c4bacd5ece51ab1055ada2a2fd9a869a56ca3305bb6d167d8a2cd40278d99c8"),
+        ("main2", "a5df9868a753de7cb3f9a7b946180339317b2aaa6dbf05f554f3ffc16a7b65ff"),
+    ],
+)
+def test_per_orbit_checks_print_the_pinned_bytes_under_two_jobs(capsys, monkeypatch, statement, expected):
+    # main1 and main2 check one set S per rooted class (G_S, z) of each graph; these digests
+    # were taken while every labelled S was checked, and pinned above under --jobs 1
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    argv = ("verify", "--statement", statement, "--max-n", "5", "--no-cache", "--jobs", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 

@@ -34,7 +34,7 @@ from edgeideals.graphs import (
     path,
     s_suspension,
 )
-from canonical_reference import reference_canonical_key
+from canonical_reference import reference_canonical_key, reference_rooted_form
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -437,6 +437,39 @@ def graphs_up_to_ten(draw):
 @example(cycle(10))
 def test_canonical_key_matches_the_reference_search(g):
     assert canonical_key(g) == reference_canonical_key(g)
+
+
+def _assert_rooted_keys_match_the_brute_force(pairs):
+    # equal rooted keys iff equal brute-force forms: key -> form is a bijection
+    keys = {(canonical_key(g, root), reference_rooted_form(g, root)) for g, root in pairs}
+    assert len(keys) == len({k for k, _ in keys}) == len({f for _, f in keys})
+    # the representative of a rooted key has the root at vertex 0
+    for key, _ in keys:
+        assert canonical_key(graph_from_key(key), 0) == key
+
+
+def test_rooted_keys_match_a_brute_force_on_every_graph_up_to_five_vertices():
+    for n in range(1, 6):
+        graphs = [graph_from_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2))]
+        _assert_rooted_keys_match_the_brute_force([(g, root) for g in graphs for root in range(n)])
+        # the unrooted key is the former one, bit for bit
+        assert all(canonical_key(g) == canonical_key(g, None) == reference_canonical_key(g) for g in graphs)
+
+
+def test_rooted_keys_match_a_brute_force_on_six_vertex_graphs():
+    rnd = random.Random(28)
+    graphs = [random_graph(rnd, 6) for _ in range(300)]
+    _assert_rooted_keys_match_the_brute_force([(g, root) for g in graphs for root in range(6)])
+
+
+def test_rooted_keys_separate_the_orbits_of_the_root():
+    # P3's end vertices form one orbit, its middle vertex another
+    p3 = path(3)
+    assert canonical_key(p3, 0) == canonical_key(p3, 2) != canonical_key(p3, 1)
+    assert canonical_key(p3) == canonical_key(Graph(3, [(0, 2), (1, 2)]))
+    for bad in (3, -1, "0"):
+        with pytest.raises(ValueError):
+            canonical_key(p3, bad)
 
 
 def circulant_jump_sets(m, d):

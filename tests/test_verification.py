@@ -13,6 +13,7 @@ from edgeideals.graphs import (
     canonical_key,
     cricket,
     cycle,
+    independent_sets,
     one_vertex_extensions,
     path,
     s_suspension,
@@ -42,6 +43,7 @@ from edgeideals.verification import (
     STATEMENTS,
     InvariantStore,
     VerificationReport,
+    _suspension_parts,
     check_abc_bound,
     check_banerjee,
     check_betti_splitting,
@@ -573,9 +575,10 @@ def test_each_check_computes_each_table_once(lattice_ideals):
     assert len(lattice_ideals) == 15
     lattice_ideals.clear()
     run_statement("main1", anticycle(5), {"k": 2})
-    # I^2 for the hypothesis and the left part, I(G_S)^2 and the right part for each of
-    # 11 sets S, and the intersection z * I^2 shared by all of them
-    assert len(lattice_ideals) == 24
+    # I^2 for the hypothesis and the left part, I(G_S)^2 and the right part for the first set
+    # S of each of the 3 rooted classes (G_S, z) of the 11 sets, and the intersection z * I^2
+    # shared by all of them: 1 + 6 + 1, where one check per labelled S would be 1 + 22 + 1
+    assert len(lattice_ideals) == 8
 
 
 def test_the_store_keeps_one_record_per_class_and_no_cap_overrun():
@@ -608,15 +611,18 @@ def test_scans_build_each_power_with_one_product(monkeypatch):
         monkeypatch.setattr(module, "ideal_product", counting)
     # I^2, I^3 and I^4 for np, each one product with the power before it; for newconj2, I^2
     # and I^3 of the base and of one extension in each of the 4 classes of the 16 invariant
-    # extensions; I^(k-1) of each suspension once for main1, and I^(n+1) as I^n * I for blemma
+    # extensions; for main1 (k = 3) and main2, I^2 and I^3 of the base, then for the first set S
+    # of each of the 3 rooted classes (G_S, z) of the 11 sets, main1 builds I(G_S)^2 and the
+    # whole and right part at k = 3 (2 + 3 * 3), and main2, after z * I^2 and z * I^3, the whole
+    # and right part at k = 2 and 3 (2 + 2 + 3 * 4); and I^(n+1) as I^n * I for blemma
     for statement, g, params, products in (
         ("np", anticycle(5), {"k_max": 4}, 3),
         ("newconj2", anticycle(5), {"k_max": 3}, 10),
         ("banerjee", anticycle(5), {"k_max": 3}, 2),
         ("hhz", cycle(4), {"k_max": 3}, 2),
         ("bht", anticycle(5), {"k_max": 3}, 2),
-        ("main1", anticycle(5), {"k": 3}, 35),
-        ("main2", anticycle(5), {"k_max": 3}, 48),
+        ("main1", anticycle(5), {"k": 3}, 11),
+        ("main2", anticycle(5), {"k_max": 3}, 16),
         ("blemma", anticycle(5), {"k": 2}, 2),
     ):
         calls.clear()
@@ -767,6 +773,93 @@ def test_main2_fails_on_a_nonlinear_suspended_square(monkeypatch, capsys):
     argv = ["verify", "--statement", "main2", "--builder", "path:3", "--set", "0,2", "--kmax", "2"]
     assert main([*argv, "--no-cache"]) == 1
     capsys.readouterr()
+
+
+# -- one check per rooted class (G_S, z) ----------------------------------------------------------
+
+
+def c5_sets_and_suspension_parts(monkeypatch):
+    """The 11 sets S of anticycle(5), which is C5, and the list of the sets whose suspension
+    `verification._suspension_parts` receives from now on, in order.  The sets fall into 3
+    rooted classes (G_S, z): the empty set, the 5 single vertices and the 5 non-edges."""
+    from edgeideals import verification
+
+    g = anticycle(5)
+    sets = [s for s in independent_sets(g) if len(s) < g.n]
+    assert len(sets) == 11 and len({canonical_key(s_suspension(g, s), g.n) for s in sets}) == 3
+    checked = []
+    parts = verification._suspension_parts
+
+    def recording(gs, ks):
+        checked.append(tuple(v for v in range(g.n) if not gs.has_edge(v, g.n)))
+        return parts(gs, ks)
+
+    monkeypatch.setattr(verification, "_suspension_parts", recording)
+    return g, sets, checked
+
+
+def test_main2_checks_the_next_set_of_an_orbit_after_a_fail(monkeypatch):
+    from edgeideals import verification
+
+    g, sets, checked = c5_sets_and_suspension_parts(monkeypatch)
+    reports = check_main2(g, sets, 2)
+    assert [r.verdict for r in reports] == ["pass"] * 11
+    # one set per rooted class is checked; the other 8 get its pass
+    assert checked == [(), (0,), (0, 1)]
+    # the intersection at k = 2 loses its last generator on the right part of S = (0,) only
+    [(_, _, target)] = _suspension_parts(s_suspension(g, (0,)), range(2, 3))
+    meet_of = verification.intersect
+
+    def lossy(a, b):
+        meet = meet_of(a, b)
+        if b != target:
+            return meet
+        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1].exps})
+
+    monkeypatch.setattr(verification, "intersect", lossy)
+    checked.clear()
+    faulty = check_main2(g, sets, 2)
+    # S = (0,) fails with its own witness; the fail is not shared, so S = (1,) of its orbit is
+    # checked and passes, and (2,), (3,), (4,) get that pass
+    assert checked == [(), (0,), (1,), (0, 1)]
+    assert [r.verdict for r in faulty] == ["pass", "fail"] + ["pass"] * 9
+    assert faulty[1].instance.endswith("S=[0] k_max=2")
+    assert faulty[1].witness["identity"] == "intersection" and faulty[1].witness["k"] == 2
+    z = principal_ideal(Monomial.variable(g.n + 1, g.n))
+    rhs = ideal_product(z, ideal_power(embed(edge_ideal(g), g.n + 1), 2)).gen_strings()
+    assert faulty[1].witness["rhs"] == rhs != faulty[1].witness["lhs"]
+    assert [r.to_json() for r in faulty[2:]] == [r.to_json() for r in reports[2:]]
+
+
+def test_main1_checks_the_next_set_of_an_orbit_after_a_fail(monkeypatch):
+    from edgeideals import verification
+
+    g, sets, checked = c5_sets_and_suspension_parts(monkeypatch)
+    reports = check_main1(g, sets, 2)
+    assert [r.verdict for r in reports] == ["pass"] * 11
+    assert checked == [(), (0,), (0, 1)]
+    # the table of the whole I(G_S)^2 of S = (0,), and of no other ideal, gets beta_{1,7} = 1
+    wholes = {s: ideal_power(edge_ideal(s_suspension(g, s)), 2) for s in [(0,), (1,), (2,)]}
+    inject_beta_1_7(monkeypatch, lambda ideal: ideal == wholes[(0,)])
+    tables = []
+    table = verification.betti_table
+
+    def recording(ideal, field, caps):
+        tables.append(ideal)
+        return table(ideal, field, caps)
+
+    monkeypatch.setattr(verification, "betti_table", recording)
+    checked.clear()
+    faulty = check_main1(g, sets, 2)
+    assert checked == [(), (0,), (1,), (0, 1)]
+    assert [r.verdict for r in faulty] == ["pass", "fail"] + ["pass"] * 9
+    assert faulty[1].instance.endswith("S=[0] k=2")
+    # the unhit run above passed S = (0,), so the injected entry is the only fault
+    assert faulty[1].witness == {"i": 1, "j": 7, "lhs": 1, "rhs": 0}
+    # S = (1,) of the failed orbit gets its own table of the whole; S = (2,) gets the pass of (1,)
+    assert tables.count(wholes[(0,)]) == tables.count(wholes[(1,)]) == 1
+    assert wholes[(2,)] not in tables
+    assert [r.to_json() for r in faulty[2:]] == [r.to_json() for r in reports[2:]]
 
 
 def shift_regularity(monkeypatch, target, by=1):
