@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import os
 import sys
 
@@ -83,8 +84,12 @@ _CAP_FLAGS = {
 }
 
 
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(_json_line(obj))
 
 
 def _flag(dest: str) -> str:
@@ -100,9 +105,7 @@ def _build_graph(spec: str) -> Graph:
 
 def _parse_vertex_set(text: str) -> frozenset:
     s = text.strip()
-    if not s:
-        return frozenset()
-    return frozenset(int(t) for t in s.split(","))
+    return frozenset(int(t) for t in s.split(",")) if s else frozenset()
 
 
 def _one_set(text: str) -> list:
@@ -138,15 +141,13 @@ def _family(args, cache: ResultCache) -> list:
         hit = cache.get(key)
         if _is_family(hit, args.max_n):
             return hit
-        family = [graph_to_graph6(g) for g in enumerate_graphs(args.max_n, require_edge=True)]
+        family = enumerate_graphs(args.max_n, require_edge=True)
         cache.put(key, family)
         return family
     if getattr(args, "graph6_file", None):
         with open(args.graph6_file, "r", encoding="ascii") as fh:
-            graphs = iter_graph6(fh)
-    else:
-        graphs = [_single_graph(args)]
-    return [graph_to_graph6(g) for g in graphs]
+            return [graph_to_graph6(g) for g in iter_graph6(fh)]
+    return [graph_to_graph6(_single_graph(args))]
 
 
 def _caps(args) -> EngineCaps:
@@ -163,9 +164,7 @@ def _cache(args) -> ResultCache:
 
 
 def _header(command: str, field: Field, caps: EngineCaps, **extra) -> dict:
-    head = {"command": command, "field": field.token(), "caps": caps.to_json()}
-    head.update(extra)
-    return {"header": head}
+    return {"header": {"command": command, "field": field.token(), "caps": caps.to_json(), **extra}}
 
 
 def _add_graph_flags(p, family: bool = False):
@@ -384,15 +383,19 @@ def _is_report_list(value) -> bool:
     )
 
 
+def _report_line(rep: dict) -> tuple:
+    """(statement, instance, JSON line, verdict) of a report dict, the form a run holds it in."""
+    return rep["statement"], rep["instance"], _json_line(rep), rep["verdict"]
+
+
 def _family_item(base_key: dict, run, cache: ResultCache, g6: str, store: InvariantStore) -> list:
-    """Report dicts of `run` on one graph, cached; an entry of the wrong shape is a miss."""
+    """`_report_line`s of `run` on one graph from its cached report dicts; a wrong shape is a miss."""
     key = dict(base_key, graph6=g6, version=__version__)
-    hit = cache.get(key)
-    if _is_report_list(hit):
-        return hit
-    reports = [r.to_json() for r in run(graph_from_graph6(g6), store=store)]
-    cache.put(key, reports)
-    return reports
+    reports = cache.get(key)
+    if not _is_report_list(reports):
+        reports = [r.to_json() for r in run(graph_from_graph6(g6), store=store)]
+        cache.put(key, reports)
+    return [_report_line(r) for r in reports]
 
 
 # the InvariantStore of a --jobs worker process, built by the pool initializer
@@ -409,7 +412,7 @@ def _worker_item(item, g6: str) -> list:
 
 
 def _run_family(args, cache: ResultCache, family: list, statement: str, params: dict, field, caps) -> list:
-    """Report dicts of `statement` over the family, sorted; --jobs workers use the cache themselves.
+    """`_report_line`s of `statement` over the family, sorted; --jobs workers use the cache themselves.
 
     The cache key of a graph's reports holds the command, the statement, its parameters with
     defaults filled in, the field and caps if the statement reads them, graph and version.
@@ -427,16 +430,13 @@ def _run_family(args, cache: ResultCache, family: list, statement: str, params: 
 
         with multiprocessing.Pool(args.jobs, _start_worker) as pool:
             chunks = pool.map(functools.partial(_worker_item, item), family)
-    reports = [rep for chunk in chunks for rep in chunk]
-    reports.sort(key=lambda r: (r["statement"], r["instance"]))
-    return reports
+    return sorted((rep for chunk in chunks for rep in chunk), key=operator.itemgetter(0, 1))
 
 
 def _emit_reports(reports) -> int:
-    """Print one JSON line per report dict; EXIT_FAIL when any verdict is fail."""
-    for rep in reports:
-        _emit(rep)
-    return EXIT_FAIL if any(rep["verdict"] == FAIL for rep in reports) else EXIT_OK
+    """Print the line of each `_report_line`; EXIT_FAIL when any verdict is fail."""
+    sys.stdout.writelines(line for _, _, line, _ in reports)
+    return EXIT_FAIL if any(verdict == FAIL for *_, verdict in reports) else EXIT_OK
 
 
 def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
@@ -447,7 +447,7 @@ def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
     if entry.ideals:
         # run directly, so that a cap overrun exits 3 and is not a skipped report
         inputs = _ideal_inputs(args, statement, entry.ideals)
-        reports = [entry.run(*inputs, field, caps).to_json()]
+        reports = [_report_line(entry.run(*inputs, field, caps).to_json())]
     else:
         params, cache, family = _graph_inputs(args, statement)
         reports = _run_family(args, cache, family, statement, params, field, caps)
@@ -471,7 +471,7 @@ def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=["statement", "instances", "pass", "fail", "skipped"])
             w.writeheader()
-            w.writerows(summarize_reports(reports))
+            w.writerows(summarize_reports({"statement": st, "verdict": v} for st, _, _, v in reports))
     return code
 
 

@@ -8,13 +8,16 @@ in it.  This is exhaustive.  A class H on n vertices has a vertex v of maximum
 degree, and H - v is isomorphic to some class B on n-1 vertices; attaching to
 B the image of N(v) gives a copy of H whose new vertex has maximum degree.
 Deduplicating the children by canonical key then leaves each class once.
+
+A level is the sorted canonical rows (`graphs._canonical_rows`) of its classes;
+only level n-1 is kept to build level n, and no `Graph` is made.  Row j holds
+the neighbours of j below j, the bits graph6 reads for column j.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .graphs import Graph, _canonical_rows, graph_from_key
+from .graph6 import graph6_from_rows
+from .graphs import _canonical_rows
 
 # isomorphism classes of simple graphs on n = 0..8 vertices (OEIS A000088)
 CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -34,19 +37,13 @@ FAMILY_SHA256 = (
 )
 
 
-@lru_cache(maxsize=None)
-def graphs_on(n: int) -> tuple:
-    """All isomorphism classes on exactly n vertices, as canonical representatives."""
-    if n >= len(CLASS_COUNTS):
-        raise ValueError("exhaustive enumeration is desk scale only (n <= 8)")
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n == 0:
-        return (Graph(0),)
+def _next_level(n: int, level: list) -> list:
+    """Sorted canonical rows of the classes on n vertices, from those on n - 1."""
     top = 1 << (n - 1)
     keys = set()
-    for base in graphs_on(n - 1):
-        masks = base._masks
+    for rows in level:
+        # the base's neighbour masks: its neighbours below p, then those above
+        masks = [r | sum(1 << q for q in range(p + 1, n - 1) if (rows[q] >> p) & 1) for p, r in enumerate(rows)]
         deg = [m.bit_count() for m in masks]
         max_deg = max(deg, default=0)
         # at_least[d]: the base vertices of degree at least d
@@ -59,16 +56,20 @@ def graphs_on(n: int) -> tuple:
                 continue
             child = [m | top if (mask >> v) & 1 else m for v, m in enumerate(masks)]
             child.append(mask)
-            keys.add((n, _canonical_rows(n, child)))
-    return tuple(graph_from_key(k) for k in sorted(keys))
+            keys.add(_canonical_rows(n, child))
+    return sorted(keys)
 
 
 def enumerate_graphs(max_n: int, min_n: int = 1, require_edge: bool = False) -> list:
-    """Isomorphism classes with min_n <= n <= max_n, optionally edgeless excluded."""
+    """graph6 strings of the isomorphism classes with min_n <= n <= max_n, optionally edgeless
+    excluded: by n, and within one n in the order of their canonical rows."""
+    if max_n >= len(CLASS_COUNTS):
+        raise ValueError("exhaustive enumeration is desk scale only (n <= 8)")
     out = []
-    for n in range(min_n, max_n + 1):
-        for g in graphs_on(n):
-            if require_edge and not g.edges:
-                continue
-            out.append(g)
+    level = [()]
+    for n in range(max_n + 1):
+        if n:
+            level = _next_level(n, level)
+        if n >= min_n:
+            out.extend(graph6_from_rows(n, rows) for rows in level if any(rows) or not require_edge)
     return out

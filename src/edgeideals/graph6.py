@@ -12,22 +12,27 @@ from .graphs import Graph
 HEADER = ">>graph6<<"
 
 
-def graph_to_graph6(g: Graph) -> str:
-    if g.n > 62:
+def graph6_from_rows(n: int, rows) -> str:
+    """graph6 of the graph on 0..n-1 whose i < j are adjacent when bit i of rows[j] is set, or
+    full neighbour masks: bits j and above of rows[j] are not read."""
+    if n > 62:
         raise ValueError("only graphs with at most 62 vertices are supported")
-    bits = []
-    for j in range(1, g.n):
+    out = [chr(63 + n)]
+    val = used = 0
+    for j in range(1, n):
         for i in range(j):
-            bits.append(1 if (i, j) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + g.n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
+            val = (val << 1) | ((rows[j] >> i) & 1)
+            used += 1
+            if used == 6:
+                out.append(chr(63 + val))
+                val = used = 0
+    if used:
+        out.append(chr(63 + (val << (6 - used))))
     return "".join(out)
+
+
+def graph_to_graph6(g: Graph) -> str:
+    return graph6_from_rows(g.n, g._masks)
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -59,12 +64,6 @@ def graph_from_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def iter_graph6(lines) -> "list[Graph]":
-    """Decode an iterable of graph6 lines, skipping blanks and the format header."""
-    out = []
-    for line in lines:
-        s = line.strip()
-        if not s or s == HEADER:
-            continue
-        out.append(graph_from_graph6(s))
-    return out
+def iter_graph6(lines):
+    """Decode an iterable of graph6 lines one at a time, skipping blanks and the format header."""
+    return (graph_from_graph6(s) for s in map(str.strip, lines) if s and s != HEADER)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from edgeideals.enumeration import enumerate_graphs
+
 from benchmark_runs import run_workload
 
 
@@ -17,3 +19,10 @@ def benchmark_run(tmp_path_factory):
         return runs[name]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def classes8():
+    """graph6 strings of every isomorphism class with n <= 8, as `enumerate_graphs(8, min_n=0)`
+    lists them: n = 8 takes seconds to enumerate, so a session does it once."""
+    return enumerate_graphs(8, min_n=0)

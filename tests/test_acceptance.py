@@ -19,7 +19,6 @@ from edgeideals.graphs import (
     minimal_vertex_covers,
     path,
 )
-from edgeideals.enumeration import enumerate_graphs
 from edgeideals.linalg import GF2, RATIONALS
 from edgeideals.monomials import (
     Monomial,
@@ -44,6 +43,7 @@ from edgeideals.verification import (
     check_main2,
     run_statement,
 )
+from families import graph_family
 
 
 def _report(name: str, failures: list) -> None:
@@ -54,12 +54,12 @@ def _report(name: str, failures: list) -> None:
 
 @pytest.fixture(scope="module")
 def family7():
-    return enumerate_graphs(7, min_n=2, require_edge=True)
+    return graph_family(7, min_n=2, require_edge=True)
 
 
 @pytest.fixture(scope="module")
 def family6():
-    return enumerate_graphs(6, min_n=2, require_edge=True)
+    return graph_family(6, min_n=2, require_edge=True)
 
 
 # Criteria 1 and 2 read the same reg(I), and criteria 3 and 4 the same

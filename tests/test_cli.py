@@ -15,7 +15,15 @@ from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, cycle, path
 from edgeideals.resolutions import DEFAULT_CAPS
-from edgeideals.verification import _REGISTRY, CONJECTURES, STATEMENTS, InvariantStore, run_statement
+from edgeideals.verification import (
+    _REGISTRY,
+    CONJECTURES,
+    FAIL,
+    STATEMENTS,
+    InvariantStore,
+    VerificationReport,
+    run_statement,
+)
 
 from benchmark_runs import RUN as BENCHMARK_RUN
 
@@ -553,6 +561,31 @@ def test_verify_splitting_negative_exits_one(capsys):
     assert (rep["witness"]["i"], rep["witness"]["j"]) == (1, 4)
 
 
+def test_a_family_run_with_a_fail_exits_one(capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    args = ("verify", "--statement", "froberg", "--max-n", "4", "--no-cache")
+    _, passing, _ = run_cli(capsys, *args)
+
+    def planted(statement, g, **kwargs):
+        # the triangle's reports turn into fails; every other graph's stay as they are
+        reports = run_statement(statement, g, **kwargs)
+        if (g.n, g.edge_count) != (3, 3):
+            return reports
+        return [VerificationReport(r.statement, r.instance, FAIL, witness={"planted": 1}) for r in reports]
+
+    monkeypatch.setattr(cli, "run_statement", planted)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1, err
+    header, *reports = json_lines(passing)
+    for rep in reports:
+        if rep["instance"] == "g6=Bw":
+            del rep["data"]
+            rep.update(verdict=FAIL, witness={"planted": 1})
+    assert json_lines(out) == [header, *reports]
+    assert sum(rep["verdict"] == FAIL for rep in reports) == 1
+
+
 def test_verify_colon_statement(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--statement", "colon",
@@ -577,7 +610,7 @@ def test_scan_runs_the_statement_once_per_family_graph(capsys, monkeypatch):
     calls = count_calls(monkeypatch, cli, "run_statement")
     code, _, _ = run_cli(capsys, "scan", "--max-n", "4", "--conjecture", "newconj2", "--no-cache")
     assert code == 0
-    family = [graph_to_graph6(g) for g in enumerate_graphs(4, require_edge=True)]
+    family = enumerate_graphs(4, require_edge=True)
     assert [(name, graph_to_graph6(g)) for name, g in calls] == [("newconj2", g6) for g6 in family]
 
 
@@ -629,6 +662,19 @@ def test_verify_cache_roundtrip(tmp_path, capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_scan_summary_bytes_do_not_depend_on_jobs(tmp_path, capsys):
+    # the summary counts the sorted report lines, which --jobs gathers in another order
+    runs = []
+    for jobs in ("1", "2"):
+        summary = tmp_path / f"summary-{jobs}.csv"
+        args = ["scan", "--conjecture", "newconj2", "--max-n", "4", "--no-cache", "--summary", str(summary)]
+        code, out, err = run_cli(capsys, *args, "--jobs", jobs)
+        assert code == 0, err
+        runs.append((out, summary.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == b"statement,instances,pass,fail,skipped\r\nnewconj2,142,141,0,1\r\n"
 
 
 def test_parallel_jobs_match_serial(capsys):
@@ -1012,6 +1058,9 @@ def test_bounds_gf3_stdout_bytes_are_pinned(capsys, monkeypatch):
 # canonical DUW, a triangle, and DqK again
 G6_FILE = "<graph6-file>"
 G6_LINES = "DqK\nA?\nDUW\nBw\nDqK\n"
+# G6_LINES with the format header, alone and as a prefix, blank lines, blanks around a line
+# and every padding bit set: DqN, A^, DUZ and B~ set the bits that DqK, A?, DUW and Bw leave 0
+G6_MESSY = ">>graph6<<\n\n>>graph6<<DqN\n  A^ \n\nDUZ\r\nB~\nDqK\n\n"
 
 
 @pytest.mark.parametrize(
@@ -1167,6 +1216,29 @@ def test_per_orbit_checks_print_the_pinned_bytes_under_two_jobs(capsys, monkeypa
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--conjecture", "np", "--kmax", "3"),
+        ("scan", "--conjecture", "generalnp", "--kmax", "3"),
+        ("scan", "--conjecture", "newconj2", "--kmax", "2"),
+    ],
+    ids=["np", "generalnp", "newconj2"],
+)
+def test_a_graph6_file_is_normalised_line_by_line(tmp_path, capsys, monkeypatch, argv):
+    # each line is decoded and re-encoded, so header, blank lines and padding bits leave no trace
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    outs = []
+    for name, text in (("clean.g6", G6_LINES), ("messy.g6", G6_MESSY)):
+        (tmp_path / name).write_text(text, encoding="ascii", newline="")
+        code, out, err = run_cli(capsys, *argv, "--graph6-file", str(tmp_path / name), "--no-cache")
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    instances = " ".join(rep["instance"] for rep in json_lines(outs[1])[1:])
+    assert instances and not any(g6 in instances for g6 in ("DqN", "A^", "DUZ", "B~"))
 
 
 def _readme_examples() -> list:

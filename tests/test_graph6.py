@@ -49,7 +49,11 @@ def test_header_and_stream_handling():
     s = graph_to_graph6(g)
     assert graph_from_graph6(">>graph6<<" + s) == g
     graphs = iter_graph6([">>graph6<<", "", s, graph_to_graph6(path(3))])
-    assert graphs == [g, path(3)]
+    assert list(graphs) == [g, path(3)]
+    # lines are decoded one at a time, as they are read
+    lines = iter([s, "not graph6"])
+    graphs = iter_graph6(lines)
+    assert next(graphs) == g and next(lines) == "not graph6"
 
 
 def test_invalid_inputs():

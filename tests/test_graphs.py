@@ -35,6 +35,7 @@ from edgeideals.graphs import (
     s_suspension,
 )
 from canonical_reference import reference_canonical_key, reference_rooted_form
+from families import graph_family
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -219,9 +220,7 @@ def test_chordal_against_brute_force_random_n7():
 
 def test_chordal_against_brute_force_all_classes_n7():
     # chordality is isomorphism invariant, so classes cover all graphs n <= 7
-    from edgeideals.enumeration import enumerate_graphs
-
-    for g in enumerate_graphs(7):
+    for g in graph_family(7):
         assert is_chordal(g) == brute_chordal(g), g
 
 
@@ -252,15 +251,12 @@ def test_matching_invariants_exhaustive_oracle(mask):
 
 
 def test_invariants_against_brute_force_on_every_class_n6():
-    from edgeideals.enumeration import graphs_on
-
-    for n in range(7):
-        for g in graphs_on(n):
-            assert matching_number(g) == brute_matching(g), g
-            if g.edges:
-                assert induced_matching_number(g) == brute_induced_matching(g), g
-            assert independent_sets(g) == brute_independent_sets(g), g
-            assert minimal_vertex_covers(g) == brute_minimal_vertex_covers(g), g
+    for g in graph_family(6, min_n=0):
+        assert matching_number(g) == brute_matching(g), g
+        if g.edges:
+            assert induced_matching_number(g) == brute_induced_matching(g), g
+        assert independent_sets(g) == brute_independent_sets(g), g
+        assert minimal_vertex_covers(g) == brute_minimal_vertex_covers(g), g
 
 
 def test_gap_free_examples():

@@ -24,7 +24,6 @@ from edgeideals.graphs import (
     path,
     s_suspension,
 )
-from edgeideals.enumeration import enumerate_graphs
 from edgeideals.linalg import GF2, RATIONALS, Field
 from edgeideals.monomials import (
     Monomial,
@@ -52,6 +51,7 @@ from edgeideals.resolutions import (
     taylor_betti_oracle,
 )
 from dense_homology import dense_taylor_betti_oracle
+from families import graph_family
 from gather_reference import doubling_face_bitmaps
 from interval_oracle import interval_betti_oracle
 from test_complexes import RP2_FACETS
@@ -481,18 +481,18 @@ def test_linear_resolution_examples():
 
 
 def test_froberg_small_exhaustive():
-    for g in enumerate_graphs(5, min_n=2, require_edge=True):
+    for g in graph_family(5, min_n=2, require_edge=True):
         assert (regularity(edge_ideal(g)) == 2) == is_chordal(complement(g)), g
 
 
 def test_reg_bounds_small_exhaustive():
-    for g in enumerate_graphs(5, min_n=2, require_edge=True):
+    for g in graph_family(5, min_n=2, require_edge=True):
         r = regularity(edge_ideal(g))
         assert induced_matching_number(g) + 1 <= r <= matching_number(g) + 1, g
 
 
 def test_power_lower_bound_smoke():
-    for g in enumerate_graphs(4, min_n=2, require_edge=True):
+    for g in graph_family(4, min_n=2, require_edge=True):
         im = induced_matching_number(g)
         ideal = edge_ideal(g)
         for k in (1, 2):
@@ -528,7 +528,7 @@ def test_linear_quotients_generator_cap_is_unknown():
 
 
 def test_linear_quotients_imply_linear_resolution_n6():
-    for g in enumerate_graphs(6, min_n=2, require_edge=True):
+    for g in graph_family(6, min_n=2, require_edge=True):
         ideal = edge_ideal(g)
         res = linear_quotients_order(ideal)
         assert res.status in ("found", "none")
@@ -576,7 +576,7 @@ def test_variable_ideal_is_koszul():
 
 def test_colon_reg_bound_numerically():
     rnd = random.Random(31)
-    for g in enumerate_graphs(5, min_n=2, require_edge=True)[::3]:
+    for g in graph_family(5, min_n=2, require_edge=True)[::3]:
         ideal = edge_ideal(g)
         r = regularity(ideal)
         for _ in range(3):
@@ -598,7 +598,7 @@ def test_colon_reg_bound_numerically():
 def test_colon_reg_equality_for_variables():
     from edgeideals.monomials import colon, ideal_sum, principal_ideal
 
-    for g in enumerate_graphs(4, min_n=2, require_edge=True):
+    for g in graph_family(4, min_n=2, require_edge=True):
         ideal = edge_ideal(g)
         r = regularity(ideal)
         for v in range(g.n):

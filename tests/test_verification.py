@@ -6,7 +6,6 @@ import json
 import pytest
 
 from edgeideals.complexes import CapExceeded
-from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graphs import (
     Graph,
     anticycle,
@@ -66,6 +65,7 @@ from edgeideals.verification import (
 )
 
 from extension_reference import is_im_reg_invariant_extension
+from families import graph_family
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -348,7 +348,7 @@ def test_main1_pass_implies_main2_linearity():
 
 
 def test_four_bound_checks_are_mutually_consistent():
-    for g in enumerate_graphs(5, min_n=2, require_edge=True):
+    for g in graph_family(5, min_n=2, require_edge=True):
         froberg = check_froberg(g)
         bounds = check_reg_bounds(g)
         bht = check_bht_lower_bound(g, 2)
@@ -383,7 +383,7 @@ def test_is_im_reg_invariant_extension():
 
 @pytest.mark.parametrize("field", [RATIONALS, GF2], ids=["Q", "GF2"])
 def test_enumerate_im_reg_extensions_matches_the_reference(field):
-    for g in enumerate_graphs(4, require_edge=True) + [cycle(5), anticycle(5)]:
+    for g in graph_family(4, require_edge=True) + [cycle(5), anticycle(5)]:
         want = [ext for ext in one_vertex_extensions(g) if is_im_reg_invariant_extension(g, ext, field)]
         assert enumerate_im_reg_extensions(g, field) == want, g
 
@@ -419,7 +419,7 @@ def scan(conjecture, graphs, **params) -> list:
 
 
 def test_np_scan_small():
-    reports = scan("np", enumerate_graphs(5, require_edge=True), k_max=2)
+    reports = scan("np", graph_family(5, require_edge=True), k_max=2)
     assert len(reports) == 1  # the 5-cycle is the only gap-free reg-3 class here
     assert reports[0].verdict == "pass"
     assert reports[0].data["reg"] == 3
@@ -435,7 +435,7 @@ def test_scans_give_no_report_on_an_edgeless_graph():
 
 
 def test_generalnp_scan_small():
-    reports = scan("generalnp", enumerate_graphs(4, require_edge=True), k_max=2)
+    reports = scan("generalnp", graph_family(4, require_edge=True), k_max=2)
     assert reports
     assert all(r.verdict == "pass" for r in reports)
 
@@ -467,7 +467,7 @@ def test_scan_config_validation():
 
 
 def test_scan_reports_are_deterministic_and_canonical():
-    family = enumerate_graphs(4, require_edge=True)
+    family = graph_family(4, require_edge=True)
     a = [r.to_json() for r in scan("generalnp", family, k_max=2)]
     b = [r.to_json() for r in scan("generalnp", family, k_max=2)]
     assert a == b
@@ -553,7 +553,7 @@ def _table_sharing_calls(g):
 
 
 def test_each_check_computes_each_table_once(lattice_ideals):
-    for g in enumerate_graphs(4, require_edge=True) + [cycle(5), anticycle(5)]:
+    for g in graph_family(4, require_edge=True) + [cycle(5), anticycle(5)]:
         for label, call in _table_sharing_calls(g):
             lattice_ideals.clear()
             call()
