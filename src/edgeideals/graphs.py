@@ -292,10 +292,11 @@ def _canonical_rows(n: int, masks, root=None):
             if masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
                 twin[v] = u
                 break
-    slots = sorted(colors)
     pools = {}
     for v in range(n):
         pools.setdefault(colors[v], []).append(v)
+    # levels[p]: the vertices that may sit at position p, those of its colour
+    levels = [pools[c] for c in sorted(colors)]
     # row[v] has bit k set when v is adjacent to the vertex placed at position k;
     # placing a vertex at p sets bit p in its neighbours' rows, backtracking clears it
     row = [0] * n
@@ -303,9 +304,9 @@ def _canonical_rows(n: int, masks, root=None):
     used = [False] * n
 
     # greedy first completion gives the initial bound
-    for p in range(n):
+    for p, level in enumerate(levels):
         cand = None
-        for v in pools[slots[p]]:
+        for v in level:
             if not used[v] and (cand is None or row[v] < row[cand]):
                 cand = v
         used[cand] = True
@@ -313,48 +314,47 @@ def _canonical_rows(n: int, masks, root=None):
         for u in nbrs[cand]:
             row[u] |= 1 << p
     best = rows[:]
-    row = [0] * n
-    used = [False] * n
+    state = (levels, nbrs, twin, [0] * n, rows, [False] * n)
+    return tuple(_least_rows(state, 0, True, best))
 
-    # equal_prefix: rows[:p] equals best[:p]; otherwise rows[:p] is smaller
-    def rec(p, equal_prefix):
-        nonlocal best
-        if p == n:
-            if not equal_prefix:
-                best = rows[:]
-            return
-        bit = 1 << p
-        tried = 0
-        for v in pools[slots[p]]:
-            if used[v]:
-                continue
-            # swapping v with a twin already tried here is an automorphism that
-            # fixes every placed vertex, so v's subtree repeats the twin's leaves
-            if (tried >> twin[v]) & 1:
-                continue
-            tried |= 1 << twin[v]
-            r = row[v]
-            if equal_prefix:
-                if r > best[p]:
-                    continue
-                child_equal = r == best[p]
-            else:
-                child_equal = False
-            used[v] = True
-            rows[p] = r
-            for u in nbrs[v]:
-                row[u] |= bit
-            before = best
-            rec(p + 1, child_equal)
-            for u in nbrs[v]:
-                row[u] ^= bit
-            used[v] = False
-            if best is not before:
-                # a leaf below replaced best, and it shares rows[:p]
-                equal_prefix = True
 
-    rec(0, True)
-    return tuple(best)
+def _least_rows(state, p, equal_prefix, best):
+    """best, or a new list holding the least completion of rows[:p] below it.  equal_prefix:
+    rows[:p] equals best[:p], else it is smaller.  state, (levels, nbrs, twin, row, rows, used)
+    of `_canonical_rows`, is passed down, not closed over, so no call leaves a reference cycle."""
+    levels, nbrs, twin, row, rows, used = state
+    if p == len(levels):
+        return best if equal_prefix else rows[:]
+    bit = 1 << p
+    tried = 0
+    for v in levels[p]:
+        if used[v]:
+            continue
+        # swapping v with a twin already tried here is an automorphism that
+        # fixes every placed vertex, so v's subtree repeats the twin's leaves
+        if (tried >> twin[v]) & 1:
+            continue
+        tried |= 1 << twin[v]
+        r = row[v]
+        if equal_prefix:
+            if r > best[p]:
+                continue
+            child_equal = r == best[p]
+        else:
+            child_equal = False
+        used[v] = True
+        rows[p] = r
+        for u in nbrs[v]:
+            row[u] |= bit
+        found = _least_rows(state, p + 1, child_equal, best)
+        for u in nbrs[v]:
+            row[u] ^= bit
+        used[v] = False
+        if found is not best:
+            # a leaf below replaced best, and it shares rows[:p]
+            best = found
+            equal_prefix = True
+    return best
 
 
 def canonical_key(g: Graph, root=None):

@@ -7,17 +7,20 @@ chunks S with m/x_S still inside the ideal.  Its rank in dimension i-1 is the
 multigraded Betti number at (i, m).
 
 All of this lives in the exponent box below the lcm of the generators, where a
-multidegree is one point index, sum(e_i * strides[i]).  When the box has at
-most `EngineCaps.membership_table_max` points (by default `box.BOX_MAX`), a set
-of multidegrees is one Python int with a bit per point (`box._Box`, shared with
+multidegree is one point index, sum(e_i * strides[i]).  When the box has at most
+`EngineCaps.membership_table_max` points (by default `box.BOX_MAX`), a set of
+multidegrees is one Python int with a bit per point (`box._Box`, shared with
 `monomials.intersect`, which also runs in the box): membership in the ideal and
-the lcm lattice are upward closures and intersections of such bitsets.  A bigger
-box keeps the same point indices: the lattice is grown atom by atom over exponent
-tuples, and membership decodes an index and ANDs per-variable threshold bitsets
-of the generators.  Either way each face bitmap is read in one call: the faces
-of m sit at low + (the strides of a support subset), with low = m minus every
-support stride, so one `itemgetter` per support shape (`_gather`, cached by the
-sum of the support's strides) reads them from a view of the table at low.
+the lcm lattice are upward closures and intersections of such bitsets, and one
+box built per table serves both.  A bigger box keeps the same point indices: the
+lattice is grown atom by atom over exponent tuples, and membership decodes an
+index and ANDs per-variable threshold bitsets of the generators.  Either way
+each face bitmap is read in one call: the faces of m sit at low + (the strides
+of a support subset), with low = m minus every support stride, so one
+`itemgetter` per support shape (`_gather`, cached by the sum of the support's
+strides) reads them from a view of the table at low, or on a squarefree box, where
+low is 0, cached by m itself from the whole table.  A minimal generator g has the
+complex {empty face}, so `betti_table` counts beta_{0,g} = 1 with no gather.
 Multidegrees leave the engine as exponent tuples:
 `BettiTable.multi` is keyed by them and the graded entries are summed from it,
 so a Monomial is built only to print a multidegree in `BettiTable.to_json`.
@@ -61,7 +64,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import compress
+from itertools import compress, filterfalse
 from operator import itemgetter, mul
 from types import MappingProxyType
 
@@ -174,6 +177,21 @@ class _ThresholdMembership:
 # -- lcm lattice ----------------------------------------------------------------
 
 
+# top -> its box, for the last top only: the lcm lattice and the membership table of one
+# Betti table share the box, and no more than one box is kept
+_LAST_BOX: dict = {}
+
+
+def _fitting_box(top: tuple, caps: EngineCaps) -> "_Box | None":
+    """`_Box.fitting(top, caps.membership_table_max)`, built once for consecutive calls
+    with the same top."""
+    box = _LAST_BOX.get(top)
+    if box is None:
+        _LAST_BOX.clear()  # freed before the next box is built
+        box = _LAST_BOX[top] = _Box.fitting(top, caps.membership_table_max)
+    return box if box is not None and box.size <= caps.membership_table_max else None
+
+
 def _joined_lattice(gens: list, caps: EngineCaps) -> list:
     """Adds the atoms one at a time, L_k = L_{k-1} + {b_k} + (L_{k-1} joined with b_k),
     joining column by column where b_k is nonzero."""
@@ -200,8 +218,7 @@ def lcm_lattice(ideal: MonomialIdeal, caps: EngineCaps = DEFAULT_CAPS) -> list:
     past caps.lattice_max elements."""
     _guard_proper(ideal, "the lcm lattice")
     gens = list(ideal.gens)
-    top = tuple(map(max, zip(*gens)))
-    box = _Box.fitting(top, caps.membership_table_max)
+    box = _fitting_box(tuple(map(max, zip(*gens))), caps)
     if box is not None:
         return _box_lattice(box, gens, caps)
     return _joined_lattice(gens, caps)
@@ -215,7 +232,7 @@ def _membership_table(ideal: MonomialIdeal, top: tuple, caps: EngineCaps) -> tup
     cones is None for a squarefree box, whose lattice has no cone, and for a box too
     big, whose membership is a stand-in indexed the same way."""
     gens = list(ideal.gens)
-    box = _Box.fitting(top, caps.membership_table_max)
+    box = _fitting_box(top, caps)
     if box is None:
         strides = _strides(top)
         return _ThresholdMembership(strides, gens), None, strides
@@ -303,9 +320,9 @@ COMPLEX_MEMO_SIZE = 1 << 14
 # tuple, so that the many complexes with equal homology share it
 _COMPLEX_MEMO: dict = {}
 _RANKS: dict = {}
-# box strides -> {sum of the support's strides: the support's face gather}; the
-# strides of a box are superincreasing on its axes, so that sum names the support.
-# Emptied with _COMPLEX_MEMO.
+# (box strides, squarefree) -> {key: the support's face gather}, keyed on a squarefree box by
+# the point itself and on any other by the sum of the support's strides: the strides of a box
+# are superincreasing on its axes, so that sum names the support.  Emptied with _COMPLEX_MEMO.
 _GATHERS: dict = {}
 
 
@@ -362,21 +379,29 @@ def _gather(support_strides) -> itemgetter:
 
 
 def _face_bitmaps(ideal: MonomialIdeal, caps: EngineCaps):
-    """(exponents of m, face bitmap of its membership complex) for each lattice point m
-    that is no cone, in increasing order; bit f of the bitmap is set when the support
-    subset f (bit k for the k-th support variable) is a face."""
+    """(exponents of m, face bitmap of its membership complex) for each lattice point m that
+    is neither a minimal generator (counted by `betti_table`) nor a cone, in increasing order;
+    bit f of the bitmap is set when the support subset f (bit k for the k-th support variable) is a face."""
     lattice = lcm_lattice(ideal, caps)
-    table, cones, strides = _membership_table(ideal, lattice[-1], caps)
-    gathers = _GATHERS.setdefault(tuple(strides), {})
-    for exps in lattice:
-        at = sum(map(mul, exps, strides))
-        if cones and cones[at] == _SET:  # a cone: acyclic, no Betti number at m
-            continue
-        shape = sum(compress(strides, exps))
-        gather = gathers.get(shape)
+    top = lattice[-1]
+    table, cones, strides = _membership_table(ideal, top, caps)
+    # on a squarefree box low is 0 and m is its own support shape, so its gathers are keyed by
+    # m and read the whole table; kept apart from shape keys, since tops (1, 1) and (5, 1) share strides
+    squarefree = max(top) == 1
+    gathers = _GATHERS.setdefault((tuple(strides), squarefree), {})
+    for exps in filterfalse(ideal.gens.__contains__, lattice):
+        if squarefree:
+            key, view = exps, table
+        else:
+            at = sum(map(mul, exps, strides))
+            if cones and cones[at] == _SET:  # a cone: acyclic, no Betti number at m
+                continue
+            key = sum(compress(strides, exps))
+            view = table[at - key :]
+        gather = gathers.get(key)
         if gather is None:
-            gathers[shape] = gather = _gather(compress(strides, exps))
-        yield exps, int(bytes(gather(table[at - shape :])), 2)
+            gathers[key] = gather = _gather(compress(strides, exps))
+        yield exps, int(bytes(gather(view)), 2)
 
 
 def betti_table(
@@ -387,7 +412,7 @@ def betti_table(
     """Complete multigraded Betti table via lattice-supported membership complexes."""
     _guard_proper(ideal, "the Betti table")
     memo = _COMPLEX_MEMO.setdefault(field, {})
-    multi: dict = {}
+    multi = {(0, g): 1 for g in ideal.gens}
     for exps, bitmap in _face_bitmaps(ideal, caps):
         ranks = memo.get(bitmap)
         if ranks is None:  # a miss; hits skip the call

@@ -64,9 +64,9 @@ class WorkloadRun(NamedTuple):
 
 def run_workload(name: str, cache_dir: Path) -> WorkloadRun:
     """Run the argv of workload name with `--jobs 1` and no `EDGEIDEALS_CACHE`, starting from
-    empty complex memos, as a fresh benchmark child does, so a memo hit cannot hide a call.  A
-    warm-cache workload runs twice in cache_dir, the fill and one warm run, as its traced run
-    does.  Every patch is undone on return."""
+    empty complex memos and no kept box, as a fresh benchmark child does, so a memo hit cannot
+    hide a call.  A warm-cache workload runs twice in cache_dir, the fill and one warm run, as
+    its traced run does.  Every patch is undone on return."""
     workload = RUN.WORKLOADS[name]
     argv = [*workload.argv, "--jobs", "1"]
     if workload.warm_cache:
@@ -74,7 +74,7 @@ def run_workload(name: str, cache_dir: Path) -> WorkloadRun:
     codes, outs = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(RUN.CACHE_ENV, raising=False)
-        for memo in ("_COMPLEX_MEMO", "_RANKS", "_GATHERS"):
+        for memo in ("_COMPLEX_MEMO", "_RANKS", "_GATHERS", "_LAST_BOX"):
             mp.setattr(resolutions, memo, {})
         calls = count_traced_calls(mp)
         for _ in range(2 if workload.warm_cache else 1):

@@ -4,7 +4,8 @@
 `itemgetter` per support shape, applied from the lowest corner of the point's
 face cube; this is the loop it replaced, which builds the 2^s indices of every
 lattice point by doubling from m itself and reverses them.  Both must give the
-same face bitmaps, because every Betti number is read off them.
+same face bitmaps, because every Betti number is read off them.  Like the engine,
+it skips the minimal generators, whose complex is {empty face}, and the cones.
 """
 
 from itertools import compress
@@ -14,7 +15,8 @@ from edgeideals.resolutions import _SET, _membership_table, lcm_lattice
 
 
 def doubling_face_bitmaps(ideal, caps) -> list:
-    """(exponents of m, face bitmap) for each lattice point m that the engine does not skip as a cone."""
+    """(exponents of m, face bitmap) for each lattice point m that the engine does not skip
+    as a minimal generator or a cone."""
     lattice = lcm_lattice(ideal, caps)
     table, cones, strides = _membership_table(ideal, lattice[-1], caps)
     down = [-s for s in strides]
@@ -22,7 +24,7 @@ def doubling_face_bitmaps(ideal, caps) -> list:
     for exps in lattice:
         # idx[f] lowers m by one in every support variable of the subset f
         idx = [sum(map(mul, exps, strides))]
-        if cones and cones[idx[0]] == _SET:
+        if exps in ideal.gens or cones and cones[idx[0]] == _SET:
             continue
         for step in compress(down, exps):
             idx += [i + step for i in idx]

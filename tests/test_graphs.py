@@ -1,5 +1,6 @@
 """Graph invariants against brute-force oracles and frozen small cases."""
 
+import gc
 import random
 from itertools import combinations
 
@@ -562,3 +563,19 @@ def test_non_isomorphic_graphs_have_distinct_keys():
     assert canonical_key(cycle(6)) != canonical_key(path(6))
     assert canonical_key(TWO_K2) != canonical_key(path(4))
     assert canonical_key(cycle(6)) != canonical_key(complete(6))
+
+
+def test_canonical_keys_leave_nothing_for_the_cyclic_collector():
+    # the backtracking search passes its state down instead of closing over itself, so
+    # every object a call makes is freed by reference counting when the call returns
+    graphs = [cycle(7), anticycle(7), path(7), complete(5), Graph(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            for g in graphs:
+                canonical_key(g)
+                canonical_key(g, root=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 """Betti engines against each other and against frozen hand computations."""
 
+import collections
 import hashlib
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from edgeideals import resolutions
 from edgeideals.box import BOX_MAX, _Box
 from edgeideals.complexes import CapExceeded
 from edgeideals.graphs import (
@@ -323,6 +325,13 @@ def _faces_by_definition(gens, m) -> int:
 # variables that no generator reads share their stride with the next axis
 @example([(1, 0, 1, 0), (0, 0, 1, 1)], True)
 @example([(2, 0, 0, 1), (0, 0, 3, 1)], False)
+# squarefree boxes, whose gathers are keyed by the point and read the whole table: a top with
+# a zero axis, generators of mixed degree, and a top (1, 1) whose strides (2, 1) are also those
+# of the top (5, 1) before it
+@example(_exps(edge_ideal(cycle(7))), True)
+@example([(1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0)], True)
+@example([(5, 0), (0, 1)], False)
+@example([(1, 0), (0, 1)], True)
 def test_shape_gather_matches_the_doubling_gather(exps, squarefree):
     # squarefree ideals and, with a one-point membership table cap, the threshold stand-in
     gens = [Monomial(tuple(min(e, 1) for e in g) if squarefree else g) for g in exps if any(g)]
@@ -333,6 +342,74 @@ def test_shape_gather_matches_the_doubling_gather(exps, squarefree):
         bitmaps = list(_face_bitmaps(ideal, caps))
         assert bitmaps == doubling_face_bitmaps(ideal, caps)
         assert all(b == _faces_by_definition(gens, m) for m, b in bitmaps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4)
+    ),
+    st.booleans(),
+    st.integers(1, 2),
+)
+@example(_exps(edge_ideal(cycle(5))), True, 1)
+@example(_exps(edge_ideal(path(4))), True, 2)
+@example(_exps(edge_ideal(cycle(4))), True, 2)
+@example([(3, 0, 1), (1, 2, 0), (3, 1, 0)], False, 1)
+def test_a_minimal_generator_has_only_its_zeroth_betti_number(exps, squarefree, power):
+    # its complex is {empty face}, so the engine counts it without a gather, on the squarefree
+    # and the cone-skipping box paths and on the threshold stand-in
+    gens = [Monomial(tuple(min(e, 1) for e in g) if squarefree else g) for g in exps if any(g)]
+    assume(gens)
+    ideal = ideal_power(minimalize(len(exps[0]), gens), power)
+    expected = {(0, g): 1 for g in ideal.gens}
+    oracle = taylor_betti_oracle(ideal)
+    assert {k: b for k, b in oracle.multi.items() if k[1] in ideal.gens} == expected
+    for caps in (DEFAULT_CAPS, EngineCaps(membership_table_max=1)):
+        table = betti_table(ideal, RATIONALS, caps)
+        assert {k: b for k, b in table.multi.items() if k[1] in ideal.gens} == expected
+        assert table == oracle
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: edge_ideal(cycle(7)), lambda: ideal_power(edge_ideal(cycle(5)), 2)], ids=["C7", "C5-square"]
+)
+@pytest.mark.parametrize("table_max", [DEFAULT_CAPS.membership_table_max, 1], ids=["box", "stand-in"])
+def test_a_table_builds_one_lattice_and_at_most_one_box(monkeypatch, build, table_max):
+    ideal, calls = build(), collections.Counter()
+    lattice, init = resolutions.lcm_lattice, _Box.__init__
+
+    def counted_lattice(*args, **kwargs):
+        calls["lcm_lattice"] += 1
+        return lattice(*args, **kwargs)
+
+    def counted_init(self, *args):
+        calls["_Box"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(resolutions, "lcm_lattice", counted_lattice)
+    monkeypatch.setattr(_Box, "__init__", counted_init)
+    monkeypatch.setattr(resolutions, "_LAST_BOX", {})  # no box left by an earlier table
+    betti_table(ideal, RATIONALS, EngineCaps(membership_table_max=table_max))
+    # one box for the lattice and the membership table; none on the stand-in path, over the cap
+    assert (calls["lcm_lattice"], calls["_Box"]) == (1, int(table_max > 1))
+
+
+# sha256 over the graphs with an edge on n <= 7 vertices, in `enumerate_graphs` order, of one
+# line per graph: repr(sorted(betti_table(edge_ideal(g), field).multi.items())).  Taken on the
+# engine before squarefree boxes keyed their gathers by the point and minimal generators
+# skipped the face loop; no edge ideal on at most 7 vertices has 2-torsion, so both fields agree
+FAMILY7_MULTI_SHA256 = "e4eac21f909bc0b4012cdfc286295fe2af0042d9e4d6dcbcba80b23093489866"
+
+
+def test_multigraded_tables_of_the_seven_vertex_family_are_pinned():
+    ideals = [edge_ideal(g) for g in graph_family(7, require_edge=True)]
+    assert len(ideals) == 1245
+    for field in (RATIONALS, GF2):
+        digest = hashlib.sha256()
+        for ideal in ideals:
+            digest.update(repr(sorted(betti_table(ideal, field).multi.items())).encode() + b"\n")
+        assert digest.hexdigest() == FAMILY7_MULTI_SHA256, field
 
 
 def test_stanley_reisner_ideal_of_rp2_has_a_field_dependent_table():
