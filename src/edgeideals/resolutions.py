@@ -381,12 +381,12 @@ def _gather(support_strides) -> itemgetter:
 def _face_bitmaps(ideal: MonomialIdeal, caps: EngineCaps):
     """(exponents of m, face bitmap of its membership complex) for each lattice point m that
     is neither a minimal generator (counted by `betti_table`) nor a cone, in increasing order;
-    bit f of the bitmap is set when the support subset f (bit k for the k-th support variable) is a face."""
+    bit f is set when the support subset f (bit k for the k-th support variable) is a face."""
     lattice = lcm_lattice(ideal, caps)
     top = lattice[-1]
     table, cones, strides = _membership_table(ideal, top, caps)
-    # on a squarefree box low is 0 and m is its own support shape, so its gathers are keyed by
-    # m and read the whole table; kept apart from shape keys, since tops (1, 1) and (5, 1) share strides
+    # a squarefree box has low = 0 and m as its own support shape: its gathers are keyed by m and
+    # read the whole table, apart from shape keys (tops (1, 1) and (5, 1) share strides (2, 1))
     squarefree = max(top) == 1
     gathers = _GATHERS.setdefault((tuple(strides), squarefree), {})
     for exps in filterfalse(ideal.gens.__contains__, lattice):

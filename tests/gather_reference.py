@@ -24,7 +24,7 @@ def doubling_face_bitmaps(ideal, caps) -> list:
     for exps in lattice:
         # idx[f] lowers m by one in every support variable of the subset f
         idx = [sum(map(mul, exps, strides))]
-        if exps in ideal.gens or cones and cones[idx[0]] == _SET:
+        if exps in ideal.gens or (cones and cones[idx[0]] == _SET):
             continue
         for step in compress(down, exps):
             idx += [i + step for i in idx]

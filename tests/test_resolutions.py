@@ -372,7 +372,9 @@ def test_a_minimal_generator_has_only_its_zeroth_betti_number(exps, squarefree, 
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: edge_ideal(cycle(7)), lambda: ideal_power(edge_ideal(cycle(5)), 2)], ids=["C7", "C5-square"]
+    "build",
+    [lambda: edge_ideal(cycle(7)), lambda: ideal_power(edge_ideal(cycle(5)), 2)],
+    ids=["C7", "C5-square"],
 )
 @pytest.mark.parametrize("table_max", [DEFAULT_CAPS.membership_table_max, 1], ids=["box", "stand-in"])
 def test_a_table_builds_one_lattice_and_at_most_one_box(monkeypatch, build, table_max):
