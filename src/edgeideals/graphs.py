@@ -42,28 +42,11 @@ class Graph:
 
     # -- basic views ------------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self._masks[u] >> v) & 1)
-
     def neighbors(self, v: int) -> frozenset:
         """Neighborhood of v as a frozenset of vertices."""
         self._check_vertex(v)
         m = self._masks[v]
         return frozenset(u for u in range(self.n) if (m >> u) & 1)
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return bin(self._masks[v]).count("1")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def isolated_vertices(self) -> tuple:
-        """Vertices of degree zero (accepted, but edge-ideal work ignores them)."""
-        return tuple(v for v in range(self.n) if not self._masks[v])
 
     def _check_vertex(self, v) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
@@ -112,11 +95,6 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("a complete graph needs at least 1 vertex")
     return Graph(n, combinations(range(n), 2))
-
-
-def claw() -> Graph:
-    """Star with center 0 and leaves 1, 2, 3."""
-    return Graph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def cricket() -> Graph:
@@ -385,7 +363,6 @@ def graph_from_key(key) -> Graph:
     return Graph(n, edges)
 
 
-_CLAW_KEY = canonical_key(claw())
 _CRICKET_KEY = canonical_key(cricket())
 
 
@@ -398,19 +375,9 @@ def _has_induced(g: Graph, size: int, key) -> bool:
     )
 
 
-def has_induced_claw(g: Graph) -> bool:
-    """True when some 4 vertices induce a star with 3 leaves."""
-    return _has_induced(g, 4, _CLAW_KEY)
-
-
 def has_induced_cricket(g: Graph) -> bool:
     """True when some 5 vertices induce the cricket pattern."""
     return _has_induced(g, 5, _CRICKET_KEY)
-
-
-def has_induced_subgraph(g: Graph, pattern: Graph) -> bool:
-    """True when some vertex subset of g induces a graph isomorphic to the pattern."""
-    return _has_induced(g, pattern.n, canonical_key(pattern))
 
 
 # -- constructions -----------------------------------------------------------------

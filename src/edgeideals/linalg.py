@@ -29,10 +29,6 @@ class Field:
         if self.p is not None and (self.p >= 1 << 31 or not _is_prime(self.p)):
             raise ValueError(f"GF(p) needs a prime p < 2^31, got {self.p}")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
     def token(self) -> str:
         return "Q" if self.p is None else f"GF({self.p})"
 

@@ -1,11 +1,10 @@
 """Monomials and monomial ideals over a fixed ambient variable set x0..x_{d-1}.
 
-Ideals are stored by their minimal monomial generating set, as a frozenset of
-exponent tuples: the format that products, intersections, lattices and
-membership tables compute on.  `Monomial` is the type of one monomial, as parsed,
-named or printed; `MonomialIdeal.sorted_gens` lists the generators as Monomials.
-The zero ideal has no generators; the unit ideal is the singleton {(0, ..., 0)}.
-All values are immutable and all operations are pure.  `ideal_product` (and so
+A monomial is its exponent tuple, the one format that is parsed (`parse_monomial`),
+printed (`monomial_str`) and computed on.  Ideals are stored by their minimal
+generating set, a frozenset of exponent tuples.  The zero ideal has no
+generators; the unit ideal is the singleton {(0, ..., 0)}.  All values are
+immutable and all operations are pure.  `ideal_product` (and so
 `ideal_power`) takes the minimal points of up(the sums of generators) in the
 exponent box below top(a) + top(b), where each sum is the bitset of a's
 generators shifted by the point index of one of b's; `intersect` those of
@@ -26,88 +25,26 @@ from .box import _Box
 from .graphs import Graph
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    exps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(map(operator.index, self.exps)))
-        if any(e < 0 for e in self.exps):
-            raise ValueError("exponents must be nonnegative")
-
-    @classmethod
-    def unit(cls, nvars: int) -> "Monomial":
-        return cls((0,) * nvars)
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "Monomial":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for {nvars} variables")
-        return cls(tuple(1 if k == i else 0 for k in range(nvars)))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.exps)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    @property
-    def is_unit(self) -> bool:
-        return not any(self.exps)
-
-    @property
-    def is_variable(self) -> bool:
-        return self.degree == 1
-
-    def support(self) -> tuple:
-        return tuple(i for i, e in enumerate(self.exps) if e)
-
-    def divides(self, other: "Monomial") -> bool:
-        _check_ambient(self, other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _check_ambient(self, other)
-        return Monomial(tuple(map(max, self.exps, other.exps)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _check_ambient(self, other)
-        return Monomial(tuple(map(min, self.exps, other.exps)))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_ambient(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def colon_quotient(self, other: "Monomial") -> "Monomial":
-        """self / gcd(self, other); the generator of (self : other)."""
-        _check_ambient(self, other)
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exps, other.exps)))
-
-    def __str__(self):
-        parts = []
-        for i, e in enumerate(self.exps):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts) if parts else "1"
+def variable(nvars: int, i: int) -> tuple:
+    """Exponent tuple of the variable x_i among nvars variables."""
+    if not 0 <= i < nvars:
+        raise ValueError(f"variable index {i} out of range for {nvars} variables")
+    return tuple(1 if k == i else 0 for k in range(nvars))
 
 
-def _check_ambient(a: Monomial, b: Monomial) -> None:
-    if len(a.exps) != len(b.exps):
-        raise ValueError(f"ambient mismatch: {len(a.exps)} vs {len(b.exps)} variables")
+def monomial_str(e: tuple) -> str:
+    """The textual syntax of an exponent tuple, `x0^2*x3`; "1" for the unit."""
+    return "*".join(f"x{i}" if v == 1 else f"x{i}^{v}" for i, v in enumerate(e) if v) or "1"
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def parse_monomial(text: str, nvars: int) -> Monomial:
-    """Parse the textual syntax `x0^2*x1`; "1" denotes the unit monomial."""
+def parse_monomial(text: str, nvars: int) -> tuple:
+    """Exponent tuple of the textual syntax `x0^2*x1`; "1" denotes the unit monomial."""
     s = text.replace(" ", "")
     if s == "1":
-        return Monomial.unit(nvars)
+        return (0,) * nvars
     exps = [0] * nvars
     for factor in s.split("*"):
         m = _FACTOR_RE.match(factor)
@@ -118,7 +55,7 @@ def parse_monomial(text: str, nvars: int) -> Monomial:
         if i >= nvars:
             raise ValueError(f"variable x{i} out of range for {nvars} variables")
         exps[i] += e
-    return Monomial(tuple(exps))
+    return tuple(exps)
 
 
 def grlex_key(e: tuple):
@@ -156,20 +93,20 @@ class MonomialIdeal:
         return (0,) * self.nvars in self.gens
 
     def sorted_gens(self) -> list:
-        """Minimal generators as Monomials, in descending graded lexicographic order."""
-        return [Monomial(e) for e in sorted(self.gens, key=grlex_key, reverse=True)]
+        """Minimal generators in descending graded lexicographic order."""
+        return sorted(self.gens, key=grlex_key, reverse=True)
 
-    def contains(self, m: Monomial) -> bool:
+    def contains(self, m: tuple) -> bool:
         """Monomial membership: some minimal generator divides m."""
-        if m.nvars != self.nvars:
+        if len(m) != self.nvars:
             raise ValueError("ambient mismatch between ideal and monomial")
-        return any(all(map(operator.le, g, m.exps)) for g in self.gens)
+        return any(all(map(operator.le, g, m)) for g in self.gens)
 
     def degrees(self) -> set:
         return set(map(sum, self.gens))
 
     def gen_strings(self) -> list:
-        return [str(g) for g in self.sorted_gens()]
+        return [monomial_str(g) for g in self.sorted_gens()]
 
     def __repr__(self):
         if self.is_zero:
@@ -178,7 +115,7 @@ class MonomialIdeal:
 
 
 def minimalize(nvars: int, monomials) -> MonomialIdeal:
-    """Ideal minimally generated by the given Monomials or exponent tuples (drop divisible ones).
+    """Ideal minimally generated by the given exponent tuples (drop divisible ones).
 
     Kept generator j is bit j of the per-variable threshold bitsets: for each exponent v of
     x_i among the candidates, le[i][v] holds the kept generators whose x_i exponent is at most
@@ -187,12 +124,9 @@ def minimalize(nvars: int, monomials) -> MonomialIdeal:
     """
     pool = set()
     for m in monomials:
-        if isinstance(m, Monomial):
-            e = m.exps
-        else:
-            e = tuple(map(operator.index, m))
-            if e and min(e) < 0:
-                raise ValueError("exponents must be nonnegative")
+        e = tuple(map(operator.index, m))
+        if e and min(e) < 0:
+            raise ValueError("exponents must be nonnegative")
         if len(e) != nvars:
             raise ValueError("generator ambient does not match requested ambient")
         if not any(e):
@@ -234,11 +168,11 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 
 def variable_ideal(nvars: int, indices) -> MonomialIdeal:
-    return minimalize(nvars, (Monomial.variable(nvars, i) for i in indices))
+    return minimalize(nvars, (variable(nvars, i) for i in indices))
 
 
-def principal_ideal(m: Monomial) -> MonomialIdeal:
-    return minimalize(m.nvars, [m])
+def principal_ideal(m: tuple) -> MonomialIdeal:
+    return minimalize(len(m), [m])
 
 
 def _same_ambient(a: MonomialIdeal, b: MonomialIdeal) -> None:
@@ -276,11 +210,11 @@ def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     return out
 
 
-def colon(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+def colon(a: MonomialIdeal, m: tuple) -> MonomialIdeal:
     """Colon ideal (a : m); equals the unit ideal exactly when m lies in a."""
-    if m.nvars != a.nvars:
+    if len(m) != a.nvars:
         raise ValueError("ambient mismatch between ideal and monomial")
-    quots = (tuple(x - y if x > y else 0 for x, y in zip(g, m.exps)) for g in a.gens)
+    quots = (tuple(x - y if x > y else 0 for x, y in zip(g, m)) for g in a.gens)
     return minimalize(a.nvars, quots)
 
 

@@ -21,9 +21,9 @@ of a support subset), with low = m minus every support stride, so one
 strides) reads them from a view of the table at low, or on a squarefree box, where
 low is 0, cached by m itself from the whole table.  A minimal generator g has the
 complex {empty face}, so `betti_table` counts beta_{0,g} = 1 with no gather.
-Multidegrees leave the engine as exponent tuples:
-`BettiTable.multi` is keyed by them and the graded entries are summed from it,
-so a Monomial is built only to print a multidegree in `BettiTable.to_json`.
+Multidegrees leave the engine as exponent tuples, the package's one monomial
+format: `BettiTable.multi` is keyed by them, the graded entries are summed from
+it, and `BettiTable.to_json` prints them with `monomials.monomial_str`.
 
 The membership complex at m is the upper Koszul simplicial complex K^m
 (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm. 1.34).  It is a
@@ -71,7 +71,7 @@ from types import MappingProxyType
 from .box import BOX_MAX, _Box, _strides, _up_all_but_one
 from .complexes import CapExceeded, mask_homology_ranks
 from .linalg import RATIONALS, Field
-from .monomials import Monomial, MonomialIdeal, generated_in_single_degree, grlex_key
+from .monomials import MonomialIdeal, generated_in_single_degree, grlex_key, monomial_str
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,7 +300,7 @@ class BettiTable:
         if include_multi:
             # (i, degree, exponents) is grlex order within each homological index
             out["multi"] = [
-                {"i": i, "m": str(Monomial(e)), "beta": self.multi[(i, e)]}
+                {"i": i, "m": monomial_str(e), "beta": self.multi[(i, e)]}
                 for i, _, e in sorted((i, sum(e), e) for i, e in self.multi)
             ]
         return out
@@ -518,10 +518,6 @@ class QuotientsSearch:
     order: "tuple | None" = None
     reason: "str | None" = None
 
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
 
 class _BudgetExceeded(Exception):
     pass
@@ -580,7 +576,7 @@ def linear_quotients_order(
 
     try:
         if dfs(frozenset()):
-            return QuotientsSearch("found", order=tuple(Monomial(exps[i]) for i in path))
+            return QuotientsSearch("found", order=tuple(exps[i] for i in path))
         return QuotientsSearch("none")
     except _BudgetExceeded:
         return QuotientsSearch(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import add, le
 from typing import Callable, NamedTuple
 
 from .complexes import CapExceeded
@@ -34,7 +35,6 @@ from .graphs import (
 )
 from .linalg import RATIONALS, Field
 from .monomials import (
-    Monomial,
     MonomialIdeal,
     colon,
     edge_ideal,
@@ -46,7 +46,9 @@ from .monomials import (
     intersect,
     is_generated_by_variables,
     minimalize,
+    monomial_str,
     principal_ideal,
+    variable,
     variable_ideal,
 )
 from .resolutions import (
@@ -150,7 +152,7 @@ def _splitting_report(statement, inst, tw, tl, tr, tm):
         lhs = tw.beta_multi(i, e)
         rhs = tl.beta_multi(i, e) + tr.beta_multi(i, e) + tm.beta_multi(i - 1, e)
         if lhs != rhs:
-            mismatch = {"i": i, "multidegree": str(Monomial(e)), "lhs": lhs, "rhs": rhs}
+            mismatch = {"i": i, "multidegree": monomial_str(e), "lhs": lhs, "rhs": rhs}
             return _failed(statement, inst, mismatch)
     return _passed(statement, inst, data={"reg": tw.regularity(), "pd": tw.projective_dimension()})
 
@@ -212,7 +214,7 @@ def check_doublelinear(
 
 def check_colon_reg_bound(
     ideal: MonomialIdeal,
-    m: Monomial,
+    m: tuple,
     field: Field = RATIONALS,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> VerificationReport:
@@ -221,20 +223,20 @@ def check_colon_reg_bound(
     Raises ValueError for a zero or unit ideal, where the bound is not defined."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("the bound needs a nonzero proper ideal")
-    inst = _ideal_inst(ideal) + f" m={m}"
+    inst = _ideal_inst(ideal) + f" m={monomial_str(m)}"
     q = colon(ideal, m)
     s = ideal_sum(ideal, principal_ideal(m))
     if q.is_unit and s.is_unit:
         return _skipped("colon", inst, "degenerate: both the colon and the sum are the unit ideal")
     # colon equal to the whole ring contributes reg(R) = 0 to the bound
-    term_colon = (0 if q.is_unit else regularity(q, field, caps)) + m.degree
+    term_colon = (0 if q.is_unit else regularity(q, field, caps)) + sum(m)
     term_sum = None if s.is_unit else regularity(s, field, caps)
     terms = [term_colon] + ([term_sum] if term_sum is not None else [])
     r = regularity(ideal, field, caps)
     data = {"reg": r, "colon_term": term_colon, "sum_term": term_sum}
     if r > max(terms):
         return _failed("colon", inst, {"reg": r, "bound": max(terms)}, data=data)
-    appears = m.is_variable and any(g[m.support()[0]] for g in ideal.gens)
+    appears = sum(m) == 1 and any(g[m.index(1)] for g in ideal.gens)
     if appears and r not in terms:
         return _failed(
             "colon", inst, {"reg": r, "terms": terms, "expected": "equality with one term"},
@@ -259,7 +261,7 @@ def check_abc_bound(
         return _skipped("abc", inst, "ideals are not generated in single degrees")
     if not n1 < n2:
         return _skipped("abc", inst, f"degree hypothesis fails: n1={n1}, n2={n2}")
-    if not all(ambient.contains(Monomial(e)) for e in sub.gens):
+    if not all(map(ambient.contains, sub.gens)):
         return _skipped("abc", inst, "sub-ideal is not contained in the ambient ideal")
     order = ambient.sorted_gens()
     a_term = regularity(colon(sub, order[0]), field, caps) + n1
@@ -296,13 +298,14 @@ def check_blemma_colon_structure(g: Graph, n: int = 1) -> VerificationReport:
     violations = []
     for kk in range(1, len(gens)):
         last = gens[kk]
-        quots = [gens[i].colon_quotient(last) for i in range(kk)]
+        # (L_i : L_{k+1}) is generated by L_i / gcd(L_i, L_{k+1})
+        quots = [tuple(a - b if a > b else 0 for a, b in zip(gens[i], last)) for i in range(kk)]
         for j in range(kk):
             qj = quots[j]
-            if next_power.contains(qj * last):
+            if next_power.contains(tuple(map(add, qj, last))):
                 continue
-            if not any(q.degree == 1 and q.divides(qj) for q in quots):
-                violations.append({"j": j + 1, "k": kk, "quotient": str(qj)})
+            if not any(sum(q) == 1 and all(map(le, q, qj)) for q in quots):
+                violations.append({"j": j + 1, "k": kk, "quotient": monomial_str(qj)})
     if not violations:
         return _passed("blemma", inst, data={"generators": len(gens)})
     witness = violations[0]
@@ -334,7 +337,7 @@ def check_keylemma(g: Graph, cover, k: int) -> VerificationReport:
             return _failed(
                 "keylemma",
                 inst,
-                {"L": str(gen), "colon": [str(x) for x in c.sorted_gens()]},
+                {"L": monomial_str(gen), "colon": c.gen_strings()},
             )
     return _passed("keylemma", inst, data={"generators_checked": len(power.gens)})
 
@@ -492,7 +495,8 @@ def _suspension_parts(gs: Graph, ks: range):
     I(G_S)^k = I(G)^k + star * I(G_S)^(k-1), and each yielded ideal is one product."""
     igs = edge_ideal(gs)
     n, z = gs.n, gs.n - 1
-    star = minimalize(n, (Monomial.variable(n, z) * Monomial.variable(n, v) for v in gs.neighbors(z)))
+    # z*x_v for each neighbour v < z of z, the last variable
+    star = minimalize(n, ((*variable(z, v), 1) for v in gs.neighbors(z)))
     below = ideal_power(igs, ks.start - 1)
     for k in ks:
         whole = ideal_product(below, igs)
@@ -585,7 +589,7 @@ def check_main2(
     unmet, _, powers = _power_hypothesis(g, k_max, field, caps, store.of(g))
     if unmet is not None:
         return [_skipped("main2", _ginst(g, S=s, k_max=k_max), unmet) for s in sets]
-    z = principal_ideal(Monomial.variable(g.n + 1, g.n))
+    z = principal_ideal(variable(g.n + 1, g.n))
     z_parts = {k: ideal_product(z, power) for k, (power, _) in powers.items()}
     check = partial(
         _check_main2_set, k_max=k_max, powers=powers, z_parts=z_parts, field=field, caps=caps, store=store
@@ -709,7 +713,7 @@ def check_hhz(
         return _skipped("hhz", inst, f"linear-quotients search inconclusive: {lq.reason}")
     if lq.status != "found":
         return _failed("hhz", inst, {"linear_quotients": "none found"})
-    order = [str(m) for m in lq.order]
+    order = [monomial_str(m) for m in lq.order]
     return _passed("hhz", inst, data={"power_regs": {k: 2 * k for k in powers}, "quotient_order": order})
 
 

@@ -18,7 +18,7 @@ from edgeideals.graphs import Graph
 def _wl_colors(g: Graph):
     # iterated neighborhood-multiset refinement; invariant under isomorphism
     n = g.n
-    color = [g.degree(v) for v in range(n)]
+    color = [len(g.neighbors(v)) for v in range(n)]
     while True:
         sig = [
             (color[v], tuple(sorted(color[u] for u in range(n) if (g._masks[v] >> u) & 1)))

@@ -7,9 +7,11 @@ complex of the open interval (1, m) of the lcm lattice
 membership complexes instead, so agreement between the two is a real check.
 """
 
+from operator import le
+
 from edgeideals.complexes import CapExceeded, mask_homology_ranks
 from edgeideals.linalg import RATIONALS, Field
-from edgeideals.monomials import Monomial, MonomialIdeal
+from edgeideals.monomials import MonomialIdeal
 from edgeideals.resolutions import (
     DEFAULT_CAPS,
     BettiTable,
@@ -54,11 +56,15 @@ def interval_betti_oracle(
     """
     _guard_proper(ideal, "the Betti table")
     multi: dict = {}
-    elements = [Monomial(e) for e in lcm_lattice(ideal, caps)]
+    elements = list(lcm_lattice(ideal, caps))
+
+    def strictly_below(a, b):
+        return a != b and all(map(le, a, b))
+
     for m in elements:
-        interval = [p for p in elements if p != m and p.divides(m)]
-        chains = order_complex(interval, lambda a, b: a != b and a.divides(b), caps.order_faces_max)
+        interval = [p for p in elements if strictly_below(p, m)]
+        chains = order_complex(interval, strictly_below, caps.order_faces_max)
         # a chain of c elements is a face of dimension c - 1: homological index c
         for i, r in mask_homology_ranks(chains, field).items():
-            multi[(i, m.exps)] = r
+            multi[(i, m)] = r
     return BettiTable(field.token(), multi)

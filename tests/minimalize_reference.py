@@ -6,20 +6,19 @@ every kept generator.  Both must give the same generators, because Betti
 tables, verdicts, witnesses and cache keys follow from them.
 """
 
-from edgeideals.monomials import Monomial, MonomialIdeal, grlex_key
+from edgeideals.monomials import MonomialIdeal, grlex_key
 
 
 def reference_minimalize(nvars: int, monomials) -> MonomialIdeal:
-    """Ideal minimally generated by the given monomials (drop divisible ones)."""
+    """Ideal minimally generated by the given exponent tuples (drop divisible ones)."""
     pool = set()
     for m in monomials:
-        if not isinstance(m, Monomial):
-            m = Monomial(tuple(m))
-        if m.nvars != nvars:
+        e = tuple(m)
+        if len(e) != nvars:
             raise ValueError("generator ambient does not match requested ambient")
-        if m.is_unit:
+        if not any(e):
             return MonomialIdeal.unit(nvars)
-        pool.add(m.exps)
+        pool.add(e)
     # every ambient is checked above, so divisibility compares exponent tuples directly
     kept = []
     for e in sorted(pool, key=grlex_key):

@@ -570,7 +570,7 @@ def test_a_family_run_with_a_fail_exits_one(capsys, monkeypatch):
     def planted(statement, g, **kwargs):
         # the triangle's reports turn into fails; every other graph's stay as they are
         reports = run_statement(statement, g, **kwargs)
-        if (g.n, g.edge_count) != (3, 3):
+        if (g.n, len(g.edges)) != (3, 3):
             return reports
         return [VerificationReport(r.statement, r.instance, FAIL, witness={"planted": 1}) for r in reports]
 
@@ -1198,6 +1198,65 @@ def test_per_graph_check_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+C5_IDEAL = '["x0*x1","x1*x2","x2*x3","x3*x4","x0*x4"]'
+# the 15 generators of I(C5)^2
+C5_SQUARE = json.dumps([
+    "x0^2*x1^2", "x0*x1^2*x2", "x1^2*x2^2", "x0*x1*x2*x3", "x1*x2^2*x3", "x2^2*x3^2", "x0^2*x1*x4",
+    "x0*x1*x3*x4", "x0*x2*x3*x4", "x2*x3^2*x4", "x3^2*x4^2", "x0^2*x4^2", "x0*x1*x2*x4", "x1*x2*x3*x4",
+    "x0*x3*x4^2",
+])
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ("verify", "--statement", "colon", "--ideal", C5_IDEAL, "--monomial", "x0", "--nvars", "5"),
+            0,
+            "db533938728d5b1a8785c5dc869a7e2bf992da62125d681f3b0a7227445cdee1",
+        ),
+        (
+            ("verify", "--statement", "colon", "--ideal", C5_IDEAL, "--monomial", "x0^2*x2", "--nvars", "5"),
+            0,
+            "adaeb2838a6524e73cb35610755c33dbbc56ad87309a31a49eaf926e3330470b",
+        ),
+        (
+            ("verify", "--statement", "abc", "--ideal", C5_IDEAL, "--part-j", C5_SQUARE, "--nvars", "5"),
+            0,
+            "8557b24e441d5858fffb5c4ff8d58162ec05c47a9f3b7a4b042a4e5d5714771c",
+        ),
+        (
+            (
+                "verify", "--statement", "splitting", "--ideal", '["x0*x1","x1*x2","x2*x3"]',
+                "--part-j", '["x0*x1"]', "--part-k", '["x1*x2","x2*x3"]', "--nvars", "4",
+            ),
+            0,
+            "89225c5237836c76f83c6d373f7a93040b16eed91f80b156bcce54b6eb698d21",
+        ),
+        (
+            (
+                "verify", "--statement", "splitting", "--ideal", '["x0^2","x0*x1","x1^2"]',
+                "--part-j", '["x0^2","x1^2"]', "--part-k", '["x0*x1"]', "--nvars", "2",
+            ),
+            1,
+            "cc23a9e3c469cbee15a8276ceca43943ba1fb5f331d10620f5a18ebb0bbc474a",
+        ),
+        (
+            ("betti", "--builder", "cycle:5", "--power", "2", "--multi"),
+            0,
+            "6389c9fd9d39b458e3ef199c2437158f8d9242d86ffd0c2b45d6481315c7c7f5",
+        ),
+    ],
+    ids=["colon", "colon-x0^2*x2", "abc", "splitting-pass", "splitting-fail", "betti-multi"],
+)
+def test_monomial_strings_keep_their_bytes(capsys, argv, code, expected):
+    # instances, witnesses and multidegrees print through monomials.monomial_str; a splitting
+    # fail of a true table is graded, and test_verification pins a multidegree witness
+    got, out, _ = run_cli(capsys, *argv)
+    assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 

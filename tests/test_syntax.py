@@ -1,6 +1,6 @@
 """The package and its tests, test oracles included, must parse as Python 3.10, the oldest
-version pyproject.toml allows; the package must import nothing outside the standard library
-and export only names it binds."""
+version pyproject.toml allows; the package must import nothing outside the standard library,
+export only names it binds and define nothing that only tests name."""
 
 import ast
 import sys
@@ -79,3 +79,26 @@ def test_the_exponent_box_is_defined_once_and_imports_no_engine():
                 reached.add(module)
                 todo.append(module)
     assert "box" in reached and "resolutions" not in reached
+
+
+def test_every_definition_is_named_elsewhere_in_the_package_or_exported():
+    # a function, class, method or property that no code of the package names and __all__
+    # does not list runs only from tests, which keep such helpers in tests/.  A member counts
+    # as named by an attribute read, a function or class by its name or as an attribute of its
+    # module.  Dunders are called by Python itself
+    import edgeideals
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    named = attrs | {node.id for node in nodes if isinstance(node, ast.Name)} | set(edgeideals.__all__)
+    members = {id(item) for node in nodes if isinstance(node, ast.ClassDef) for item in node.body}
+    unnamed = [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in (attrs if id(node) in members else named)
+    ]
+    assert unnamed == []

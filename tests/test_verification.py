@@ -1,7 +1,9 @@
 """Statement verifiers: known instances, hypothesis handling, and scan behavior."""
 
 import functools
+import hashlib
 import json
+from operator import add
 
 import pytest
 
@@ -19,7 +21,6 @@ from edgeideals.graphs import (
 )
 from edgeideals.linalg import GF2, RATIONALS
 from edgeideals.monomials import (
-    Monomial,
     MonomialIdeal,
     colon,
     edge_ideal,
@@ -33,6 +34,7 @@ from edgeideals.monomials import (
     parse_ideal,
     parse_monomial,
     principal_ideal,
+    variable,
     variable_ideal,
 )
 from edgeideals.resolutions import EngineCaps, taylor_betti_oracle
@@ -157,14 +159,17 @@ def test_betti_splitting_fails_on_a_moved_multigraded_count(monkeypatch, capsys)
     assert set(rep.witness) == {"i", "multidegree", "lhs", "rhs"}
     i, m = rep.witness["i"], rep.witness["multidegree"]
     assert (i, m) in {(1, "x0*x1*x2"), (1, "x0^3")}
-    e = parse_monomial(m, 4).exps
+    e = parse_monomial(m, 4)
     assert rep.witness["lhs"] == tw.beta_multi(i, e)
     assert rep.witness["rhs"] == tl.beta_multi(i, e) + tr.beta_multi(i, e) + tm.beta_multi(i - 1, e)
     assert rep.witness["lhs"] != rep.witness["rhs"]
     argv = ["verify", "--statement", "splitting", "--nvars", "4", "--ideal", json.dumps(gens)]
     argv += ["--part-j", json.dumps(gens[:1]), "--part-k", json.dumps(gens[1:])]
     assert main(argv) == 1
-    capsys.readouterr()
+    # the witness prints its multidegree as x0*x1*x2
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "3286e1ee2e9fd422a67e8b0026098097137b1d8ac2f6251fb2b369ba3f73d303"
+    )
 
 
 def test_doublelinear():
@@ -194,7 +199,7 @@ def test_doublelinear():
 
 
 def test_colon_reg_bound_c5():
-    rep = check_colon_reg_bound(edge_ideal(cycle(5)), Monomial.variable(5, 0))
+    rep = check_colon_reg_bound(edge_ideal(cycle(5)), variable(5, 0))
     assert rep.verdict == "pass"
     assert rep.data["reg"] == 3
     assert rep.data["reg"] in (rep.data["colon_term"], rep.data["sum_term"])
@@ -300,14 +305,14 @@ def test_main2_fails_on_a_broken_intersection_identity(monkeypatch):
     def lossy(a, b):
         # the true intersection less its last generator
         meet = intersect(a, b)
-        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1].exps})
+        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1]})
 
     monkeypatch.setattr(verification, "intersect", lossy)
     g = anticycle(5)
     [rep] = check_main2(g, [{0}], 2)
     assert rep.verdict == "fail"
     assert rep.witness["identity"] == "intersection" and rep.witness["k"] == 2
-    z = principal_ideal(Monomial.variable(g.n + 1, g.n))
+    z = principal_ideal(variable(g.n + 1, g.n))
     rhs = ideal_product(z, ideal_power(embed(edge_ideal(g), g.n + 1), 2)).gen_strings()
     assert rep.witness["rhs"] == rhs
     assert rep.witness["lhs"] != rhs
@@ -791,7 +796,7 @@ def c5_sets_and_suspension_parts(monkeypatch):
     parts = verification._suspension_parts
 
     def recording(gs, ks):
-        checked.append(tuple(v for v in range(g.n) if not gs.has_edge(v, g.n)))
+        checked.append(tuple(v for v in range(g.n) if (v, g.n) not in gs.edges))
         return parts(gs, ks)
 
     monkeypatch.setattr(verification, "_suspension_parts", recording)
@@ -814,7 +819,7 @@ def test_main2_checks_the_next_set_of_an_orbit_after_a_fail(monkeypatch):
         meet = meet_of(a, b)
         if b != target:
             return meet
-        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1].exps})
+        return MonomialIdeal(meet.nvars, meet.gens - {meet.sorted_gens()[-1]})
 
     monkeypatch.setattr(verification, "intersect", lossy)
     checked.clear()
@@ -825,7 +830,7 @@ def test_main2_checks_the_next_set_of_an_orbit_after_a_fail(monkeypatch):
     assert [r.verdict for r in faulty] == ["pass", "fail"] + ["pass"] * 9
     assert faulty[1].instance.endswith("S=[0] k_max=2")
     assert faulty[1].witness["identity"] == "intersection" and faulty[1].witness["k"] == 2
-    z = principal_ideal(Monomial.variable(g.n + 1, g.n))
+    z = principal_ideal(variable(g.n + 1, g.n))
     rhs = ideal_product(z, ideal_power(embed(edge_ideal(g), g.n + 1), 2)).gen_strings()
     assert faulty[1].witness["rhs"] == rhs != faulty[1].witness["lhs"]
     assert [r.to_json() for r in faulty[2:]] == [r.to_json() for r in reports[2:]]
@@ -953,7 +958,7 @@ def test_keylemma_fails_on_a_colon_with_a_squared_variable(monkeypatch, capsys):
         if m != first:
             return c
         v = c.sorted_gens()[-1]
-        return minimalize(c.nvars, (c.gens - {v.exps}) | {(v * v).exps})
+        return minimalize(c.nvars, (c.gens - {v}) | {tuple(map(add, v, v))})
 
     monkeypatch.setattr(verification, "colon", squared)
     rep = check_keylemma(g, cover, k)
@@ -980,7 +985,7 @@ def test_blemma_fails_on_a_dropped_generator_of_the_next_power(monkeypatch, caps
 
     def faulty(a, b):
         p = product(a, b)
-        return minimalize(p.nvars, p.gens - {parse_monomial("x0*x2*x3*x4", p.nvars).exps})
+        return minimalize(p.nvars, p.gens - {parse_monomial("x0*x2*x3*x4", p.nvars)})
 
     monkeypatch.setattr(verification, "ideal_product", faulty)
     witness = {"j": 2, "k": 3, "quotient": "x0*x4"}
@@ -990,7 +995,7 @@ def test_blemma_fails_on_a_dropped_generator_of_the_next_power(monkeypatch, caps
     assert rep.witness == witness and rep.data == {"violations": 1}
     # the drop is the only fault: the true I^2 holds the quotient times L_4
     l4 = edge_ideal(g).sorted_gens()[3]
-    assert ideal_power(edge_ideal(g), 2).contains(parse_monomial(witness["quotient"], 5) * l4)
+    assert ideal_power(edge_ideal(g), 2).contains(tuple(map(add, parse_monomial(witness["quotient"], 5), l4)))
     assert main(["verify", "--statement", "blemma", "--builder", "cycle:5", "--k", "1", "--no-cache"]) == 1
     capsys.readouterr()
     # C5 and a disjoint edge is not gap-free: the same violation is recorded, not failed
@@ -1034,7 +1039,7 @@ def test_colon_fails_on_a_shifted_regularity(monkeypatch, capsys, by, witness):
     assert rep["verdict"] == "fail" and rep["witness"] == witness, rep
     # the shift is the only fault: the Taylor oracle gives the same terms, and a true reg(I)
     # that equals one of them
-    terms = [oracle_reg(colon(ideal, m)) + m.degree, oracle_reg(ideal_sum(ideal, principal_ideal(m)))]
+    terms = [oracle_reg(colon(ideal, m)) + sum(m), oracle_reg(ideal_sum(ideal, principal_ideal(m)))]
     assert witness.get("terms", terms) == terms and witness.get("bound", max(terms)) == max(terms)
     assert oracle_reg(ideal) == 3 == max(terms)
 
