@@ -137,7 +137,8 @@ def _is_family(value, max_n: int) -> bool:
 def _family(args, cache: ResultCache) -> list:
     """graph6 strings of the family; a --max-n family is one cache entry, enumerated on a miss."""
     if getattr(args, "max_n", None):
-        key = {"op": "family", "max_n": args.max_n, "version": __version__}
+        parts = {"op": "family", "max_n": args.max_n, "version": __version__}
+        key = ResultCache.key_of(parts) if cache.root else None
         hit = cache.get(key)
         if _is_family(hit, args.max_n):
             return hit
@@ -388,9 +389,10 @@ def _report_line(rep: dict) -> tuple:
     return rep["statement"], rep["instance"], _json_line(rep), rep["verdict"]
 
 
-def _family_item(base_key: dict, run, cache: ResultCache, g6: str, store: InvariantStore) -> list:
-    """`_report_line`s of `run` on one graph from its cached report dicts; a wrong shape is a miss."""
-    key = dict(base_key, graph6=g6, version=__version__)
+def _family_item(keys, run, cache: ResultCache, g6: str, store: InvariantStore) -> list:
+    """`_report_line`s of `run` on one graph from its cached report dicts, keyed by keys(g6) when
+    the cache is on; a wrong shape is a miss."""
+    key = keys(g6) if cache.root else None
     reports = cache.get(key)
     if not _is_report_list(reports):
         reports = [r.to_json() for r in run(graph_from_graph6(g6), store=store)]
@@ -415,13 +417,13 @@ def _run_family(args, cache: ResultCache, family: list, statement: str, params: 
     """`_report_line`s of `statement` over the family, sorted; --jobs workers use the cache themselves.
 
     The cache key of a graph's reports holds the command, the statement, its parameters with
-    defaults filled in, the field and caps if the statement reads them, graph and version.
+    defaults filled in, the field and caps if the statement reads them, version and graph.
     The run's `InvariantStore` is not: one serial run has one, and each worker its own."""
     run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
-    base_key = dict(op=args.command, statement=statement, params=params)
+    base_key = dict(op=args.command, statement=statement, params=params, version=__version__)
     if _REGISTRY[statement].engine:
         base_key.update(field=field.token(), caps=caps.to_json())
-    item = functools.partial(_family_item, base_key, run, cache)
+    item = functools.partial(_family_item, ResultCache.keys_by(base_key, "graph6"), run, cache)
     if (args.jobs or 1) <= 1 or len(family) <= 1:
         store = InvariantStore()
         chunks = [item(g6, store) for g6 in family]

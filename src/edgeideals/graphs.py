@@ -167,19 +167,18 @@ def _largest_matching(g: Graph, induced: bool) -> int:
         # near[v]: the edges that meet a neighbour of v
         near = [reduce(or_, (at[w] for w in range(g.n) if (m >> w) & 1), 0) for m in g._masks]
     conflicts = [near[u] | near[v] for u, v in edges]
-    best = 0
+    return _most_edges(at, conflicts, (1 << len(edges)) - 1, 0, 0)
 
-    def rec(avail, size):
-        nonlocal best
-        best = max(best, size)
-        if size + sum(1 for m in at if m & avail) // 2 <= best:
-            return
-        low = avail & -avail
-        rec(avail & ~conflicts[low.bit_length() - 1], size + 1)
-        rec(avail ^ low, size)
 
-    rec((1 << len(edges)) - 1, 0)
-    return best
+def _most_edges(at, conflicts, avail, size, best):
+    """best, or more: size plus the most edges of the mask avail without conflict.  The masks
+    of `_largest_matching` are passed down, not closed over, so no call leaves a reference cycle."""
+    best = max(best, size)
+    if size + sum(1 for m in at if m & avail) // 2 <= best:
+        return best
+    low = avail & -avail
+    best = _most_edges(at, conflicts, avail & ~conflicts[low.bit_length() - 1], size + 1, best)
+    return _most_edges(at, conflicts, avail ^ low, size, best)
 
 
 def matching_number(g: Graph) -> int:

@@ -523,6 +523,36 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def _colon_ok(exps, used, cand) -> bool:
+    """True when the colon of the exps[i], i in used, by exps[cand] is generated by variables."""
+    ce = exps[cand]
+    quots = {tuple(max(a - b, 0) for a, b in zip(exps[i], ce)) for i in used}
+    var_quots = [q for q in quots if sum(q) == 1]
+    return bool(var_quots) and all(any(all(a <= b for a, b in zip(v, q)) for v in var_quots) for q in quots)
+
+
+def _quotients_dfs(state, used: frozenset) -> bool:
+    """True when the generators outside used can follow them in a linear-quotients order, which
+    is then on path.  state, (exps, dead, path, deadline) of `linear_quotients_order`, is passed
+    down, not closed over, so no call leaves a reference cycle."""
+    exps, dead, path, deadline = state
+    if len(used) == len(exps):
+        return True
+    if used in dead:
+        return False
+    if time.monotonic() > deadline:
+        raise _BudgetExceeded
+    for i in range(len(exps)):
+        if i in used or (used and not _colon_ok(exps, used, i)):
+            continue
+        path.append(i)
+        if _quotients_dfs(state, used | {i}):
+            return True
+        path.pop()
+    dead.add(used)
+    return False
+
+
 def linear_quotients_order(
     ideal: MonomialIdeal,
     caps: EngineCaps = DEFAULT_CAPS,
@@ -540,42 +570,10 @@ def linear_quotients_order(
         return QuotientsSearch(
             "unknown", reason=f"generator cap {caps.quotients_max_generators} exceeded ({g})"
         )
-    deadline = time.monotonic() + caps.quotients_time_budget
-    dead: set = set()
-
-    def colon_ok(used, cand) -> bool:
-        ce = exps[cand]
-        quots = {tuple(max(a - b, 0) for a, b in zip(exps[i], ce)) for i in used}
-        var_quots = [q for q in quots if sum(q) == 1]
-        if not var_quots:
-            return False
-        return all(
-            any(all(a <= b for a, b in zip(v, q)) for v in var_quots) for q in quots
-        )
-
     path: list = []
-
-    def dfs(used: frozenset):
-        if len(used) == g:
-            return True
-        if used in dead:
-            return False
-        if time.monotonic() > deadline:
-            raise _BudgetExceeded
-        for i in range(g):
-            if i in used:
-                continue
-            if used and not colon_ok(used, i):
-                continue
-            path.append(i)
-            if dfs(used | {i}):
-                return True
-            path.pop()
-        dead.add(used)
-        return False
-
+    state = (exps, set(), path, time.monotonic() + caps.quotients_time_budget)
     try:
-        if dfs(frozenset()):
+        if _quotients_dfs(state, frozenset()):
             return QuotientsSearch("found", order=tuple(exps[i] for i in path))
         return QuotientsSearch("none")
     except _BudgetExceeded:

@@ -1,12 +1,16 @@
 """CLI behavior: outputs, exit codes, determinism, and the cache."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import pickle
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from edgeideals import __version__
 from edgeideals.cache import ResultCache
@@ -340,7 +344,7 @@ def test_a_statement_without_parameters_keeps_its_cache_key(tmp_path, capsys):
         "graph6": graph_to_graph6(cycle(4)),
         "version": __version__,
     }
-    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache(tmp_path)._path(key).name]
+    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache.key_of(key) + ".json"]
 
 
 def test_blemma_reads_no_field(tmp_path, capsys):
@@ -364,7 +368,7 @@ def test_blemma_reads_no_field(tmp_path, capsys):
         "graph6": graph_to_graph6(cycle(5)),
         "version": __version__,
     }
-    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache(tmp_path)._path(key).name]
+    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache.key_of(key) + ".json"]
     code, out, _ = run_cli(capsys, "verify", "--statement", "blemma", "--max-n", "5", "--k", "2", "--no-cache")
     assert code == 0 and len(out.splitlines()) == 48
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
@@ -393,7 +397,7 @@ def test_keylemma_reads_no_field(tmp_path, capsys):
         "graph6": graph_to_graph6(cycle(5)),
         "version": __version__,
     }
-    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache(tmp_path)._path(key).name]
+    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache.key_of(key) + ".json"]
 
 
 # each command has the cap flags of the caps it reads, and no others
@@ -646,14 +650,104 @@ def test_scan_summary_csv(tmp_path, capsys):
     assert text[1] == "np,1,1,0,0"
 
 
-def test_cache_on_off_identical_bytes(tmp_path, capsys):
+# every graph statement and scan, so that each shape of cache key a family run builds is used
+FAMILY_RUNS = [("verify", "--statement", s) for s in STATEMENTS if not _REGISTRY[s].ideals]
+FAMILY_RUNS += [("scan", "--conjecture", c) for c in CONJECTURES]
+FAMILY_IDS = [f"{argv[0]}-{argv[2]}" for argv in FAMILY_RUNS]
+
+
+@pytest.mark.parametrize("argv", FAMILY_RUNS, ids=FAMILY_IDS)
+def test_cache_on_off_identical_bytes(tmp_path, capsys, monkeypatch, argv):
+    import edgeideals.cli as cli
+
     cache_dir = tmp_path / "cache"
-    args = ["scan", "--conjecture", "np", "--max-n", "4", "--kmax", "2"]
+    args = [*argv, "--max-n", "4"]
     _, cold, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir))
+    calls = count_calls(monkeypatch, cli, "run_statement")
     _, warm, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir))
-    _, off, _ = run_cli(capsys, *args)
+    assert calls == []  # every graph was a hit
+    _, off, _ = run_cli(capsys, *args, "--no-cache")
     assert cold == warm == off
     assert any(cache_dir.rglob("*.json"))
+
+
+# (argv, files, sha256 of the newline-joined sorted names of the files a cold run writes), taken
+# when each graph's key was still serialised whole: a cache filled then stays warm
+CACHE_NAMES = [
+    (
+        ("verify", "--statement", "bounds", "--max-n", "5", "--field", "GF(2)"),
+        48,
+        "ffec526db6e94427d1360169b04ab157b8424a72bee828a70277f0bf7fcafd9d",
+    ),
+    (
+        ("verify", "--statement", "main2", "--max-n", "4"),
+        15,
+        "5bdf7a399bb09a0403f96d0c00201f377cc52e4a724030408469a64055247553",
+    ),
+    (
+        ("scan", "--conjecture", "np", "--max-n", "5"),
+        48,
+        "5ff91258b63267b1286fa124faa3566e3e3adadcba12b0f6dcb088a0587ef26a",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, files, expected", CACHE_NAMES, ids=["bounds-gf2", "main2", "np"])
+def test_cache_file_names_are_pinned(tmp_path, capsys, argv, files, expected):
+    code, _, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    paths = [p for p in tmp_path.rglob("*") if p.is_file()]
+    # the entry of key k is root/k[:2]/k.json
+    assert all(p.parent.parent == tmp_path and p.parent.name == p.name[:2] for p in paths)
+    names = sorted(p.name for p in paths)
+    assert len(names) == files
+    assert hashlib.sha256("\n".join(names).encode("ascii")).hexdigest() == expected
+
+
+@pytest.fixture(scope="module")
+def base_keys() -> dict:
+    """FAMILY_IDS -> the (parts, name) that run keys its graphs by, as `_run_family` builds them."""
+    seen = {}
+    real = ResultCache.keys_by
+
+    def recorded(parts, name):
+        seen[run] = (parts, name)
+        return real(parts, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ResultCache, "keys_by", recorded)
+        for run, argv in zip(FAMILY_IDS, FAMILY_RUNS):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--builder", "cycle:4", "--no-cache"]) in (0, 1)
+    return seen
+
+
+@pytest.mark.parametrize("run", FAMILY_IDS)
+@settings(max_examples=40, deadline=None)
+@given(g6=strategies.text(strategies.characters(min_codepoint=63, max_codepoint=126), max_size=12))
+@example(g6="\\")
+@example(g6="")
+def test_a_per_run_key_is_the_key_of_the_whole_parts(base_keys, run, g6):
+    # graph6 is written in chr(63) to chr(126), which holds the backslash JSON escapes
+    parts, name = base_keys[run]
+    assert name == "graph6"
+    keys = pickle.loads(pickle.dumps(ResultCache.keys_by(parts, name)))
+    assert keys(g6) == ResultCache.key_of(dict(parts, graph6=g6))
+    # a name that sorts before or after every part
+    for other in ("", "~"):
+        assert ResultCache.keys_by(parts, other)(g6) == ResultCache.key_of(dict(parts, **{other: g6}))
+
+
+def test_a_run_without_the_cache_computes_no_key(tmp_path, capsys, monkeypatch):
+    from edgeideals import cache
+
+    args = ["verify", "--statement", "bounds", "--max-n", "4"]
+    _, expected, _ = run_cli(capsys, *args, "--no-cache")
+    monkeypatch.setattr(cache, "hashlib", None)
+    assert run_cli(capsys, *args, "--no-cache") == (0, expected, "")
+    # with the cache on, the same run needs a key
+    code, _, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    assert code == 5 and "sha256" in err
 
 
 def test_verify_cache_roundtrip(tmp_path, capsys):
@@ -939,7 +1033,8 @@ def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
 
 
 def family_entry(cache_dir, max_n, version=__version__) -> Path:
-    path = ResultCache(cache_dir)._path({"op": "family", "max_n": max_n, "version": version})
+    key = ResultCache.key_of({"op": "family", "max_n": max_n, "version": version})
+    path = Path(ResultCache(cache_dir)._path(key))
     assert path.exists()
     return path
 

@@ -588,3 +588,18 @@ def test_canonical_keys_leave_nothing_for_the_cyclic_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_matching_numbers_leave_nothing_for_the_cyclic_collector():
+    # the branch and bound passes its masks down, as the canonical search passes its state
+    graphs = [cycle(7), anticycle(7), path(7), complete(5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for g in graphs:
+                matching_number(g)
+                induced_matching_number(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 """Betti engines against each other and against frozen hand computations."""
 
 import collections
+import gc
 import hashlib
 import json
 import random
@@ -598,6 +599,23 @@ def test_linear_quotients_generator_cap_is_unknown():
     res = linear_quotients_order(edge_ideal(cycle(5)), caps)
     assert res.status == "unknown"
     assert "cap" in res.reason
+
+
+def test_linear_quotients_search_leaves_nothing_for_the_cyclic_collector():
+    # the search passes its state down instead of closing over itself, so every object a call
+    # makes is freed by reference counting when it returns, also when the time budget stops it
+    square = ideal_power(edge_ideal(anticycle(5)), 2)
+    stopped = EngineCaps(quotients_time_budget=1e-9)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert linear_quotients_order(square).status == "found"
+            assert linear_quotients_order(edge_ideal(TWO_K2)).status == "none"
+            assert linear_quotients_order(square, stopped).status == "unknown"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_linear_quotients_imply_linear_resolution_n6():
