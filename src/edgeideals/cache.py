@@ -1,78 +1,59 @@
-"""Content-addressed result cache on disk.
+"""Content-addressed result cache on disk: one append-only log per key.
 
 A key is the sha256 hex of the canonical JSON of a parameter dict (`key_of`),
-which holds every parameter that can change the answer (canonical graph form,
-operation, field, caps, package version); its entry is root/k[:2]/k.json.  A
-family run keys its graphs by `keys_by(parts, "graph6")`, which serialises the
-other parts once.  The CLI stores two kinds of entry: the report list of one
-graph under one statement, and the graph6 strings of a `--max-n` family, keyed
-by op "family", max_n and the package version.  An entry that is not UTF-8 JSON
-is a miss, and callers treat an entry of the wrong shape as a miss too.  Writes
-go through a temporary file and an atomic rename, so concurrent writers are
-safe and idempotent.
+which holds every parameter that can change the answer (operation, statement,
+field, caps, package version); its entry is root/k[:2]/k.log, one record per
+line.  The CLI keeps two kinds of entry: the reports of a statement, one record
+`<graph6> <JSON report list>` per graph, under a key without the graph; and the
+graph6 strings of a `--max-n` family, keyed by op "family", max_n and the
+package version.  `get` returns the lines undecoded; callers decode them, and a
+line that is not UTF-8 JSON of the right shape is a miss.  `put` appends a line
+in one write on an O_APPEND descriptor, so writers never overwrite each other.
+A write cut short leaves a torn last line, which is a miss; the next `put` ends
+it first, so it never swallows a later record.  Only the CLI's own process
+reads and writes the cache: `--jobs` workers only compute.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
-import tempfile
-
-
-def _canon(parts: dict) -> str:
-    return json.dumps(parts, sort_keys=True, separators=(",", ":"))
-
-
-def _key_between(prefix: str, suffix: str, value) -> str:
-    return hashlib.sha256((prefix + json.dumps(value) + suffix).encode("utf-8")).hexdigest()
 
 
 class ResultCache:
     def __init__(self, root):
         self.root = os.fspath(root) if root else None
-        if self.root:
-            os.makedirs(self.root, exist_ok=True)
 
     @staticmethod
     def key_of(parts: dict) -> str:
-        return hashlib.sha256(_canon(parts).encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def keys_by(parts: dict, name: str):
-        """A picklable v -> `key_of(dict(parts, **{name: v}))` for a str or number v, serialising parts once."""
-        head = {k: v for k, v in parts.items() if k < name}
-        tail = {k: v for k, v in parts.items() if k > name}
-        prefix = _canon(head)[:-1] + ("," if head else "") + json.dumps(name) + ":"
-        return functools.partial(_key_between, prefix, "," + _canon(tail)[1:] if tail else "}")
+        canon = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
+        return os.path.join(self.root, key[:2], key + ".log")
 
     def get(self, key: str):
+        """The lines of key's entry as bytes without their newlines, or None when the cache is
+        off or has no entry."""
         if not self.root:
             return None
         try:
             with open(self._path(key), "rb", buffering=0) as fh:
-                # decoded here, since json.loads would also take UTF-16 and UTF-32 bytes
-                return json.loads(fh.read().decode("utf-8"))
-        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, or not JSON
+                return fh.read().split(b"\n")
+        except FileNotFoundError:
             return None
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, line: str) -> None:
+        """Append line, which ends in a newline, to key's entry in one write."""
         if not self.root:
             return
-        folder = os.path.join(self.root, key[:2])
-        os.makedirs(folder, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+        path = self._path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(value, fh, sort_keys=True)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            end = os.fstat(fd).st_size
+            torn = end and os.pread(fd, 1, end - 1) != b"\n"
+            os.write(fd, (b"\n" if torn else b"") + line.encode("utf-8"))
+        finally:
+            os.close(fd)

@@ -9,6 +9,7 @@ verdicts found, 2 input or precondition errors, 3 engine cap overruns,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -84,8 +85,21 @@ _CAP_FLAGS = {
 }
 
 
+# json.dumps would build a new encoder on each call, for the same bytes
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    return _encode(obj) + "\n"
+
+
+def _loads(raw: bytes):
+    """The JSON value of a cache log line, or None if it is not UTF-8 JSON (json.loads alone
+    would also take UTF-16 and UTF-32) or nests too deep to decode."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
 
 
 def _emit(obj) -> None:
@@ -122,7 +136,7 @@ def _single_graph(args) -> Graph:
 
 
 def _is_family(value, max_n: int) -> bool:
-    """True for a cache entry that is exactly the list `_family` stores for --max-n max_n.
+    """True for a decoded cache line that is exactly the list `_family` appends for --max-n max_n.
 
     Its strings, joined by newlines, hash to `FAMILY_SHA256[max_n]`; as many
     strings as the family has leave no room for a newline inside one.
@@ -135,15 +149,16 @@ def _is_family(value, max_n: int) -> bool:
 
 
 def _family(args, cache: ResultCache) -> list:
-    """graph6 strings of the family; a --max-n family is one cache entry, enumerated on a miss."""
+    """graph6 strings of the family; a --max-n family is the first line of its cache log that
+    passes `_is_family`, or is enumerated and appended."""
     if getattr(args, "max_n", None):
         parts = {"op": "family", "max_n": args.max_n, "version": __version__}
         key = ResultCache.key_of(parts) if cache.root else None
-        hit = cache.get(key)
-        if _is_family(hit, args.max_n):
-            return hit
+        for line in cache.get(key) or ():
+            if _is_family(value := _loads(line), args.max_n):
+                return value
         family = enumerate_graphs(args.max_n, require_edge=True)
-        cache.put(key, family)
+        cache.put(key, _json_line(family))
         return family
     if getattr(args, "graph6_file", None):
         with open(args.graph6_file, "r", encoding="ascii") as fh:
@@ -363,18 +378,8 @@ def _statement(args, statement: str):
     return entry
 
 
-def _graph_inputs(args, statement: str) -> tuple:
-    """(params, cache, family) of a graph statement whose flags `_statement` has checked, all
-    checked before any output: its parameters from the flags given, with defaults filled in,
-    and the family's graph6 strings."""
-    given = {_PARAMS[dest]: getattr(args, dest) for dest in _PARAMS if getattr(args, dest, None) is not None}
-    params = statement_params(statement, given)
-    cache = _cache(args)
-    return params, cache, _family(args, cache)
-
-
 def _is_report_list(value) -> bool:
-    """True for a cache entry of the shape `_family_item` stores."""
+    """True for the JSON report list of a cache record, as `_run_family` writes it."""
     return isinstance(value, list) and all(
         isinstance(r, dict)
         and isinstance(r.get("statement"), str)
@@ -389,15 +394,9 @@ def _report_line(rep: dict) -> tuple:
     return rep["statement"], rep["instance"], _json_line(rep), rep["verdict"]
 
 
-def _family_item(keys, run, cache: ResultCache, g6: str, store: InvariantStore) -> list:
-    """`_report_line`s of `run` on one graph from its cached report dicts, keyed by keys(g6) when
-    the cache is on; a wrong shape is a miss."""
-    key = keys(g6) if cache.root else None
-    reports = cache.get(key)
-    if not _is_report_list(reports):
-        reports = [r.to_json() for r in run(graph_from_graph6(g6), store=store)]
-        cache.put(key, reports)
-    return [_report_line(r) for r in reports]
+def _graph_reports(run, g6: str, store: InvariantStore) -> list:
+    """`_report_line`s of `run` on the graph of g6."""
+    return [_report_line(r.to_json()) for r in run(graph_from_graph6(g6), store=store)]
 
 
 # the InvariantStore of a --jobs worker process, built by the pool initializer
@@ -413,26 +412,47 @@ def _worker_item(item, g6: str) -> list:
     return item(g6, _worker_store)
 
 
-def _run_family(args, cache: ResultCache, family: list, statement: str, params: dict, field, caps) -> list:
-    """`_report_line`s of `statement` over the family, sorted; --jobs workers use the cache themselves.
+def _run_family(args, statement: str, field, caps) -> tuple:
+    """(params, `_report_line`s over the family, sorted) of a graph statement whose flags
+    `_statement` has checked; params hold the flags given and the defaults of the others.
 
-    The cache key of a graph's reports holds the command, the statement, its parameters with
-    defaults filled in, the field and caps if the statement reads them, version and graph.
-    The run's `InvariantStore` is not: one serial run has one, and each worker its own."""
+    The graphs share one cache log keyed by the command, the statement, params, the field and
+    caps if the statement reads them, and the version, but not the run's `InvariantStore`.  A
+    graph's record is appended once its reports reach this process, so a run cut short keeps
+    what it finished; --jobs workers only compute, a chunk of graphs per task, with a store each."""
+    given = {_PARAMS[dest]: getattr(args, dest) for dest in _PARAMS if getattr(args, dest, None) is not None}
+    params = statement_params(statement, given)
+    cache = _cache(args)
+    family = _family(args, cache)
     run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
-    base_key = dict(op=args.command, statement=statement, params=params, version=__version__)
+    parts = dict(op=args.command, statement=statement, params=params, version=__version__)
     if _REGISTRY[statement].engine:
-        base_key.update(field=field.token(), caps=caps.to_json())
-    item = functools.partial(_family_item, ResultCache.keys_by(base_key, "graph6"), run, cache)
-    if (args.jobs or 1) <= 1 or len(family) <= 1:
+        parts.update(field=field.token(), caps=caps.to_json())
+    key = ResultCache.key_of(parts) if cache.root else None
+    # the first record of each family graph that holds a report list; no other line is decoded
+    wanted, done = {g6.encode("ascii"): g6 for g6 in family}, {}
+    for line in cache.get(key) or ():
+        g6, _, value = line.partition(b" ")
+        if g6 in wanted and _is_report_list(value := _loads(value)):
+            done[wanted.pop(g6)] = [_report_line(r) for r in value]
+    todo = list(wanted.values())
+    item = functools.partial(_graph_reports, run)
+    if (args.jobs or 1) <= 1 or len(todo) <= 1:
         store = InvariantStore()
-        chunks = [item(g6, store) for g6 in family]
+        computed, pool = ((g6, item(g6, store)) for g6 in todo), contextlib.nullcontext()
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs, _start_worker) as pool:
-            chunks = pool.map(functools.partial(_worker_item, item), family)
-    return sorted((rep for chunk in chunks for rep in chunk), key=operator.itemgetter(0, 1))
+        # the chunks pool.map makes: a task of one graph costs about 0.2 ms of pool overhead
+        chunk = -(-len(todo) // (4 * args.jobs))
+        pool = multiprocessing.Pool(args.jobs, _start_worker)
+        computed = zip(todo, pool.imap(functools.partial(_worker_item, item), todo, chunk))
+    with pool:
+        for g6, reports in computed:
+            # a list of dicts encodes as their encodings joined by ", ": no report is encoded again
+            cache.put(key, f"{g6} [{', '.join(line[:-1] for _, _, line, _ in reports)}]\n")
+            done[g6] = reports
+    return params, sorted((rep for g6 in family for rep in done[g6]), key=operator.itemgetter(0, 1))
 
 
 def _emit_reports(reports) -> int:
@@ -451,8 +471,7 @@ def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
         inputs = _ideal_inputs(args, statement, entry.ideals)
         reports = [_report_line(entry.run(*inputs, field, caps).to_json())]
     else:
-        params, cache, family = _graph_inputs(args, statement)
-        reports = _run_family(args, cache, family, statement, params, field, caps)
+        _, reports = _run_family(args, statement, field, caps)
     # the header follows the checks, so that an error a check raises leaves stdout empty
     _emit(_header("verify", field, caps, statement=statement))
     return _emit_reports(reports)
@@ -460,8 +479,7 @@ def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
 
 def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
     _statement(args, args.conjecture)
-    params, cache, family = _graph_inputs(args, args.conjecture)
-    reports = _run_family(args, cache, family, args.conjecture, params, field, caps)
+    params, reports = _run_family(args, args.conjecture, field, caps)
     # the header follows the checks, as in verify
     _emit(_header("scan", field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
     code = _emit_reports(reports)

@@ -1,16 +1,14 @@
 """CLI behavior: outputs, exit codes, determinism, and the cache."""
 
 import argparse
-import contextlib
+import functools
 import hashlib
-import io
 import json
-import pickle
+import os
 import shlex
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies
 
 from edgeideals import __version__
 from edgeideals.cache import ResultCache
@@ -27,6 +25,7 @@ from edgeideals.verification import (
     InvariantStore,
     VerificationReport,
     run_statement,
+    statement_params,
 )
 
 from benchmark_runs import RUN as BENCHMARK_RUN
@@ -332,8 +331,8 @@ def test_defaults_share_a_cache_entry_with_their_explicit_values(tmp_path, capsy
 
 
 def test_a_statement_without_parameters_keeps_its_cache_key(tmp_path, capsys):
-    # the key of a statement that reads no parameter is what it was when every flag entered the
-    # key, so a cache filled before keeps its hits
+    # a statement that reads no parameter has empty params in its key, as when every flag
+    # entered the key; the graph is a record of the log, not a part of its key
     run_cli(capsys, "verify", "--statement", "bounds", "--builder", "cycle:4", "--cache-dir", str(tmp_path))
     key = {
         "op": "verify",
@@ -341,10 +340,9 @@ def test_a_statement_without_parameters_keeps_its_cache_key(tmp_path, capsys):
         "params": {},
         "field": "Q",
         "caps": DEFAULT_CAPS.to_json(),
-        "graph6": graph_to_graph6(cycle(4)),
         "version": __version__,
     }
-    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache.key_of(key) + ".json"]
+    assert [p.name for p in tmp_path.rglob("*.log")] == [ResultCache.key_of(key) + ".log"]
 
 
 def test_blemma_reads_no_field(tmp_path, capsys):
@@ -361,14 +359,8 @@ def test_blemma_reads_no_field(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "895399908b448f9fbc1844be046c5affcc4d42578b84f117b579952edde901fa"
     )
-    key = {
-        "op": "verify",
-        "statement": "blemma",
-        "params": {"k": 2},
-        "graph6": graph_to_graph6(cycle(5)),
-        "version": __version__,
-    }
-    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache.key_of(key) + ".json"]
+    key = {"op": "verify", "statement": "blemma", "params": {"k": 2}, "version": __version__}
+    assert [p.name for p in tmp_path.rglob("*.log")] == [ResultCache.key_of(key) + ".log"]
     code, out, _ = run_cli(capsys, "verify", "--statement", "blemma", "--max-n", "5", "--k", "2", "--no-cache")
     assert code == 0 and len(out.splitlines()) == 48
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
@@ -390,14 +382,8 @@ def test_keylemma_reads_no_field(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "1085e257d4b156dbf38709bc0ca154f6e4cf74114a7b2ea80055090be12ac5a4"
     )
-    key = {
-        "op": "verify",
-        "statement": "keylemma",
-        "params": {"covers": None, "k": None},
-        "graph6": graph_to_graph6(cycle(5)),
-        "version": __version__,
-    }
-    assert [p.name for p in tmp_path.rglob("*.json")] == [ResultCache.key_of(key) + ".json"]
+    key = {"op": "verify", "statement": "keylemma", "params": {"covers": None, "k": None}, "version": __version__}
+    assert [p.name for p in tmp_path.rglob("*.log")] == [ResultCache.key_of(key) + ".log"]
 
 
 # each command has the cap flags of the caps it reads, and no others
@@ -668,26 +654,26 @@ def test_cache_on_off_identical_bytes(tmp_path, capsys, monkeypatch, argv):
     assert calls == []  # every graph was a hit
     _, off, _ = run_cli(capsys, *args, "--no-cache")
     assert cold == warm == off
-    assert any(cache_dir.rglob("*.json"))
+    assert any(cache_dir.rglob("*.log"))
 
 
-# (argv, files, sha256 of the newline-joined sorted names of the files a cold run writes), taken
-# when each graph's key was still serialised whole: a cache filled then stays warm
+# (argv, files, sha256 of the newline-joined sorted names of the files a cold run writes): the
+# family entry and the run's report log, so a cache filled by an earlier build stays warm
 CACHE_NAMES = [
     (
         ("verify", "--statement", "bounds", "--max-n", "5", "--field", "GF(2)"),
-        48,
-        "ffec526db6e94427d1360169b04ab157b8424a72bee828a70277f0bf7fcafd9d",
+        2,
+        "83d135c0417c1ec698ccd71053ef66668685af4fc7d56eaab8181853c201b147",
     ),
     (
         ("verify", "--statement", "main2", "--max-n", "4"),
-        15,
-        "5bdf7a399bb09a0403f96d0c00201f377cc52e4a724030408469a64055247553",
+        2,
+        "27f82fefc7ccf580d4e6047843db19fa453095b8272dd10ded029ef818bbe162",
     ),
     (
         ("scan", "--conjecture", "np", "--max-n", "5"),
-        48,
-        "5ff91258b63267b1286fa124faa3566e3e3adadcba12b0f6dcb088a0587ef26a",
+        2,
+        "d776855944d41a77e3485c795e848ba155859913915be75fcea931a1e2058088",
     ),
 ]
 
@@ -697,45 +683,28 @@ def test_cache_file_names_are_pinned(tmp_path, capsys, argv, files, expected):
     code, _, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 0, err
     paths = [p for p in tmp_path.rglob("*") if p.is_file()]
-    # the entry of key k is root/k[:2]/k.json
-    assert all(p.parent.parent == tmp_path and p.parent.name == p.name[:2] for p in paths)
+    # the entry of key k is root/k[:2]/k.log
+    assert all(p.parent.parent == tmp_path and p.parent.name == p.name[:2] and p.suffix == ".log" for p in paths)
     names = sorted(p.name for p in paths)
     assert len(names) == files
     assert hashlib.sha256("\n".join(names).encode("ascii")).hexdigest() == expected
 
 
-@pytest.fixture(scope="module")
-def base_keys() -> dict:
-    """FAMILY_IDS -> the (parts, name) that run keys its graphs by, as `_run_family` builds them."""
-    seen = {}
-    real = ResultCache.keys_by
-
-    def recorded(parts, name):
-        seen[run] = (parts, name)
-        return real(parts, name)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ResultCache, "keys_by", recorded)
-        for run, argv in zip(FAMILY_IDS, FAMILY_RUNS):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main([*argv, "--builder", "cycle:4", "--no-cache"]) in (0, 1)
-    return seen
-
-
-@pytest.mark.parametrize("run", FAMILY_IDS)
-@settings(max_examples=40, deadline=None)
-@given(g6=strategies.text(strategies.characters(min_codepoint=63, max_codepoint=126), max_size=12))
-@example(g6="\\")
-@example(g6="")
-def test_a_per_run_key_is_the_key_of_the_whole_parts(base_keys, run, g6):
-    # graph6 is written in chr(63) to chr(126), which holds the backslash JSON escapes
-    parts, name = base_keys[run]
-    assert name == "graph6"
-    keys = pickle.loads(pickle.dumps(ResultCache.keys_by(parts, name)))
-    assert keys(g6) == ResultCache.key_of(dict(parts, graph6=g6))
-    # a name that sorts before or after every part
-    for other in ("", "~"):
-        assert ResultCache.keys_by(parts, other)(g6) == ResultCache.key_of(dict(parts, **{other: g6}))
+@pytest.mark.parametrize("argv", FAMILY_RUNS, ids=FAMILY_IDS)
+def test_a_per_run_key_is_the_key_of_the_whole_parts(tmp_path, capsys, argv):
+    # a run logs its reports under the key of all its parts; the graph is not one, so every
+    # graph of the run, and of any other run of the same statement, shares the log
+    statement = argv[2]
+    parts = {"op": argv[0], "statement": statement, "params": statement_params(statement, {}), "version": __version__}
+    if _REGISTRY[statement].engine:
+        parts.update(field="Q", caps=DEFAULT_CAPS.to_json())
+    for builder in ("cycle:4", "path:5"):
+        code, _, err = run_cli(capsys, *argv, "--builder", builder, "--cache-dir", str(tmp_path))
+        assert code in (0, 1), err
+        (log,) = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert log.name == ResultCache.key_of(parts) + ".log"
+    graphs = [graph_to_graph6(g).encode("ascii") for g in (cycle(4), path(5))]
+    assert [line.partition(b" ")[0] for line in log.read_bytes().splitlines()] == graphs
 
 
 def test_a_run_without_the_cache_computes_no_key(tmp_path, capsys, monkeypatch):
@@ -829,11 +798,55 @@ def test_parallel_jobs_share_the_cache(tmp_path, capsys, monkeypatch, method):
     assert code == 0, err
     assert opened == [method]
     assert parallel == uncached
-    # the workers wrote one report entry per graph, next to the family entry
-    assert len(list(cache_dir.rglob("*.json"))) == len(enumerate_graphs(4, require_edge=True)) + 1
+    # one report log holds every graph, next to the family entry
+    assert len(list(cache_dir.rglob("*.log"))) == 2
     _, warm, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir), "--jobs", "1")
     assert warm == uncached
     assert opened == [method]
+
+
+def record_cache_io(pids: Path, start=None) -> None:
+    """Make each ResultCache.get and put of this process append its process id to the file pids,
+    then call start: a picklable pool initializer, so that spawned workers record theirs too."""
+    for name in ("get", "put"):
+        real = getattr(ResultCache, name)
+
+        def recorded(self, *args, _real=real):
+            with open(pids, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return _real(self, *args)
+
+        setattr(ResultCache, name, recorded)
+    if start is not None:
+        start()
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_parallel_workers_do_no_cache_io(tmp_path, capsys, monkeypatch, method):
+    import multiprocessing
+
+    ctx = multiprocessing.get_context(method)
+    pids = tmp_path / "pids"
+    opened = []
+
+    def pool(processes, initializer):
+        opened.append(method)
+        return ctx.Pool(processes, functools.partial(record_cache_io, pids, initializer))
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    for name in ("get", "put"):
+        # restored on return
+        monkeypatch.setattr(ResultCache, name, getattr(ResultCache, name))
+    record_cache_io(pids)
+    args = ["verify", "--statement", "froberg", "--max-n", "4"]
+    _, uncached, _ = run_cli(capsys, *args, "--no-cache")
+    code, out, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path / "cache"), "--jobs", "2")
+    assert (code, out, err) == (0, uncached, "")
+    assert opened == [method]
+    assert set(pids.read_text(encoding="ascii").split()) == {str(os.getpid())}
+    # one record per graph, in the family's order
+    records = report_log(tmp_path / "cache", 4).read_bytes().splitlines()
+    assert [r.partition(b" ")[0].decode("ascii") for r in records] == enumerate_graphs(4, require_edge=True)
 
 
 def test_a_worker_reads_one_store_for_all_its_items(monkeypatch):
@@ -1000,20 +1013,105 @@ CORRUPT_FAMILY = {
     [(None, p) for p in CORRUPT.values()] + [(3, p) for p in CORRUPT_FAMILY.values()],
     ids=[*CORRUPT, *(f"family-{k}" for k in CORRUPT_FAMILY)],
 )
-def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, max_n, payload):
-    # max_n None: the report entry of one graph; otherwise the --max-n family entry
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch, max_n, payload):
+    import edgeideals.cli as cli
+
+    # max_n None: the report log of one graph; otherwise the --max-n family entry
     cache_dir = tmp_path / "cache"
     family = ["--max-n", str(max_n)] if max_n else ["--builder", "cycle:4"]
     args = ["verify", "--statement", "bounds", *family]
     _, uncached, _ = run_cli(capsys, *args, "--no-cache")
     run_cli(capsys, *args, "--cache-dir", str(cache_dir))
-    (entry,) = [family_entry(cache_dir, max_n)] if max_n else cache_dir.rglob("*.json")
-    good = entry.read_bytes()
+    (entry,) = [family_entry(cache_dir, max_n)] if max_n else cache_dir.rglob("*.log")
     entry.write_bytes(payload)
     code, out, err = run_cli(capsys, *args, "--cache-dir", str(cache_dir))
     assert code == 0, err
     assert out == uncached
-    assert entry.read_bytes() == good  # recomputed and overwritten
+    # the entry was recomputed and appended, so the next run is a full hit
+    statements = count_calls(monkeypatch, cli, "run_statement")
+    enumerations = count_calls(monkeypatch, cli, "enumerate_graphs")
+    assert run_cli(capsys, *args, "--cache-dir", str(cache_dir)) == (0, uncached, "")
+    assert statements == enumerations == []
+
+
+# the index of the damaged record in the log of bounds over the --max-n 4 family, of 14 graphs
+K = 3
+# damage(records, family graph6) -> (damaged records, the graphs the next run computes again)
+LOG_DAMAGE = {
+    # a line that is not UTF-8 JSON in place of a record
+    "garbage": lambda recs, fam: (recs[:K] + [b"\xff{garbage\n"] + recs[K + 1 :], [fam[K]]),
+    # a write cut short: the last record loses its second half and its newline; the rerun
+    # appends the record again, and the third run finds it
+    "torn-tail": lambda recs, fam: (recs[:-1] + [recs[-1][: len(recs[-1]) // 2]], [fam[-1]]),
+    # a record of K5, which is outside the family
+    "other-graph": lambda recs, fam: ([b"D~{ " + recs[0].partition(b" ")[2], *recs], []),
+    # a record nested deeper than the decoder's recursion limit
+    "deep": lambda recs, fam: (recs[:K] + [fam[K] + b" " + b"[" * 100_000 + b"\n"] + recs[K + 1 :], [fam[K]]),
+    # a record whose JSON is not a report list
+    "wrong-shape": lambda recs, fam: (recs[:K] + [fam[K] + b' [{"verdict": "maybe"}]\n'] + recs[K + 1 :], [fam[K]]),
+    # a later record of a graph with every verdict turned to fail: the first record wins
+    "duplicate": lambda recs, fam: ([*recs, recs[K].replace(b'"verdict": "pass"', b'"verdict": "fail"')], []),
+}
+
+
+@pytest.mark.parametrize("damage", LOG_DAMAGE.values(), ids=LOG_DAMAGE)
+def test_a_damaged_record_is_a_miss_for_its_graph_only(tmp_path, capsys, monkeypatch, damage):
+    import edgeideals.cli as cli
+
+    args = ["verify", "--statement", "bounds", "--max-n", "4", "--cache-dir", str(tmp_path)]
+    _, uncached, _ = run_cli(capsys, *args[:-2], "--no-cache")
+    run_cli(capsys, *args)
+    log = report_log(tmp_path, 4)
+    family = [g6.encode("ascii") for g6 in enumerate_graphs(4, require_edge=True)]
+    records = log.read_bytes().splitlines(keepends=True)
+    assert [r.partition(b" ")[0] for r in records] == family and b"pass" in records[K]
+    damaged, missed = damage(records, family)
+    assert damaged != records
+    log.write_bytes(b"".join(damaged))
+    calls = count_calls(monkeypatch, cli, "run_statement")
+    for expected in (missed, []):
+        assert run_cli(capsys, *args) == (0, uncached, "")
+        assert [graph_to_graph6(g).encode("ascii") for _, g in calls] == expected
+        calls.clear()
+
+
+def test_a_smaller_family_reads_the_log_of_a_larger_one(tmp_path, capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    # the log is keyed without max_n: the records of the graphs with n = 5 are skipped
+    args = ["verify", "--statement", "bounds", "--max-n"]
+    run_cli(capsys, *args, "5", "--cache-dir", str(tmp_path))
+    _, uncached, _ = run_cli(capsys, *args, "4", "--no-cache")
+    calls = count_calls(monkeypatch, cli, "run_statement")
+    assert run_cli(capsys, *args, "4", "--cache-dir", str(tmp_path)) == (0, uncached, "")
+    assert calls == []
+
+
+def test_a_run_cut_short_keeps_the_graphs_it_finished(tmp_path, capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    args = ["verify", "--statement", "bounds", "--max-n", "4", "--cache-dir", str(tmp_path)]
+    family = enumerate_graphs(4, require_edge=True)
+    k = 6
+    tried = []
+
+    def stopping(statement, g, **kwargs):
+        tried.append(graph_to_graph6(g))
+        if len(tried) == k:
+            raise RuntimeError("stopped")
+        return run_statement(statement, g, **kwargs)
+
+    monkeypatch.setattr(cli, "run_statement", stopping)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (5, "") and "stopped" in err
+    assert tried == family[:k]
+    monkeypatch.setattr(cli, "run_statement", run_statement)
+    calls = count_calls(monkeypatch, cli, "run_statement")
+    _, uncached, _ = run_cli(capsys, *args[:-2], "--no-cache")
+    calls.clear()
+    assert run_cli(capsys, *args) == (0, uncached, "")
+    # the k-th graph and every later one, none of which was logged
+    assert [graph_to_graph6(g) for _, g in calls] == family[k - 1 :]
 
 
 def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
@@ -1029,7 +1127,7 @@ def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
     _, recomputed, _ = run_cli(capsys, *args)
     assert len(calls) == 2
     assert first == hit == recomputed
-    assert len(list(cache_dir.rglob("*.json"))) == 2
+    assert len(list(cache_dir.rglob("*.log"))) == 2
 
 
 def family_entry(cache_dir, max_n, version=__version__) -> Path:
@@ -1037,6 +1135,12 @@ def family_entry(cache_dir, max_n, version=__version__) -> Path:
     path = Path(ResultCache(cache_dir)._path(key))
     assert path.exists()
     return path
+
+
+def report_log(cache_dir, max_n) -> Path:
+    """The report log of a cached --max-n max_n run of one statement: the entry next to the family's."""
+    (log,) = [p for p in Path(cache_dir).rglob("*.log") if p != family_entry(cache_dir, max_n)]
+    return log
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -1426,7 +1530,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EDGEIDEALS_CACHE", str(cache_dir))
     code, out, _ = run_cli(capsys, "verify", "--statement", "bounds", "--builder", "cycle:4")
     assert code == 0
-    assert any(cache_dir.rglob("*.json"))
+    assert any(cache_dir.rglob("*.log"))
     monkeypatch.delenv("EDGEIDEALS_CACHE")
     _, out2, _ = run_cli(capsys, "verify", "--statement", "bounds", "--builder", "cycle:4")
     assert out == out2
