@@ -325,7 +325,7 @@ def _cmd_suspend(args, field: Field, caps: EngineCaps) -> int:
                 "im_reg": rep.data,
             }
         )
-    return EXIT_OK
+    return EXIT_FAIL if any(rep.verdict == FAIL for rep in reports) else EXIT_OK
 
 
 def _cmd_extend(args, field: Field, caps: EngineCaps) -> int:
@@ -479,17 +479,18 @@ def _cmd_verify(args, field: Field, caps: EngineCaps) -> int:
 
 def _cmd_scan(args, field: Field, caps: EngineCaps) -> int:
     _statement(args, args.conjecture)
-    params, reports = _run_family(args, args.conjecture, field, caps)
-    # the header follows the checks, as in verify
-    _emit(_header("scan", field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
-    code = _emit_reports(reports)
-    if args.summary:
-        # imported here: only --summary writes CSV, and loading csv and its C extension
-        # costs every other run about 128 KB of resident memory (CPython 3.11, Linux)
-        import csv
+    # the summary file is opened before the run, so that a path it cannot write leaves stdout empty
+    with open(args.summary, "w", encoding="utf-8", newline="") if args.summary else contextlib.nullcontext() as summary:
+        params, reports = _run_family(args, args.conjecture, field, caps)
+        # the header follows the checks, as in verify
+        _emit(_header("scan", field, caps, conjecture=args.conjecture, k_max=params["k_max"]))
+        code = _emit_reports(reports)
+        if summary:
+            # imported here: only --summary writes CSV, and loading csv and its C extension
+            # costs every other run about 128 KB of resident memory (CPython 3.11, Linux)
+            import csv
 
-        with open(args.summary, "w", encoding="utf-8", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["statement", "instances", "pass", "fail", "skipped"])
+            w = csv.DictWriter(summary, fieldnames=["statement", "instances", "pass", "fail", "skipped"])
             w.writeheader()
             w.writerows(summarize_reports({"statement": st, "verdict": v} for st, _, _, v in reports))
     return code

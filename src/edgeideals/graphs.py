@@ -97,11 +97,6 @@ def complete(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 
 
-def cricket() -> Graph:
-    """Vertex 0 joined to 1, 2, 3, 4 plus the extra edge {3, 4}."""
-    return Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4)])
-
-
 # -- elementary operations ----------------------------------------------------
 
 
@@ -202,37 +197,36 @@ def is_gap_free(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Chordality via maximum-cardinality search plus elimination-ordering check."""
-    n = g.n
-    if n <= 2:
-        return True
-    weights = [0] * n
-    numbered = [False] * n
-    order = []
-    for _ in range(n):
-        v = max(
-            (w for w in range(n) if not numbered[w]),
-            key=lambda w: (weights[w], -w),
-        )
-        numbered[v] = True
-        order.append(v)
-        for u in range(n):
-            if not numbered[u] and (g._masks[v] >> u) & 1:
-                weights[u] += 1
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # reversed MCS order is a perfect elimination ordering iff g is chordal:
-    # for each v, its earlier-numbered neighbors must form a clique
-    for v in range(n):
-        earlier = [u for u in range(n) if (g._masks[v] >> u) & 1 and pos[u] < pos[v]]
-        for a, b in combinations(earlier, 2):
-            if not (g._masks[a] >> b) & 1:
-                return False
+    """True when g has no induced cycle of length four or more."""
+    return chordal_masks(g._masks)
+
+
+def chordal_masks(masks) -> bool:
+    """Chordality of the graph on vertices 0..len(masks)-1 with neighbour masks masks.
+
+    A graph is chordal iff it can be emptied by removing, one at a time, a simplicial vertex:
+    one whose remaining neighbours form a clique (Fulkerson-Gross 1965).  Removal keeps a
+    simplicial vertex simplicial, so each pass removes every one it meets."""
+    left = (1 << len(masks)) - 1
+    while left:
+        before = left
+        for v, mask in enumerate(masks):
+            if left >> v & 1:
+                around = rest = mask & left
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    # each neighbour is adjacent to all the others
+                    if around & ~masks[bit.bit_length() - 1] != bit:
+                        break
+                else:
+                    left ^= 1 << v
+        if left == before:
+            return False
     return True
 
 
-# -- small induced patterns ------------------------------------------------------
+# -- canonical forms -------------------------------------------------------------
 
 
 def _wl_colors(nbrs: list, root=None):
@@ -362,21 +356,21 @@ def graph_from_key(key) -> Graph:
     return Graph(n, edges)
 
 
-_CRICKET_KEY = canonical_key(cricket())
-
-
-def _has_induced(g: Graph, size: int, key) -> bool:
-    if g.n < size:
-        return False
-    return any(
-        canonical_key(induced_subgraph(g, sub)) == key
-        for sub in combinations(range(g.n), size)
-    )
+# -- small induced patterns ------------------------------------------------------
 
 
 def has_induced_cricket(g: Graph) -> bool:
-    """True when some 5 vertices induce the cricket pattern."""
-    return _has_induced(g, 5, _CRICKET_KEY)
+    """True when some 5 vertices induce the cricket: a vertex c with neighbours a, b, u and v
+    where ab is the only edge among a, b, u and v.  So an edge ab inside N(c) and two
+    non-adjacent vertices of N(c) outside N(a) and N(b)."""
+    masks = g._masks
+    for around in masks:
+        inside = [v for v in range(g.n) if around >> v & 1]
+        for a, b in combinations(inside, 2):
+            rest = around & ~(masks[a] | masks[b])
+            if masks[a] >> b & 1 and any(rest & ~masks[u] != 1 << u for u in inside if rest >> u & 1):
+                return True
+    return False
 
 
 # -- constructions -----------------------------------------------------------------

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations_with_replacement
 from operator import add, le
 from typing import Callable, NamedTuple
 
+from .box import BOX_MAX, _Box
 from .complexes import CapExceeded
 from .graph6 import graph_to_graph6
 from .graphs import (
     Graph,
     canonical_graph,
     canonical_key,
+    chordal_masks,
     complement,
     has_induced_cricket,
     independent_sets,
@@ -349,7 +352,7 @@ class InvariantStore:
     """Exact isomorphism-invariant values of graphs for one run, one record per class.
 
     classes maps the `canonical_key` of each class seen to its record, a dict that holds
-    "reg": reg(I(H)), "im": im(H) and, for each power k resolved, k: whether I(H)^k is
+    "reg": reg(I(H)), "im": im(H) and, for each power k decided, k: whether I(H)^k is
     linear.  Field and caps are fixed for a run, so they are not part of the key.  A
     CapExceeded is never stored: lattice size is an isomorphism invariant, so a repeat
     raises the same way."""
@@ -380,12 +383,27 @@ class _Record(NamedTuple):
             self.values["reg"] = regularity(edge_ideal(self.graph), field, caps)
         return self.values["reg"]
 
-    def power_table(self, k: int, power: MonomialIdeal, field: Field, caps: EngineCaps):
+    def power_table(self, k: int, power: MonomialIdeal, field: Field, caps: EngineCaps, prev=None):
         """The Betti table of power, I(graph)^k or a copy of it in more variables (which has
         the same tables), or None when the class is known linear at k.  A resolved power
-        records its linearity under k, and at k = 1 the regularity of I(graph)."""
+        records its linearity under k, and at k = 1 the regularity of I(graph).
+
+        With prev, I(graph)^(k-1) in the variables of power, a power k >= 2 that
+        `_certified_linear` shows linear is recorded linear without a table and gives None.
+        The certificate needs reg(I^(k-1)) <= 2k: at k = 2 the recorded reg(I), or else
+        reg(I) <= ν + 1 with ν the matching number (Hà-Van Tuyl 2008); at k >= 3 a record
+        of I^(k-1) as linear."""
         if self.values.get(k):
             return None
+        if prev is not None and k >= 2:
+            if k == 2:
+                reg = self.values.get("reg")
+                bounded = (matching_number(self.graph) + 1 if reg is None else reg) <= 4
+            else:
+                bounded = self.values.get(k - 1, False)
+            if bounded and _certified_linear(prev, power):
+                self.values[k] = True
+                return None
         table = betti_table(power, field, caps)
         self.values[k] = _nonlinear(k, table) is None
         if k == 1:
@@ -398,7 +416,7 @@ class _Record(NamedTuple):
         `power_table`); witness is that power's `_nonlinear` witness, or None when every power
         in ks is linear."""
         powers = {}
-        for k, power in _power_ideals(ideal, ks):
+        for k, _, power in _power_ideals(ideal, ks):
             table = self.power_table(k, power, field, caps)
             powers[k] = power, table
             witness = _nonlinear(k, table)
@@ -407,11 +425,71 @@ class _Record(NamedTuple):
         return powers, None
 
     def nonlinear_power(self, ks: range, field: Field, caps: EngineCaps) -> "dict | None":
-        """The `linear_powers` witness of I(graph) over ks, or None.  The walk starts at the
-        first k of ks where the class is not known linear, and runs on graph, so a witness is
-        its own."""
+        """The `_nonlinear` witness of the first nonlinear I(graph)^k over ks, or None.  The walk
+        starts at the first k of ks where the class is not known linear, runs on graph, so a
+        witness is its own, and offers each power with the one before it to `power_table`."""
         start = next((k for k in ks if not self.values.get(k)), ks.stop)
-        return self.linear_powers(edge_ideal(self.graph), range(start, ks.stop), field, caps)[1]
+        for k, prev, power in _power_ideals(edge_ideal(self.graph), range(start, ks.stop)):
+            witness = _nonlinear(k, self.power_table(k, power, field, caps, prev))
+            if witness is not None:
+                return witness
+        return None
+
+
+def _certified_linear(prev: MonomialIdeal, power: MonomialIdeal) -> bool:
+    """True when every colon power : M, M a generator of prev, has regularity 2, where power
+    is I^k and prev is I^(k-1) for an edge ideal I and k >= 2.  With reg(I^(k-1)) <= 2k this
+    shows I^k linear, since reg(I^k) <= max(reg(I^k : M) + 2k - 2, reg(I^(k-1))) over those M
+    (Banerjee, The regularity of powers of edge ideals, J. Algebraic Combin. 41 (2015),
+    Thm 5.2).  Each colon is generated by quadrics (ibid., Sec. 6), and an ideal of quadrics
+    has regularity 2 iff the graph of its polarization, where a square x_u^2 is an edge from
+    u to a new vertex, has a chordal complement (Fröberg 1990).  False, with nothing tested,
+    when the exponent box of power has more than `BOX_MAX` points."""
+    sets = _colon_quadrics(prev, power)
+    return sets is not None and all(_cochordal_polarization(power.nvars, qs) for qs in sets)
+
+
+def _quadrics(nvars: int) -> tuple:
+    """The quadrics x_u * x_v in nvars variables as pairs (u, v), u <= v, in lexicographic order."""
+    return tuple(combinations_with_replacement(range(nvars), 2))
+
+
+def _colon_quadrics(prev: MonomialIdeal, power: MonomialIdeal) -> "list | None":
+    """The distinct quadric sets of the colons power : M over the generators M of prev, each a
+    mask over `_quadrics`, where power = I^k and prev = I^(k-1) for an edge ideal I; None when
+    the exponent box below top(I^k) has more than `BOX_MAX` points.
+
+    qM lies in I^k only as a generator, since I^k is generated in degree 2k.  In the box, the
+    generators M with M + q in I^k are one bitset per quadric q, and generators with equal
+    quadric sets stay together, so each distinct set comes out once."""
+    box = _Box.fitting(tuple(map(max, zip(*power.gens))), BOX_MAX)
+    if box is None:
+        return None
+    have, strides, below = box.points(power.gens), box.strides, box.below
+    # (a bitset of generators M, the mask of the quadrics q with M + q in I^k)
+    classes = [(box.points(prev.gens), 0)]
+    for i, (u, v) in enumerate(_quadrics(power.nvars)):
+        # the points that stay in the box when q is added, so that no sum past the top aliases
+        room = below[u] & (below[u] >> strides[u] if u == v else below[v])
+        hits = have >> strides[u] + strides[v] & room
+        split = (((ms & hits, qs | 1 << i), (ms & ~hits, qs)) for ms, qs in classes)
+        classes = [(ms, qs) for pair in split for ms, qs in pair if ms]
+    return [qs for _, qs in classes]
+
+
+def _cochordal_polarization(nvars: int, qs: int) -> bool:
+    """Whether the polarization of the quadrics of the mask qs over `_quadrics(nvars)` has a
+    chordal complement."""
+    adj = [0] * nvars
+    for i, (u, v) in enumerate(_quadrics(nvars)):
+        if qs >> i & 1:
+            if u == v:
+                v = len(adj)
+                adj.append(0)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    full = (1 << len(adj)) - 1
+    return chordal_masks([full & ~(a | 1 << w) for w, a in enumerate(adj)])
 
 
 # -- suspension statements ------------------------------------------------------------
@@ -453,12 +531,13 @@ def check_s_suspension_invariance(
 
 
 def _power_ideals(ideal: MonomialIdeal, ks: range):
-    """(k, I^k) for k in the consecutive range ks; each power after the first is one product
+    """(k, I^(k-1), I^k) for k in the consecutive range ks; each power after I is one product
     with the power before it."""
     power = None
     for k in ks:
-        power = ideal_power(ideal, k) if power is None else ideal_product(power, ideal)
-        yield k, power
+        prev = ideal_power(ideal, k - 1) if power is None else power
+        power = ideal if k == 1 else ideal_product(prev, ideal)
+        yield k, prev, power
 
 
 def _nonlinear(k: int, table) -> "dict | None":
@@ -604,14 +683,16 @@ def _check_main2_set(inst, gs, k_max, powers, z_parts, field, caps, store):
     For each k in 2..k_max, I(G_S)^k is linear and I(G)^k ∩ star * I(G_S)^(k-1) is
     z * I(G)^k (see `_suspension_parts`).  The linearity of I(G_S)^k is read by the
     unrooted class of G_S from store: a power whose class is known linear is not resolved
-    again, and one that is not is resolved on gs, so a fail has its own table.  The
+    again, and one that is not is offered to the colon certificate with I(G_S)^(k-1), and
+    else resolved on gs, so a fail has its own table.  The
     intersection identity is one of the pair (G, S), so it is checked for each S that
     reaches this call: the first of its rooted class, or one whose class has not passed."""
-    suspended = store.of(gs)
+    suspended, prev = store.of(gs), edge_ideal(gs)
     for k, whole, right in _suspension_parts(gs, range(2, k_max + 1)):
-        bad = _nonlinear(k, suspended.power_table(k, whole, field, caps))
+        bad = _nonlinear(k, suspended.power_table(k, whole, field, caps, prev))
         if bad is not None:
             return _failed("main2", inst, bad)
+        prev = whole
         meet = intersect(powers[k][0], right)
         if meet != z_parts[k]:
             rhs = z_parts[k].gen_strings()
@@ -685,7 +766,7 @@ def check_bht_lower_bound(
     inst = _ginst(g, k=list(ks))
     im = induced_matching_number(g)
     regs = {}
-    for k, power in _power_ideals(edge_ideal(g), ks):
+    for k, _, power in _power_ideals(edge_ideal(g), ks):
         rk = regs[k] = betti_table(power, field, caps).regularity()
         if rk < 2 * k + im - 1:
             return _failed(

@@ -16,6 +16,7 @@ from edgeideals.cli import _caps, build_parser, main
 from edgeideals.enumeration import enumerate_graphs
 from edgeideals.graph6 import graph_to_graph6
 from edgeideals.graphs import Graph, cycle, path
+from edgeideals.monomials import generated_in_single_degree
 from edgeideals.resolutions import DEFAULT_CAPS
 from edgeideals.verification import (
     _REGISTRY,
@@ -636,6 +637,67 @@ def test_scan_summary_csv(tmp_path, capsys):
     assert text[1] == "np,1,1,0,0"
 
 
+def test_an_unwritable_summary_exits_two_before_any_output(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "summary.csv"
+    code, out, err = run_cli(capsys, "scan", "--conjecture", "np", "--max-n", "5", "--no-cache", "--summary", str(missing))
+    assert (code, out) == (2, "") and "no-such-dir" in err
+
+
+def test_suspend_verify_exits_one_on_a_fail(capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    check = cli.check_s_suspension_invariance
+
+    def failing(*args, **kwargs):
+        # the check's own reports, each pass turned into a fail with the same data
+        return [
+            VerificationReport(r.statement, r.instance, FAIL, witness=r.data, data=r.data) for r in check(*args, **kwargs)
+        ]
+
+    argv = ("suspend", "--builder", "cycle:4", "--all", "--verify")
+    code, passed, _ = run_cli(capsys, *argv)
+    assert code == 0 and {r["verdict"] for r in json_lines(passed)} == {"pass"}
+    monkeypatch.setattr(cli, "check_s_suspension_invariance", failing)
+    code, failed, _ = run_cli(capsys, *argv)
+    assert code == 1 and {r["verdict"] for r in json_lines(failed)} == {"fail"}
+    assert len(json_lines(failed)) == len(json_lines(passed)) == 7
+
+
+# one run of each command whose output can hold a verdict, and of each kind of statement
+VERDICT_RUNS = {
+    "verify-graph": ("verify", "--statement", "main2", "--builder", "cycle:4", "--kmax", "2", "--no-cache"),
+    "verify-family": ("verify", "--statement", "froberg", "--max-n", "4", "--no-cache"),
+    "verify-ideal": ("verify", "--statement", "colon", "--ideal", '["x0*x1","x1*x2"]', "--monomial", "x1", "--nvars", "3"),
+    "scan": ("scan", "--conjecture", "np", "--max-n", "5", "--no-cache"),
+    "suspend": ("suspend", "--builder", "cycle:4", "--all", "--verify"),
+}
+
+
+def test_every_command_that_prints_verdicts_is_in_the_verdict_table():
+    import edgeideals.cli as cli
+
+    # betti prints a table and extend graphs or their invariance, never a verdict
+    assert {argv[0] for argv in VERDICT_RUNS.values()} | {"betti", "extend"} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["as-is", "every-pass-fails"])
+@pytest.mark.parametrize("argv", VERDICT_RUNS.values(), ids=VERDICT_RUNS.keys())
+def test_the_exit_code_is_one_exactly_when_a_line_holds_a_fail(capsys, monkeypatch, argv, inject):
+    from edgeideals import verification
+
+    monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    if inject:
+        monkeypatch.setattr(
+            verification,
+            "_passed",
+            lambda statement, instance, data=None: verification._failed(statement, instance, {"injected": 1}, data),
+        )
+    code, out, err = run_cli(capsys, *argv)
+    verdicts = [r["verdict"] for r in json_lines(out) if "verdict" in r]
+    assert verdicts and ("fail" in verdicts) == inject, out
+    assert code == (1 if "fail" in verdicts else 0), err
+
+
 # every graph statement and scan, so that each shape of cache key a family run builds is used
 FAMILY_RUNS = [("verify", "--statement", s) for s in STATEMENTS if not _REGISTRY[s].ideals]
 FAMILY_RUNS += [("scan", "--conjecture", c) for c in CONJECTURES]
@@ -890,10 +952,13 @@ def test_the_invariant_store_changes_no_stdout_byte(capsys, monkeypatch, argv, l
     from edgeideals import resolutions, verification
 
     monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
+    # a power is shown linear by a Betti table or by the colon certificate: both are work that
+    # a class shared through the store saves
     tables = count_calls(monkeypatch, resolutions, "lcm_lattice")
+    certificates = count_calls(monkeypatch, verification, "_certified_linear")
     code, shared, err = run_cli(capsys, *argv, "--no-cache")
     assert code == 0, err
-    shared_tables = len(tables)
+    shared_work = len(tables) + len(certificates)
     # each graph object its own key, rooted or not, which holds the graph so that its id is
     # not reused: no two graphs share a record and no two sets S of main2 a rooted class, so
     # every value is computed on its labelled graph
@@ -904,20 +969,24 @@ def test_the_invariant_store_changes_no_stdout_byte(capsys, monkeypatch, argv, l
     assert len(shared.splitlines()) == lines
     assert hashlib.sha256(shared.encode("utf-8")).hexdigest() == expected
     # and the store did share values between isomorphic graphs
-    assert shared_tables < len(tables) - shared_tables
+    assert shared_work < len(tables) + len(certificates) - shared_work
 
 
 def test_main2_reads_its_power_hypothesis_from_the_store(capsys, monkeypatch):
     # 35 of the 40 gap-free graphs with n <= 5 belong to classes met earlier as suspensions
-    # G_S and known linear at k = 2, 3; their powers are built without Betti tables
+    # G_S and known linear at k = 2, 3; their powers are built without Betti tables.  The
+    # hypothesis resolves the squares and cubes of the other 5 (10 tables), and the colon
+    # certificate shows each of the 260 powers I(G_S)^k of the first S of each rooted class
+    # linear, so none of them needs a table
     from edgeideals import resolutions, verification
 
     monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
     argv = ("verify", "--statement", "main2", "--max-n", "5", "--no-cache")
     tables = count_calls(monkeypatch, resolutions, "lcm_lattice")
+    certificates = count_calls(monkeypatch, verification, "_certified_linear")
     code, shared, err = run_cli(capsys, *argv)
     assert code == 0, err
-    assert len(tables) == 270
+    assert (len(tables), len(certificates)) == (10, 260)
     assert hashlib.sha256(shared.encode("utf-8")).hexdigest() == (
         "a5df9868a753de7cb3f9a7b946180339317b2aaa6dbf05f554f3ffc16a7b65ff"
     )
@@ -929,8 +998,9 @@ def test_main2_reads_its_power_hypothesis_from_the_store(capsys, monkeypatch):
         lambda g, k_max, field, caps, record: real(g, k_max, field, caps, verification._Record(g, {})),
     )
     tables.clear()
+    certificates.clear()
     code, unread, err = run_cli(capsys, *argv)
-    assert (code, unread, len(tables)) == (0, shared, 340), err
+    assert (code, unread, len(tables), len(certificates)) == (0, shared, 80, 260), err
     # and every graph object its own class: the same bytes
     monkeypatch.setattr(verification, "_power_hypothesis", real)
     monkeypatch.setattr(verification, "canonical_key", lambda g, root=None: (id(g), g))
@@ -961,15 +1031,19 @@ def test_statements_without_a_store_never_key_a_graph(capsys, monkeypatch):
 
 def test_newconj2_reads_the_base_reg_from_its_first_power(capsys, monkeypatch):
     # with c_G = 1 the table of I(G) that the base walk resolves at k = 1 fills reg(I(G)),
-    # which the extensions are compared with, so reg(I(G)) is not resolved a second time
-    from edgeideals import resolutions
+    # which the extensions are compared with, so reg(I(G)) is not resolved a second time: the
+    # 174 tables are all of edge ideals, and the colon certificate shows the 262 powers
+    # k = 2, 3 that the walks meet linear without a table
+    from edgeideals import resolutions, verification
 
     monkeypatch.delenv("EDGEIDEALS_CACHE", raising=False)
     tables = count_calls(monkeypatch, resolutions, "lcm_lattice")
+    certificates = count_calls(monkeypatch, verification, "_certified_linear")
     argv = ("scan", "--conjecture", "newconj2", "--max-n", "5", "--cg", "1", "--kmax", "3", "--no-cache")
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    assert len(tables) == 436
+    assert (len(tables), len(certificates)) == (174, 262)
+    assert {generated_in_single_degree(ideal) for ideal, _ in tables} == {2}
     assert len(out.splitlines()) == 761
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "5f2f9c6612ce5b03f6cc56836d8e5590b9b44fbcd65f97c3fd04b8979882a85b"

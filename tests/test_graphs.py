@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from edgeideals.graph6 import graph_from_graph6
 from edgeideals.graphs import (
     Graph,
-    _has_induced,
     anticycle,
     canonical_graph,
     canonical_key,
     complement,
     complete,
-    cricket,
     cycle,
     graph_from_key,
     has_induced_cricket,
@@ -36,6 +34,7 @@ from edgeideals.graphs import (
 )
 from canonical_reference import reference_canonical_key, reference_rooted_form
 from families import graph_family
+from pattern_reference import claw, cricket, has_induced_subgraph
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -270,26 +269,13 @@ def test_gap_free_matches_direct_pair_search():
             assert is_gap_free(g) == (not has_gap_pair(g)), g
 
 
-# The claw and the generic induced-subgraph search are cross-checks of has_induced_cricket,
-# which the banerjee verifier runs; they search with the same `_has_induced`.
-
-
-def claw() -> Graph:
-    """Star with center 0 and leaves 1, 2, 3."""
-    return Graph(4, [(0, 1), (0, 2), (0, 3)])
-
-
-_CLAW_KEY = canonical_key(claw())
+# The claw and the generic induced-subgraph search of `pattern_reference` are cross-checks of
+# has_induced_cricket, which the banerjee verifier runs on neighbour masks.
 
 
 def has_induced_claw(g: Graph) -> bool:
     """True when some 4 vertices induce a star with 3 leaves."""
-    return _has_induced(g, 4, _CLAW_KEY)
-
-
-def has_induced_subgraph(g: Graph, pattern: Graph) -> bool:
-    """True when some vertex subset of g induces a graph isomorphic to the pattern."""
-    return _has_induced(g, pattern.n, canonical_key(pattern))
+    return has_induced_subgraph(g, claw())
 
 
 def test_claw_and_cricket_patterns():
@@ -317,6 +303,16 @@ def test_every_cricket_bearing_graph_has_a_claw():
             hits += 1
             assert has_induced_claw(g)
     assert hits > 0
+
+
+def test_cricket_test_matches_the_canonical_search_on_every_class_n7():
+    # the cricket is an isomorphism invariant pattern, so the classes cover all graphs n <= 7
+    found = 0
+    for g in graph_family(7, min_n=0):
+        expected = has_induced_subgraph(g, cricket())
+        assert has_induced_cricket(g) == expected, g
+        found += expected
+    assert found > 0
 
 
 def test_independent_and_cover_examples():

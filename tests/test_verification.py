@@ -1,8 +1,10 @@
 """Statement verifiers: known instances, hypothesis handling, and scan behavior."""
 
+import collections
 import functools
 import hashlib
 import json
+from itertools import combinations_with_replacement
 from operator import add
 
 import pytest
@@ -12,9 +14,9 @@ from edgeideals.graphs import (
     Graph,
     anticycle,
     canonical_key,
-    cricket,
     cycle,
     independent_sets,
+    is_gap_free,
     one_vertex_extensions,
     path,
     s_suspension,
@@ -37,13 +39,16 @@ from edgeideals.monomials import (
     variable,
     variable_ideal,
 )
-from edgeideals.resolutions import EngineCaps, taylor_betti_oracle
+from edgeideals.resolutions import DEFAULT_CAPS, EngineCaps, betti_table, taylor_betti_oracle
 from edgeideals.verification import (
     _REGISTRY,
     CONJECTURES,
     STATEMENTS,
     InvariantStore,
     VerificationReport,
+    _certified_linear,
+    _colon_quadrics,
+    _Record,
     _suspension_parts,
     check_abc_bound,
     check_banerjee,
@@ -68,6 +73,7 @@ from edgeideals.verification import (
 
 from extension_reference import is_im_reg_invariant_extension
 from families import graph_family
+from pattern_reference import cricket
 
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
@@ -557,33 +563,50 @@ def _table_sharing_calls(g):
     return calls
 
 
-def test_each_check_computes_each_table_once(lattice_ideals):
+def test_each_check_computes_each_table_once(lattice_ideals, monkeypatch):
+    from edgeideals import verification
+
+    # every power that the colon certificate is asked about, in order
+    certified = []
+    certificate = verification._certified_linear
+    monkeypatch.setattr(
+        verification, "_certified_linear", lambda prev, power: certified.append(power) or certificate(prev, power)
+    )
     for g in graph_family(4, require_edge=True) + [cycle(5), anticycle(5)]:
         for label, call in _table_sharing_calls(g):
-            lattice_ideals.clear()
+            for seen in (lattice_ideals, certified):
+                seen.clear()
             call()
-            # the same generators in more variables have the same table
-            gens = [tuple(i.gen_strings()) for i in lattice_ideals]
-            repeated = {str(i) for i, key in zip(lattice_ideals, gens) if gens.count(key) > 1}
-            assert not repeated, (label, g, repeated)
+            for seen in (lattice_ideals, certified):
+                # the same generators in more variables have the same table
+                gens = [tuple(i.gen_strings()) for i in seen]
+                repeated = {str(i) for i, key in zip(seen, gens) if gens.count(key) > 1}
+                assert not repeated, (label, g, repeated)
     lattice_ideals.clear()
+    certified.clear()
     run_statement("main2", anticycle(5), {"k_max": 3})
-    # I^2 and I^3 for the hypotheses, then I(G_S)^2 and I(G_S)^3 for the first set S of each
-    # of the 3 classes that the 11 suspensions G_S fall into; linearity is a class invariant
-    assert len(lattice_ideals) == 8
+    # I^2 and I^3 for the hypotheses, whose tables main1 reads and which are not offered to the
+    # certificate; then I(G_S)^2 and I(G_S)^3 for the first set S of each of the 3 classes that
+    # the 11 suspensions G_S fall into, all 6 shown linear by the certificate instead of a
+    # table; linearity is a class invariant
+    assert (len(lattice_ideals), len(certified)) == (2, 6)
     lattice_ideals.clear()
+    certified.clear()
     run_statement("newconj2", anticycle(5), {"k_max": 3})
     # reg(I(G)), reg(I(H)) for each of the 4 classes among the 31 extensions H with im(H) =
-    # im(G), I^2 and I^3 of the base, then I(H)^2 and I(H)^3 for each of the 4 classes that
-    # the 16 invariant extensions fall into: 1 + 4 + 2 + 8, where one table per labelled
-    # extension would be 1 + 16 + 2 + 32
-    assert len(lattice_ideals) == 15
+    # im(G): 1 + 4 tables, where one table per labelled extension would be 1 + 16.  The
+    # certificate shows I^2 and I^3 of the base linear, then I(H)^2 and I(H)^3 for each of the
+    # 4 classes that the 16 invariant extensions fall into: 2 + 8, where one per labelled
+    # extension would be 2 + 32
+    assert (len(lattice_ideals), len(certified)) == (5, 10)
     lattice_ideals.clear()
+    certified.clear()
     run_statement("main1", anticycle(5), {"k": 2})
     # I^2 for the hypothesis and the left part, I(G_S)^2 and the right part for the first set
     # S of each of the 3 rooted classes (G_S, z) of the 11 sets, and the intersection z * I^2
-    # shared by all of them: 1 + 6 + 1, where one check per labelled S would be 1 + 22 + 1
-    assert len(lattice_ideals) == 8
+    # shared by all of them: 1 + 6 + 1, where one check per labelled S would be 1 + 22 + 1.
+    # main1 reads every table, so nothing is certified
+    assert (len(lattice_ideals), len(certified)) == (8, 0)
 
 
 def test_the_store_keeps_one_record_per_class_and_no_cap_overrun():
@@ -637,11 +660,13 @@ def test_scans_build_each_power_with_one_product(monkeypatch):
 
 def inject_beta_1_7(monkeypatch, select):
     """Give verification.betti_table one extra multigraded entry beta_{1,x0^7} = 1, hence one
-    extra graded entry beta_{1,7} = 1, in the table of every ideal that select accepts."""
+    extra graded entry beta_{1,7} = 1, in the table of every ideal that select accepts, and
+    have the colon certificate refuse each power that select accepts."""
     from edgeideals import verification
     from edgeideals.resolutions import BettiTable
 
     table = verification.betti_table
+    certificate = verification._certified_linear
 
     def injected(ideal, field, caps):
         t = table(ideal, field, caps)
@@ -651,6 +676,11 @@ def inject_beta_1_7(monkeypatch, select):
         return BettiTable(t.field_token, {**t.multi, (1, x0_7): 1})
 
     monkeypatch.setattr(verification, "betti_table", injected)
+    # a sound colon certificate refuses a power whose table is nonlinear, so the injected
+    # table is reached and the fail carries it as its witness
+    monkeypatch.setattr(
+        verification, "_certified_linear", lambda prev, power: not select(power) and certificate(prev, power)
+    )
 
 
 @pytest.fixture
@@ -778,6 +808,118 @@ def test_main2_fails_on_a_nonlinear_suspended_square(monkeypatch, capsys):
     argv = ["verify", "--statement", "main2", "--builder", "path:3", "--set", "0,2", "--kmax", "2"]
     assert main([*argv, "--no-cache"]) == 1
     capsys.readouterr()
+
+
+# -- the colon certificate of linear powers ------------------------------------------------------
+
+
+def certify_squares_and_cubes(graphs) -> collections.Counter:
+    """How many of the powers I(g)^k, k = 2 and 3, of the graphs `_Record.power_table` shows
+    linear by the colon certificate, by (certified, whether the Betti table is linear)."""
+    out = collections.Counter()
+    for g in graphs:
+        record, prev = _Record(g, {}), edge_ideal(g)
+        for k in (2, 3):
+            power = ideal_product(prev, edge_ideal(g))
+            table = record.power_table(k, power, RATIONALS, DEFAULT_CAPS, prev)
+            certified = table is None
+            out[certified, (betti_table(power) if certified else table).is_linear(2 * k)] += 1
+            prev = power
+    return out
+
+
+def gap_free_suspensions(max_n: int) -> list:
+    """The suspensions G_S over every proper independent set S of every gap-free graph with an
+    edge and n <= max_n: the graphs whose powers main2 checks."""
+    bases = [g for g in graph_family(max_n, require_edge=True) if is_gap_free(g)]
+    return [s_suspension(g, s) for g in bases for s in independent_sets(g) if len(s) < g.n]
+
+
+def test_the_colon_certificate_shows_only_linear_powers_linear():
+    # at n <= 6 it shows every linear square and cube linear and refuses every nonlinear one
+    assert certify_squares_and_cubes(graph_family(6, require_edge=True)) == {(True, True): 278, (False, False): 126}
+    assert certify_squares_and_cubes(gap_free_suspensions(5)) == {(True, True): 842}
+
+
+def test_a_certificate_without_the_chordality_test_shows_a_nonlinear_power_linear(monkeypatch):
+    from edgeideals import verification
+
+    monkeypatch.setattr(verification, "chordal_masks", lambda masks: True)
+    counts = certify_squares_and_cubes(graph_family(5, require_edge=True))
+    # 2K2 and every other graph with a gap has a nonlinear square
+    assert counts[True, False] > 0 and not counts[False, False]
+
+
+def reference_colon_quadrics(prev, power) -> list:
+    """The quadric set of each colon power : M over the generators M of prev, as masks over the
+    quadrics in lexicographic order, from the colon ideals themselves; each must be generated
+    by quadrics."""
+    index = {q: i for i, q in enumerate(combinations_with_replacement(range(power.nvars), 2))}
+    sets = []
+    for m in prev.gens:
+        quotient = colon(power, m)
+        assert {sum(e) for e in quotient.gens} == {2}, (power, m)
+        sets.append(sum(1 << index[tuple(v for v, x in enumerate(e) for _ in range(x))] for e in quotient.gens))
+    return sets
+
+
+def test_the_colon_quadrics_are_those_of_the_colon_ideals():
+    # each graph also with an isolated last vertex: a variable that no generator holds has top
+    # 0 in the box, where a sum past the top would alias to the variable before it
+    for g in graph_family(5, require_edge=True):
+        for h in (g, Graph(g.n + 1, g.edges)):
+            prev = edge_ideal(h)
+            for _ in (2, 3):
+                power = ideal_product(prev, edge_ideal(h))
+                expected = reference_colon_quadrics(prev, power)
+                assert sorted(_colon_quadrics(prev, power)) == sorted(set(expected)), h
+                prev = power
+
+
+def test_without_room_a_sum_past_the_top_aliases(monkeypatch):
+    from edgeideals import box, verification
+
+    class Unbounded(box._Box):
+        """A box whose points may all move up along every axis, as if no top bounded them."""
+
+        def __init__(self, top, size):
+            super().__init__(top, size)
+            self.below = [(1 << size) - 1] * len(top)
+
+    # x2 divides no generator of I^2 for the edge x0*x1 and the isolated vertex 2, so
+    # x0*x1 + x0*x2 aliases to x0*x1 + x0*x1 = x0^2*x1^2, a generator
+    g = Graph(3, [(0, 1)])
+    prev, power = edge_ideal(g), ideal_power(edge_ideal(g), 2)
+    assert _colon_quadrics(prev, power) == reference_colon_quadrics(prev, power)
+    monkeypatch.setattr(verification, "_Box", Unbounded)
+    assert _colon_quadrics(prev, power) != reference_colon_quadrics(prev, power)
+
+
+def test_a_power_past_the_box_limit_falls_back_to_its_table(monkeypatch):
+    from edgeideals import verification
+
+    g = anticycle(5)
+    prev, power = edge_ideal(g), ideal_power(edge_ideal(g), 2)
+    assert _certified_linear(prev, power)
+    assert _Record(g, {}).power_table(2, power, RATIONALS, DEFAULT_CAPS, prev) is None
+    # the box below top(I^2) = (2, 2, 2, 2, 2) has 243 points
+    monkeypatch.setattr(verification, "BOX_MAX", 242)
+    assert not _certified_linear(prev, power)
+    record = _Record(g, {})
+    table = record.power_table(2, power, RATIONALS, DEFAULT_CAPS, prev)
+    assert table is not None and table.is_linear(4) and record.values == {2: True}
+
+
+def test_a_certified_power_builds_no_lattice_and_so_meets_no_lattice_cap(monkeypatch):
+    from edgeideals import verification
+
+    # reg(I(C5)) needs a lattice of at most 40 points, its square and cube more
+    caps = EngineCaps(lattice_max=40)
+    (rep,) = run_statement("np", anticycle(5), {"k_max": 3}, caps=caps)
+    assert rep.verdict == "pass" and rep.data == {"reg": 3, "k_checked": [2, 3]}
+    monkeypatch.setattr(verification, "_certified_linear", lambda prev, power: False)
+    (rep,) = run_statement("np", anticycle(5), {"k_max": 3}, caps=caps)
+    assert rep.verdict == "skipped" and rep.reason.startswith("engine cap hit: cap lattice_max exceeded")
 
 
 # -- one check per rooted class (G_S, z) ----------------------------------------------------------
