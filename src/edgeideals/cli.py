@@ -12,14 +12,12 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import operator
 import os
 import sys
 
-from . import __version__
-from .cache import ResultCache
+from .cache import SEAL_DIGITS, ResultCache, seal
 from .complexes import CapExceeded
 from .enumeration import CLASS_COUNTS, FAMILY_SHA256, enumerate_graphs
 from .graph6 import graph_from_graph6, graph_to_graph6, iter_graph6
@@ -94,7 +92,7 @@ def _json_line(obj) -> str:
 
 
 def _loads(raw: bytes):
-    """The JSON value of a cache log line, or None if it is not UTF-8 JSON (json.loads alone
+    """The JSON value of a family log line, or None if it is not UTF-8 JSON (json.loads alone
     would also take UTF-16 and UTF-32) or nests too deep to decode."""
     try:
         return json.loads(raw.decode("utf-8"))
@@ -145,6 +143,8 @@ def _is_family(value, max_n: int) -> bool:
         return False
     if max_n >= len(FAMILY_SHA256) or len(value) != sum(CLASS_COUNTS[1 : max_n + 1]) - max_n:
         return False
+    import hashlib
+
     return hashlib.sha256("\n".join(value).encode("ascii")).hexdigest() == FAMILY_SHA256[max_n]
 
 
@@ -152,11 +152,11 @@ def _family(args, cache: ResultCache) -> list:
     """graph6 strings of the family; a --max-n family is the first line of its cache log that
     passes `_is_family`, or is enumerated and appended."""
     if getattr(args, "max_n", None):
-        parts = {"op": "family", "max_n": args.max_n, "version": __version__}
-        key = ResultCache.key_of(parts) if cache.root else None
-        for line in cache.get(key) or ():
-            if _is_family(value := _loads(line), args.max_n):
-                return value
+        key = ResultCache.key_of({"op": "family", "max_n": args.max_n}) if cache.root else None
+        with cache.get(key) or contextlib.nullcontext(()) as lines:
+            for line in lines:
+                if _is_family(value := _loads(line), args.max_n):
+                    return value
         family = enumerate_graphs(args.max_n, require_edge=True)
         cache.put(key, _json_line(family))
         return family
@@ -378,17 +378,6 @@ def _statement(args, statement: str):
     return entry
 
 
-def _is_report_list(value) -> bool:
-    """True for the JSON report list of a cache record, as `_run_family` writes it."""
-    return isinstance(value, list) and all(
-        isinstance(r, dict)
-        and isinstance(r.get("statement"), str)
-        and isinstance(r.get("instance"), str)
-        and r.get("verdict") in (PASS, FAIL, SKIPPED)
-        for r in value
-    )
-
-
 def _report_line(rep: dict) -> tuple:
     """(statement, instance, JSON line, verdict) of a report dict, the form a run holds it in."""
     return rep["statement"], rep["instance"], _json_line(rep), rep["verdict"]
@@ -397,6 +386,41 @@ def _report_line(rep: dict) -> tuple:
 def _graph_reports(run, g6: str, store: InvariantStore) -> list:
     """`_report_line`s of `run` on the graph of g6."""
     return [_report_line(r.to_json()) for r in run(graph_from_graph6(g6), store=store)]
+
+
+def _record(g6: str, reports):
+    """The sealed report log line of g6's `_report_line`s, in the layout `cache` describes, or
+    None when one is a fail: a fail is never cached, so that each printed fail comes from its run."""
+    if any(verdict == FAIL for *_, verdict in reports):
+        return None
+    text = "\t".join([g6, *(f"{st}\t{inst}\t{line[:-1]}\t{verdict}" for st, inst, line, verdict in reports)])
+    return f"{text}\t{seal(text.encode('utf-8')).decode('ascii')}\n"
+
+
+_CACHED_VERDICTS = frozenset((PASS, SKIPPED))
+
+
+def _read_records(lines, wanted: dict) -> dict:
+    """graph6 -> `_report_line`s of the first intact record without a fail of each graph in
+    wanted, a dict from graph6 bytes to graph6 strings whose found graphs it pops.
+
+    No JSON is decoded: a record is intact when its text hashes to its seal, which a torn line,
+    a line of another layout or a changed byte does not, and its fields are whole reports."""
+    done, shared = {}, {}
+    for line in lines:
+        g6 = line[: line.find(b"\t")]
+        if g6 in wanted and seal(text := line[: -SEAL_DIGITS - 2]) == line[-SEAL_DIGITS - 1 : -1]:
+            _, *fields = text.decode("utf-8", "replace").split("\t")
+            # a fail is never written, so one found here is recomputed, as is a record of other fields
+            if len(fields) % 4 == 0 and _CACHED_VERDICTS.issuperset(fields[3::4]):
+                # one string object per statement and per verdict, not one per report, so that a
+                # warm run holds less memory
+                it = iter(fields)
+                done[wanted.pop(g6)] = [
+                    (shared.setdefault(st, st), inst, json_text + "\n", shared.setdefault(verdict, verdict))
+                    for st, inst, json_text, verdict in zip(it, it, it, it)
+                ]
+    return done
 
 
 # the InvariantStore of a --jobs worker process, built by the pool initializer
@@ -417,24 +441,22 @@ def _run_family(args, statement: str, field, caps) -> tuple:
     `_statement` has checked; params hold the flags given and the defaults of the others.
 
     The graphs share one cache log keyed by the command, the statement, params, the field and
-    caps if the statement reads them, and the version, but not the run's `InvariantStore`.  A
-    graph's record is appended once its reports reach this process, so a run cut short keeps
-    what it finished; --jobs workers only compute, a chunk of graphs per task, with a store each."""
+    caps if the statement reads them, and the source digest `ResultCache.key_of` adds, but not
+    the run's `InvariantStore`.  A graph's record is appended once its reports reach this
+    process, so a run cut short keeps what it finished; --jobs workers only compute, a chunk of
+    graphs per task, with a store each."""
     given = {_PARAMS[dest]: getattr(args, dest) for dest in _PARAMS if getattr(args, dest, None) is not None}
     params = statement_params(statement, given)
     cache = _cache(args)
     family = _family(args, cache)
     run = functools.partial(run_statement, statement, params=params, field=field, caps=caps)
-    parts = dict(op=args.command, statement=statement, params=params, version=__version__)
+    parts = dict(op=args.command, statement=statement, params=params)
     if _REGISTRY[statement].engine:
         parts.update(field=field.token(), caps=caps.to_json())
     key = ResultCache.key_of(parts) if cache.root else None
-    # the first record of each family graph that holds a report list; no other line is decoded
-    wanted, done = {g6.encode("ascii"): g6 for g6 in family}, {}
-    for line in cache.get(key) or ():
-        g6, _, value = line.partition(b" ")
-        if g6 in wanted and _is_report_list(value := _loads(value)):
-            done[wanted.pop(g6)] = [_report_line(r) for r in value]
+    wanted = {g6.encode("ascii"): g6 for g6 in family}
+    with cache.get(key) or contextlib.nullcontext(()) as lines:
+        done = _read_records(lines, wanted)
     todo = list(wanted.values())
     item = functools.partial(_graph_reports, run)
     if (args.jobs or 1) <= 1 or len(todo) <= 1:
@@ -449,8 +471,7 @@ def _run_family(args, statement: str, field, caps) -> tuple:
         computed = zip(todo, pool.imap(functools.partial(_worker_item, item), todo, chunk))
     with pool:
         for g6, reports in computed:
-            # a list of dicts encodes as their encodings joined by ", ": no report is encoded again
-            cache.put(key, f"{g6} [{', '.join(line[:-1] for _, _, line, _ in reports)}]\n")
+            cache.put(key, _record(g6, reports) if key else None)
             done[g6] = reports
     return params, sorted((rep for g6 in family for rep in done[g6]), key=operator.itemgetter(0, 1))
 

@@ -6,11 +6,13 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from edgeideals import __version__
+from edgeideals import cache
 from edgeideals.cache import ResultCache
 from edgeideals.cli import _caps, build_parser, main
 from edgeideals.enumeration import enumerate_graphs
@@ -341,7 +343,6 @@ def test_a_statement_without_parameters_keeps_its_cache_key(tmp_path, capsys):
         "params": {},
         "field": "Q",
         "caps": DEFAULT_CAPS.to_json(),
-        "version": __version__,
     }
     assert [p.name for p in tmp_path.rglob("*.log")] == [ResultCache.key_of(key) + ".log"]
 
@@ -360,7 +361,7 @@ def test_blemma_reads_no_field(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "895399908b448f9fbc1844be046c5affcc4d42578b84f117b579952edde901fa"
     )
-    key = {"op": "verify", "statement": "blemma", "params": {"k": 2}, "version": __version__}
+    key = {"op": "verify", "statement": "blemma", "params": {"k": 2}}
     assert [p.name for p in tmp_path.rglob("*.log")] == [ResultCache.key_of(key) + ".log"]
     code, out, _ = run_cli(capsys, "verify", "--statement", "blemma", "--max-n", "5", "--k", "2", "--no-cache")
     assert code == 0 and len(out.splitlines()) == 48
@@ -383,7 +384,7 @@ def test_keylemma_reads_no_field(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "1085e257d4b156dbf38709bc0ca154f6e4cf74114a7b2ea80055090be12ac5a4"
     )
-    key = {"op": "verify", "statement": "keylemma", "params": {"covers": None, "k": None}, "version": __version__}
+    key = {"op": "verify", "statement": "keylemma", "params": {"covers": None, "k": None}}
     assert [p.name for p in tmp_path.rglob("*.log")] == [ResultCache.key_of(key) + ".log"]
 
 
@@ -712,44 +713,63 @@ def test_cache_on_off_identical_bytes(tmp_path, capsys, monkeypatch, argv):
     args = [*argv, "--max-n", "4"]
     _, cold, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir))
     calls = count_calls(monkeypatch, cli, "run_statement")
+    encodes, decodes = count_calls(monkeypatch, cli, "_encode"), count_calls(monkeypatch, cli, "_loads")
     _, warm, _ = run_cli(capsys, *args, "--cache-dir", str(cache_dir))
     assert calls == []  # every graph was a hit
+    # the header is encoded and the family line decoded; no report is either
+    assert (len(encodes), len(decodes)) == (1, 1)
     _, off, _ = run_cli(capsys, *args, "--no-cache")
     assert cold == warm == off
     assert any(cache_dir.rglob("*.log"))
 
 
-# (argv, files, sha256 of the newline-joined sorted names of the files a cold run writes): the
-# family entry and the run's report log, so a cache filled by an earlier build stays warm
+def source_key(parts: dict) -> str:
+    """The cache key of parts, computed here: the sha256 of the canonical JSON of parts and the
+    source digest, a sha256 over the names and sha256s of the package's `*.py` files."""
+    package = Path(cache.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    canon = json.dumps({**parts, "source": digest.hexdigest()}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+CAPS_JSON = DEFAULT_CAPS.to_json()
+# (argv, the key parts of the files a cold run writes): the family entry and the run's report log;
+# the source digest in each key leaves every entry an earlier build of the package wrote unread
 CACHE_NAMES = [
     (
         ("verify", "--statement", "bounds", "--max-n", "5", "--field", "GF(2)"),
-        2,
-        "83d135c0417c1ec698ccd71053ef66668685af4fc7d56eaab8181853c201b147",
+        [
+            {"op": "family", "max_n": 5},
+            {"op": "verify", "statement": "bounds", "params": {}, "field": "GF(2)", "caps": CAPS_JSON},
+        ],
     ),
     (
         ("verify", "--statement", "main2", "--max-n", "4"),
-        2,
-        "27f82fefc7ccf580d4e6047843db19fa453095b8272dd10ded029ef818bbe162",
+        [
+            {"op": "family", "max_n": 4},
+            {"op": "verify", "statement": "main2", "params": {"k_max": 3, "sets": None}, "field": "Q", "caps": CAPS_JSON},
+        ],
     ),
     (
         ("scan", "--conjecture", "np", "--max-n", "5"),
-        2,
-        "d776855944d41a77e3485c795e848ba155859913915be75fcea931a1e2058088",
+        [
+            {"op": "family", "max_n": 5},
+            {"op": "scan", "statement": "np", "params": {"k_max": 2, "reg_filter": None}, "field": "Q", "caps": CAPS_JSON},
+        ],
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, files, expected", CACHE_NAMES, ids=["bounds-gf2", "main2", "np"])
-def test_cache_file_names_are_pinned(tmp_path, capsys, argv, files, expected):
+@pytest.mark.parametrize("argv, parts", CACHE_NAMES, ids=["bounds-gf2", "main2", "np"])
+def test_cache_file_names_are_pinned(tmp_path, capsys, argv, parts):
     code, _, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 0, err
     paths = [p for p in tmp_path.rglob("*") if p.is_file()]
     # the entry of key k is root/k[:2]/k.log
     assert all(p.parent.parent == tmp_path and p.parent.name == p.name[:2] and p.suffix == ".log" for p in paths)
-    names = sorted(p.name for p in paths)
-    assert len(names) == files
-    assert hashlib.sha256("\n".join(names).encode("ascii")).hexdigest() == expected
+    assert sorted(p.name for p in paths) == sorted(source_key(key) + ".log" for key in parts)
 
 
 @pytest.mark.parametrize("argv", FAMILY_RUNS, ids=FAMILY_IDS)
@@ -757,7 +777,7 @@ def test_a_per_run_key_is_the_key_of_the_whole_parts(tmp_path, capsys, argv):
     # a run logs its reports under the key of all its parts; the graph is not one, so every
     # graph of the run, and of any other run of the same statement, shares the log
     statement = argv[2]
-    parts = {"op": argv[0], "statement": statement, "params": statement_params(statement, {}), "version": __version__}
+    parts = {"op": argv[0], "statement": statement, "params": statement_params(statement, {})}
     if _REGISTRY[statement].engine:
         parts.update(field="Q", caps=DEFAULT_CAPS.to_json())
     for builder in ("cycle:4", "path:5"):
@@ -766,19 +786,22 @@ def test_a_per_run_key_is_the_key_of_the_whole_parts(tmp_path, capsys, argv):
         (log,) = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert log.name == ResultCache.key_of(parts) + ".log"
     graphs = [graph_to_graph6(g).encode("ascii") for g in (cycle(4), path(5))]
-    assert [line.partition(b" ")[0] for line in log.read_bytes().splitlines()] == graphs
+    assert [line.partition(b"\t")[0] for line in log.read_bytes().splitlines()] == graphs
 
 
-def test_a_run_without_the_cache_computes_no_key(tmp_path, capsys, monkeypatch):
-    from edgeideals import cache
-
-    args = ["verify", "--statement", "bounds", "--max-n", "4"]
-    _, expected, _ = run_cli(capsys, *args, "--no-cache")
-    monkeypatch.setattr(cache, "hashlib", None)
-    assert run_cli(capsys, *args, "--no-cache") == (0, expected, "")
-    # with the cache on, the same run needs a key
-    code, _, err = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
-    assert code == 5 and "sha256" in err
+def test_a_run_without_the_cache_computes_no_key(tmp_path):
+    # in a fresh interpreter, an uncached run never imports hashlib; with the cache on, the same
+    # run needs it for its keys and seals
+    script = (
+        "import io, sys; from edgeideals.cli import main; sys.stdout = io.StringIO(); "
+        "args = ['verify', '--statement', 'bounds', '--max-n', '4']; "
+        "codes = [main(args + ['--no-cache']), 'hashlib' in sys.modules]; "
+        f"codes += [main(args + ['--cache-dir', {str(tmp_path)!r}]), 'hashlib' in sys.modules]; "
+        "sys.__stdout__.write(repr(codes))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cache.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.stdout, done.stderr) == ("[0, False, 0, True]", "")
 
 
 def test_verify_cache_roundtrip(tmp_path, capsys):
@@ -800,6 +823,24 @@ def test_scan_summary_bytes_do_not_depend_on_jobs(tmp_path, capsys):
         runs.append((out, summary.read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][1] == b"statement,instances,pass,fail,skipped\r\nnewconj2,142,141,0,1\r\n"
+
+
+def test_scan_summary_from_a_warm_cache_matches_the_cold_run(tmp_path, capsys, monkeypatch):
+    import edgeideals.cli as cli
+
+    # the counts come from the verdicts a record holds, and newconj2 over --max-n 4 skips a graph
+    args = ["scan", "--conjecture", "newconj2", "--max-n", "4", "--cache-dir", str(tmp_path / "cache")]
+    runs = []
+    for run in ("cold", "warm"):
+        summary = tmp_path / f"summary-{run}.csv"
+        if run == "warm":
+            calls = count_calls(monkeypatch, cli, "run_statement")
+        code, out, err = run_cli(capsys, *args, "--summary", str(summary))
+        assert (code, err) == (0, "")
+        runs.append((out, summary.read_bytes()))
+    assert calls == []
+    assert runs[0] == runs[1]
+    assert runs[1][1] == b"statement,instances,pass,fail,skipped\r\nnewconj2,142,141,0,1\r\n"
 
 
 def test_parallel_jobs_match_serial(capsys):
@@ -908,7 +949,7 @@ def test_parallel_workers_do_no_cache_io(tmp_path, capsys, monkeypatch, method):
     assert set(pids.read_text(encoding="ascii").split()) == {str(os.getpid())}
     # one record per graph, in the family's order
     records = report_log(tmp_path / "cache", 4).read_bytes().splitlines()
-    assert [r.partition(b" ")[0].decode("ascii") for r in records] == enumerate_graphs(4, require_edge=True)
+    assert [r.partition(b"\t")[0].decode("ascii") for r in records] == enumerate_graphs(4, require_edge=True)
 
 
 def test_a_worker_reads_one_store_for_all_its_items(monkeypatch):
@@ -1110,21 +1151,53 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch, max_n, pay
 
 # the index of the damaged record in the log of bounds over the --max-n 4 family, of 14 graphs
 K = 3
+
+
+def sealed(text: bytes) -> bytes:
+    """The report log line of a record's text: its seal is the first 16 hex digits of the text's
+    sha256."""
+    return text + b"\t" + hashlib.sha256(text).hexdigest()[:16].encode("ascii") + b"\n"
+
+
+def unsealed(record: bytes) -> bytes:
+    """The text of a report log line, without its seal."""
+    return record[: record.rindex(b"\t")]
+
+
+def flipped(record: bytes) -> bytes:
+    """record with the lowest bit of its middle byte, inside its report text, flipped."""
+    mid = len(record) // 2
+    return record[:mid] + bytes([record[mid] ^ 1]) + record[mid + 1 :]
+
+
+def old_layout(record: bytes) -> bytes:
+    """record in the layout of an earlier build: `<graph6> <JSON report list>`."""
+    g6, *fields = unsealed(record).split(b"\t")
+    return g6 + b" [" + b", ".join(fields[2::4]) + b"]\n"
+
+
 # damage(records, family graph6) -> (damaged records, the graphs the next run computes again)
 LOG_DAMAGE = {
-    # a line that is not UTF-8 JSON in place of a record
+    # a line that is not UTF-8 in place of a record
     "garbage": lambda recs, fam: (recs[:K] + [b"\xff{garbage\n"] + recs[K + 1 :], [fam[K]]),
     # a write cut short: the last record loses its second half and its newline; the rerun
     # appends the record again, and the third run finds it
     "torn-tail": lambda recs, fam: (recs[:-1] + [recs[-1][: len(recs[-1]) // 2]], [fam[-1]]),
     # a record of K5, which is outside the family
-    "other-graph": lambda recs, fam: ([b"D~{ " + recs[0].partition(b" ")[2], *recs], []),
-    # a record nested deeper than the decoder's recursion limit
-    "deep": lambda recs, fam: (recs[:K] + [fam[K] + b" " + b"[" * 100_000 + b"\n"] + recs[K + 1 :], [fam[K]]),
-    # a record whose JSON is not a report list
-    "wrong-shape": lambda recs, fam: (recs[:K] + [fam[K] + b' [{"verdict": "maybe"}]\n'] + recs[K + 1 :], [fam[K]]),
+    "other-graph": lambda recs, fam: ([b"D~{\t" + recs[0].partition(b"\t")[2], *recs], []),
+    # a record nested deeper than a JSON decoder's recursion limit, which no run decodes
+    "deep": lambda recs, fam: (recs[:K] + [fam[K] + b"\t" + b"[" * 100_000 + b"\n"] + recs[K + 1 :], [fam[K]]),
+    # a sealed record whose fields are not whole reports
+    "wrong-shape": lambda recs, fam: (recs[:K] + [sealed(fam[K] + b"\tbounds\tmaybe")] + recs[K + 1 :], [fam[K]]),
     # a later record of a graph with every verdict turned to fail: the first record wins
     "duplicate": lambda recs, fam: ([*recs, recs[K].replace(b'"verdict": "pass"', b'"verdict": "fail"')], []),
+    # one flipped byte inside a record's report text breaks its seal
+    "flipped-byte": lambda recs, fam: (recs[:K] + [flipped(recs[K])] + recs[K + 1 :], [fam[K]]),
+    # a record whose verdict was edited from pass to fail and sealed again: a cached fail is
+    # recomputed, so the run prints the pass and exits 0
+    "resealed-fail": lambda recs, fam: (recs[:K] + [sealed(unsealed(recs[K]).replace(b"pass", b"fail"))] + recs[K + 1 :], [fam[K]]),
+    # a log that an earlier build wrote: every record is a miss
+    "old-layout": lambda recs, fam: ([old_layout(r) for r in recs], fam),
 }
 
 
@@ -1138,7 +1211,8 @@ def test_a_damaged_record_is_a_miss_for_its_graph_only(tmp_path, capsys, monkeyp
     log = report_log(tmp_path, 4)
     family = [g6.encode("ascii") for g6 in enumerate_graphs(4, require_edge=True)]
     records = log.read_bytes().splitlines(keepends=True)
-    assert [r.partition(b" ")[0] for r in records] == family and b"pass" in records[K]
+    assert [r.partition(b"\t")[0] for r in records] == family and b"pass" in records[K]
+    assert [sealed(unsealed(r)) for r in records] == records
     damaged, missed = damage(records, family)
     assert damaged != records
     log.write_bytes(b"".join(damaged))
@@ -1188,7 +1262,12 @@ def test_a_run_cut_short_keeps_the_graphs_it_finished(tmp_path, capsys, monkeypa
     assert [graph_to_graph6(g) for _, g in calls] == family[k - 1 :]
 
 
-def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
+def other_source(monkeypatch) -> None:
+    """Make the cache keys of this process those of a package with other source files."""
+    monkeypatch.setattr(cache, "source_digest", lambda: hashlib.sha256(b"other source").hexdigest())
+
+
+def test_cache_key_carries_the_source_digest(tmp_path, capsys, monkeypatch):
     import edgeideals.cli as cli
 
     cache_dir = tmp_path / "cache"
@@ -1197,15 +1276,16 @@ def test_cache_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
     _, first, _ = run_cli(capsys, *args)
     _, hit, _ = run_cli(capsys, *args)
     assert len(calls) == 1
-    monkeypatch.setattr(cli, "__version__", cli.__version__ + "+next")
+    # a log keyed by another source digest is a miss
+    other_source(monkeypatch)
     _, recomputed, _ = run_cli(capsys, *args)
     assert len(calls) == 2
     assert first == hit == recomputed
     assert len(list(cache_dir.rglob("*.log"))) == 2
 
 
-def family_entry(cache_dir, max_n, version=__version__) -> Path:
-    key = ResultCache.key_of({"op": "family", "max_n": max_n, "version": version})
+def family_entry(cache_dir, max_n) -> Path:
+    key = ResultCache.key_of({"op": "family", "max_n": max_n})
     path = Path(ResultCache(cache_dir)._path(key))
     assert path.exists()
     return path
@@ -1258,7 +1338,7 @@ def test_scan_reuses_the_family_entry_of_verify(tmp_path, capsys, monkeypatch):
     assert out == uncached
 
 
-def test_family_entry_key_carries_the_package_version(tmp_path, capsys, monkeypatch):
+def test_family_entry_key_carries_the_source_digest(tmp_path, capsys, monkeypatch):
     import edgeideals.cli as cli
 
     args = ["verify", "--statement", "bounds", "--max-n", "3", "--cache-dir", str(tmp_path)]
@@ -1266,11 +1346,12 @@ def test_family_entry_key_carries_the_package_version(tmp_path, capsys, monkeypa
     _, first, _ = run_cli(capsys, *args)
     _, hit, _ = run_cli(capsys, *args)
     assert len(calls) == 1
-    monkeypatch.setattr(cli, "__version__", cli.__version__ + "+next")
+    other_source(monkeypatch)
     _, recomputed, _ = run_cli(capsys, *args)
     assert len(calls) == 2
     assert first == hit == recomputed
-    family_entry(tmp_path, 3, cli.__version__)
+    family_entry(tmp_path, 3)
+    assert len(list(tmp_path.rglob("*.log"))) == 4
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
